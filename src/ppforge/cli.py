@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import PPForgeError, SizeExceeded
 from .families import (
@@ -72,20 +72,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def parse_prime_power(text):
-    """(p, h) for q given plain or as p^h; must be an odd prime power."""
+def parse_prime_power(text, max_field=None):
+    """(p, h) for q given plain or as p^h; must be an odd prime power.
+
+    With max_field set, a q with q^2 above it raises SizeExceeded before any
+    factoring; the least prime factor is searched only up to sqrt(q).
+    """
     if "^" in text:
         base, _, expo = text.partition("^")
         p, h = int(base), int(expo)
         if h < 1:
             raise UsageError(f"bad exponent in q={text}")
+        if p < 3:
+            raise UsageError(f"q must be a power of an odd prime, got base {p}")
+        if max_field is not None and (h > max_field.bit_length() or p ** (2 * h) > max_field):
+            raise SizeExceeded(f"{p}^{2 * h}", max_field)
     else:
         q = int(text)
         if q < 3:
             raise UsageError(f"q={text} is not an odd prime power")
-        p = 2
-        while q % p != 0:
-            p += 1
+        if max_field is not None and q * q > max_field:
+            raise SizeExceeded(q * q, max_field)
+        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
         h = 0
         while q % p == 0:
             q //= p
@@ -283,7 +291,7 @@ def build_grid(args_params, field, tag, for_sweep):
 def _field_for(args_params, max_size):
     if "q" not in args_params:
         raise UsageError("q is required")
-    p, h = parse_prime_power(args_params["q"])
+    p, h = parse_prime_power(args_params["q"], max_size)
     return build_field(p, h, seed=env_seed(), max_size=max_size)
 
 
@@ -315,7 +323,7 @@ def cmd_field_info(ns, out, err):
         with open(params["file"], "r", encoding="ascii") as fh:
             field = field_from_text(fh.read())
         if "q" in params:
-            p, h = parse_prime_power(params["q"])
+            p, h = parse_prime_power(params["q"], ns.max_field)
             if (p, h) != (field.p, field.h):
                 raise UsageError(f"file describes q={field.q}, not q={params['q']}")
     else:
@@ -354,7 +362,7 @@ def _sweep_common(ns, err):
         raise UsageError("q is required")
     rows = []
     for q_text in params["q"].split(","):
-        p, h = parse_prime_power(q_text)
+        p, h = parse_prime_power(q_text, ns.max_field)
         field = build_field(p, h, seed=env_seed(), max_size=ns.max_field)
         tuples = build_grid(params, field, tag, for_sweep=True)
         if not _check_hypotheses(field, tuples, err):
@@ -392,7 +400,7 @@ def cmd_identities(ns, out, err):
     rows = []
     all_pass = True
     for q_text in params["q"].split(","):
-        p, h = parse_prime_power(q_text)
+        p, h = parse_prime_power(q_text, ns.max_field)
         field = build_field(p, h, seed=env_seed(), max_size=ns.max_field)
         q = field.q
         divisors = [d for d in range(1, q + 2) if (q + 1) % d == 0]

@@ -18,6 +18,7 @@ arithmetic; the oracle module provides the independent exhaustive check.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
@@ -94,9 +95,13 @@ class HypothesisReport:
 
 def _c_power_is_one(field, c, m):
     """(c/2)^((q+1)/m) == 1; false for c == 0."""
-    if c.is_zero():
-        return False
-    half = c / field.from_int(2)
+    return not c.is_zero() and _half_power_is_one(field, int(c), m)
+
+
+@lru_cache(maxsize=1 << 16)
+def _half_power_is_one(field, c, m):
+    # independent of r, so a sweep over r pays the inverse and power once
+    half = field.from_int(c) / field.from_int(2)
     return half ** ((field.q + 1) // m) == field.one
 
 

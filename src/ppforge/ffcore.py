@@ -14,6 +14,7 @@ safe to share between threads; all operations are pure.
 """
 
 from functools import lru_cache
+from operator import mul
 import random
 
 from .errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
@@ -21,8 +22,8 @@ from .errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
 DEFAULT_MAX_FIELD_SIZE = 1 << 26
 DEFAULT_SEED = 0
 
-# Largest q^2 for which discrete-log/decode tables are precomputed; beyond
-# this the evaluation fast path falls back to plain element arithmetic.
+# Largest q^2 for which the exp/log/Zech tables (three lists of about q^2
+# ints) are built; beyond it the oracle walks x = g^t with running products.
 TABLE_LIMIT = 1 << 18
 
 
@@ -270,7 +271,7 @@ class FieldSpec:
         self.generator = Element(self, tuple(generator_coeffs))
         self._exp = None
         self._log = None
-        self._vec = None
+        self._zech = None
 
     def _build_reduce_rows(self):
         # row[i] = coefficient vector of t^(2h+i) modulo the modulus
@@ -303,6 +304,21 @@ class FieldSpec:
                     prod[j] += c * row[j]
         return tuple(c % p for c in prod[:n])
 
+    def multiplier(self, a):
+        """The F_p-linear map v -> a*v on coefficient vectors, as a function.
+
+        Its matrix is built once, so each call costs (2h)^2 products and no
+        reduction by the modulus; a is a coefficient vector.
+        """
+        n, p = self.degree, self.p
+        units = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+        rows = tuple(zip(*(self._mul_coeffs(a, unit) for unit in units)))
+
+        def times_a(v):
+            return tuple([sum(map(mul, row, v)) % p for row in rows])
+
+        return times_a
+
     def same_field(self, other):
         return self is other or (
             self.p == other.p and self.h == other.h and self.modulus == other.modulus
@@ -330,34 +346,37 @@ class FieldSpec:
         for n in range(self.q2):
             yield self.from_int(n)
 
-    # -- discrete-log tables (optional fast path for exhaustive evaluation) --
+    # -- exp/log/Zech tables (the oracle's log-domain walk) --
 
     def tables_supported(self):
         return self.q2 <= TABLE_LIMIT
 
     def tables(self):
-        """(exp, log, vec): exp[i] = canonical of g^i, log its inverse, vec the
-        canonical -> coefficient-tuple decode list.  Built once, lazily."""
+        """(exp, log, zech) for the generator g; built once, lazily.
+
+        exp[i] is the canonical encoding of g^i for 0 <= i < q^2 - 1, log is
+        its inverse (log[0] is None), and zech[i] = log(1 + g^i) is the Zech
+        logarithm, None where 1 + g^i = 0.  With them g^a + g^b is
+        g^(a + zech[b - a]), one lookup at any extension degree.
+        """
         if self._exp is None:
             if not self.tables_supported():
                 raise SizeExceeded(self.q2, TABLE_LIMIT)
-            n = self.q2 - 1
+            p, n = self.p, self.q2 - 1
             exp = [0] * n
             log = [None] * self.q2
             cur = self.one.coeffs
-            gen = self.generator.coeffs
-            mul = self._mul_coeffs
-            powers = [self.p ** i for i in range(self.degree)]
+            times_g = self.multiplier(self.generator.coeffs)
+            powers = [p ** i for i in range(self.degree)]
             for i in range(n):
-                canon = sum(c * pw for c, pw in zip(cur, powers))
+                canon = sum(map(mul, cur, powers))
                 exp[i] = canon
                 log[canon] = i
-                cur = mul(cur, gen)
-            vec = [None] * self.q2
-            for m in range(self.q2):
-                vec[m] = self.from_int(m).coeffs
-            self._exp, self._log, self._vec = exp, log, vec
-        return self._exp, self._log, self._vec
+                cur = times_g(cur)
+            # adding 1 changes only the t^0 coefficient of the encoding
+            zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp]
+            self._exp, self._log, self._zech = exp, log, zech
+        return self._exp, self._log, self._zech
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, h={self.h}, q2={self.q2})"

@@ -1,29 +1,49 @@
 """Ground-truth engines: exhaustive permutation testing and pointwise equality.
 
-Everything here decides by enumeration.  For fields small enough to carry
-discrete-log tables the evaluation loop runs on canonical integers (log/exp
-lookups plus coefficient-vector adds); otherwise it falls back to plain
-element arithmetic.  Both paths compute the same exact values.
+Everything here decides by enumeration, and nothing assumes the shape of the
+polynomial: any SparsePoly is folded mod q^2 - 1 (SparsePoly.fold_units) and
+evaluated term by term.  x = 0 is evaluated on its own; the nonzero inputs
+are walked in generator order x = g^t, t = 0, 1, ..., q^2 - 2, where a term
+c*x^e equals c*g^(t*e).  The walk yields one label per image:
+
+* on fields with tables (q^2 <= TABLE_LIMIT) the label is log f(g^t): term j
+  is the log lc_j + t*e_j mod q^2 - 1, and terms are added through the Zech
+  table, one lookup per term at every extension degree; zero is q^2 - 1;
+* above the limit each term keeps its running value c*g^(t*e), multiplied by
+  the fixed g^e once per point; the label is the canonical image.
+
+Labels name images one to one, so the bijection test marks them in a
+bytearray and stops at the first repeat.  A non-bijection's least colliding
+pair costs one more full evaluation, paid only by a caller who reads it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Callable, Optional, Tuple
+
+from .sparsepoly import SparsePoly
 
 
 @dataclass(frozen=True)
 class PermutationReport:
     """Verdict of an exhaustive bijection test.
 
-    first_collision holds the lexicographically least pair of canonical input
-    encodings with equal images, so diagnostics are reproducible run to run.
+    first_collision is the lexicographically least pair of canonical input
+    encodings with equal images (None if there is none), so diagnostics are
+    reproducible run to run; find_collision computes it on first read.
     outside_mu (subgroup tests only) holds the least canonical input whose
     image left the subgroup; it also counts as a non-bijection.
     """
 
     is_bijection: bool
-    first_collision: Optional[Tuple[int, int]]
     domain_size: int
     outside_mu: Optional[int] = None
+    find_collision: Callable[[], Optional[Tuple[int, int]]] = dataclass_field(
+        default=lambda: None, repr=False, compare=False)
+
+    @cached_property
+    def first_collision(self):
+        return self.find_collision()
 
     def __bool__(self):
         return self.is_bijection
@@ -41,69 +61,55 @@ def evaluate(field, poly, x):
     return acc
 
 
+def _walk(field, poly):
+    """(label of f(0), iterator over the labels of f(g^t), t = 0..q^2-2)."""
+    terms = poly.fold_units().terms
+    const = poly.terms[0][1] if poly.terms and poly.terms[0][0] == 0 else field.zero
+    if field.tables_supported():
+        _, log, zech = field.tables()
+        n = field.q2 - 1
+        label0 = log[int(const)]
+        return (n if label0 is None else label0,
+                _log_walk(n, [(log[int(c)], e) for e, c in terms], zech))
+    return int(const), _product_walk(field, terms)
+
+
+def _log_walk(n, terms, zech):
+    """log f(g^t) for t = 0..n-1 (n for a zero image); terms are (log c, e)."""
+    for t in range(n):
+        acc = None
+        for lc, e in terms:
+            b = (lc + t * e) % n
+            if acc is None:
+                acc = b
+            else:
+                z = zech[b - acc]  # a negative index wraps mod n, as wanted
+                acc = None if z is None else (acc + z) % n
+        yield n if acc is None else acc
+
+
+def _product_walk(field, terms):
+    """Canonical f(g^t) for t = 0..q^2-2, by running products per term."""
+    p = field.p
+    powers = [p ** i for i in range(field.degree)]
+    steps = [field.multiplier((field.generator ** e).coeffs) for e, _ in terms]
+    values = [c.coeffs for _, c in terms]
+    for _ in range(field.q2 - 1):
+        yield sum(sum(col) % p * pw for col, pw in zip(zip(*values), powers))
+        values = [step(v) for step, v in zip(steps, values)]
+
+
 def evaluate_on_field(field, poly):
     """Images of all q^2 elements, indexed by canonical input encoding."""
-    if field.tables_supported():
-        return _evaluate_all_tabled(field, poly)
-    return [int(evaluate(field, poly, x)) for x in field.elements()]
-
-
-def _evaluate_all_tabled(field, poly):
-    exp, log, vec = field.tables()
-    p = field.p
-    q2 = field.q2
-    n = q2 - 1
-    const = 0
-    var_terms = []
-    for e, c in poly.canonical_terms():
-        if e == 0:
-            const = c
-        else:
-            var_terms.append((e, log[c]))
-    out = [0] * q2
-    out[0] = const
-    if not var_terms:
-        for x in range(1, q2):
-            out[x] = const
-        return out
-    if len(var_terms) == 1 and const == 0:
-        (e0, lc0), = var_terms
-        for x in range(1, q2):
-            out[x] = exp[(lc0 + log[x] * e0) % n]
-        return out
-    cvec = vec[const]
-    if len(var_terms) == 2 and field.degree == 2:
-        (e0, lc0), (e1, lc1) = var_terms
-        c0, c1 = cvec
-        for x in range(1, q2):
-            t = log[x]
-            a0, a1 = vec[exp[(lc0 + t * e0) % n]]
-            b0, b1 = vec[exp[(lc1 + t * e1) % n]]
-            out[x] = (c0 + a0 + b0) % p + (c1 + a1 + b1) % p * p
-        return out
-    if len(var_terms) == 3 and field.degree == 2:
-        (e0, lc0), (e1, lc1), (e2, lc2) = var_terms
-        c0, c1 = cvec
-        for x in range(1, q2):
-            t = log[x]
-            a0, a1 = vec[exp[(lc0 + t * e0) % n]]
-            b0, b1 = vec[exp[(lc1 + t * e1) % n]]
-            d0, d1 = vec[exp[(lc2 + t * e2) % n]]
-            out[x] = (c0 + a0 + b0 + d0) % p + (c1 + a1 + b1 + d1) % p * p
-        return out
-    deg = field.degree
-    for x in range(1, q2):
-        t = log[x]
-        acc = list(cvec)
-        for e, lc in var_terms:
-            tv = vec[exp[(lc + t * e) % n]]
-            for j in range(deg):
-                acc[j] += tv[j]
-        canon = 0
-        for j in range(deg - 1, -1, -1):
-            canon = canon * p + acc[j] % p
-        out[x] = canon
-    return out
+    zero_label, labels = _walk(field, poly)
+    _, inputs = _walk(field, SparsePoly.monomial(field, field.one, 1))
+    # decode[label] is the canonical image that the label names
+    decode = field.tables()[0] + [0] if field.tables_supported() else range(field.q2)
+    images = [0] * field.q2
+    images[0] = decode[zero_label]
+    for x, y in zip(inputs, labels):
+        images[decode[x]] = decode[y]
+    return images
 
 
 def _least_collision(images):
@@ -121,14 +127,22 @@ def _least_collision(images):
 
 
 def is_permutation_of_field(field, poly):
-    """Evaluate poly at every element of F_{q^2}; bijection iff no image repeats."""
-    images = evaluate_on_field(field, poly)
-    collision = _least_collision(images)
-    return PermutationReport(
-        is_bijection=collision is None,
-        first_collision=collision,
-        domain_size=field.q2,
-    )
+    """Walk poly over all of F_{q^2}; bijection iff no image repeats.
+
+    Stops at the first repeated image.
+    """
+    zero_label, labels = _walk(field, poly)
+    seen = bytearray(field.q2)
+    seen[zero_label] = 1
+    for label in labels:
+        if seen[label]:
+            return PermutationReport(
+                is_bijection=False,
+                domain_size=field.q2,
+                find_collision=lambda: _least_collision(evaluate_on_field(field, poly)),
+            )
+        seen[label] = 1
+    return PermutationReport(is_bijection=True, domain_size=field.q2)
 
 
 def is_permutation_of_mu(mu, fn: Callable):
@@ -153,9 +167,9 @@ def is_permutation_of_mu(mu, fn: Callable):
         collision = (int(domain[collision[0]]), int(domain[collision[1]]))
     return PermutationReport(
         is_bijection=collision is None and outside is None,
-        first_collision=collision,
         domain_size=mu.order,
         outside_mu=outside,
+        find_collision=lambda: collision,
     )
 
 

@@ -60,6 +60,15 @@ class SparsePoly:
             [(e if e == 0 else (e - 1) % n + 1, c) for e, c in self.terms],
         )
 
+    def fold_units(self):
+        """Fold every exponent to e mod (q^2 - 1) and re-merge.
+
+        x^(q^2 - 1) = 1 on the nonzero elements, so the result equals the
+        original there; at x = 0 it may not, since x^(q^2 - 1) becomes 1.
+        """
+        n = self.field.q2 - 1
+        return SparsePoly(self.field, [(e % n, c) for e, c in self.terms])
+
     def compose_power(self, r, m):
         """Return x^r * self(x^m): every term (e, c) becomes (r + e*m, c)."""
         return SparsePoly(self.field, [(r + e * m, c) for e, c in self.terms])

@@ -3,10 +3,11 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from ppforge import build_field, field_from_text, is_permutation_of_field
+from ppforge import SizeExceeded, build_field, field_from_text, is_permutation_of_field
 from ppforge.cli import main, parse_int_list, parse_prime_power
 from ppforge.families import FamilyParams, build_f
 from ppforge.cli import UsageError
@@ -65,6 +66,21 @@ def test_field_info_usage_errors():
     assert run_cli("field-info", "q=12")[0] == 64
     assert run_cli("field-info")[0] == 64
     assert run_cli("field-info", "q=251", "--max-field=1000")[0] == 64
+
+
+def test_field_info_refuses_oversized_q_before_factoring():
+    # a 13-digit prime: trial division up to q itself would run for hours
+    code, _, err = run_cli("field-info", "q=1000000000039")
+    assert code == 64 and "exceeds the configured cap" in err
+    assert run_cli("field-info", "q=3^1000000000")[0] == 64
+
+
+def test_parse_prime_power_bounds():
+    assert parse_prime_power("1000000000039") == (1000000000039, 1)  # sqrt(q) divisions
+    assert parse_prime_power("8191", 1 << 26) == (8191, 1)
+    for text in ("8209", "3^14"):
+        with pytest.raises(SizeExceeded):
+            parse_prime_power(text, 1 << 26)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +272,27 @@ def test_seed_env_override(monkeypatch):
     field_from_text(other)  # still a valid field description
     monkeypatch.delenv("PPFORGE_SEED")
     assert run_cli("field-info", "q=13")[1] == base
+
+
+def test_sweep_verdicts_invariant_under_seed_and_jobs(monkeypatch):
+    # the oracle walks powers of the seeded generator; its verdicts must not
+    # depend on which generator (or field model) the seed picked
+    argv = ["sweep", "family=T1", "q=3^4", "d=2", "k=1,3", "r=1..6", "c=all"]
+    per_seed = []
+    for seed in ("0", "1", "2"):
+        monkeypatch.setenv("PPFORGE_SEED", seed)
+        runs = []
+        for jobs in ("--jobs=1", "--jobs=2"):
+            code, out, err = run_cli(jobs, *argv)
+            assert code == 0 and "tuples=492 disagreements=0" in err
+            rows = parse_csv(out)
+            for row in rows:
+                del row["elapsed_us"]
+            runs.append(rows)
+        assert runs[0] == runs[1]
+        per_seed.append(Counter(row["r"] for row in runs[0] if row["oracle"] == "true"))
+    assert per_seed[0] == per_seed[1] == per_seed[2]
+    assert sum(per_seed[0].values()) == 82
 
 
 def test_no_arguments_is_usage_error():

@@ -4,6 +4,7 @@ import pytest
 
 from ppforge import (
     SparsePoly,
+    build_field,
     evaluate,
     evaluate_on_field,
     is_permutation_of_field,
@@ -11,7 +12,7 @@ from ppforge import (
     make_mu,
     pointwise_equal,
 )
-from ppforge.oracle import _evaluate_all_tabled
+from ppforge import ffcore
 
 
 def x_power(field, n, coeff=None):
@@ -51,18 +52,68 @@ def test_evaluate_at_zero_uses_power_conventions(field_q13):
     assert evaluate(f, x_power(f, 3), f.zero) == f.zero
 
 
-def test_tabled_evaluation_matches_slow_path(field_q5, field_q9):
+def least_pair(images):
+    """Brute force: the least input whose image recurs, and its least partner."""
+    for x1, y in enumerate(images):
+        if images.count(y) > 1:
+            return x1, images.index(y, x1 + 1)
+    return None
+
+
+def walk_cases(f):
+    """Polynomials covering every corner of the oracle's walk, by name."""
+    g = f.generator
+    n = f.q2 - 1
+    two = f.from_int(2)
+    return {
+        # gcd(7, q^2 - 1) = 1 for q = 5, 9, 25, 81
+        "bijection": x_power(f, 7, g),
+        "three_terms": SparsePoly(f, [(0, f.from_int(2)), (3, f.one), (17, -g)]),
+        "four_terms": SparsePoly(f, [(0, g), (1, g ** 3), (5, f.one), (9, -f.one)]),
+        "zero": SparsePoly(f, []),
+        "constant": SparsePoly(f, [(0, g)]),
+        "exponent_0_mod_n": SparsePoly(f, [(n, g), (2 * n, f.one)]),
+        "constant_cancels_off_0": SparsePoly(f, [(0, two), (n, -two), (3, g)]),
+        "cancels_after_folding": SparsePoly(f, [(5, g), (5 + n, -g), (1, f.one)]),
+        "zero_on_non_squares": SparsePoly(f, [(0, f.one), (n // 2, f.one)]),
+        "zero_part_sum_on_F_q": SparsePoly(f, [(1, f.one), (f.q, -f.one), (2, g)]),
+    }
+
+
+def assert_kernel_matches_evaluate(f, polys):
+    for poly in polys:
+        expected = [int(evaluate(f, poly, x)) for x in f.elements()]
+        assert evaluate_on_field(f, poly) == expected, poly
+        report = is_permutation_of_field(f, poly)
+        assert report.is_bijection == (len(set(expected)) == f.q2), poly
+        assert report.first_collision == least_pair(expected), poly
+
+
+def test_tabled_evaluation_matches_slow_path(field_q5, field_q9, field_q25):
+    for f in (field_q5, field_q9, field_q25):
+        assert f.tables_supported()
+        assert_kernel_matches_evaluate(f, walk_cases(f).values())
+    # at degree 8 evaluate() takes about a second per case, so only the
+    # cases that reach the zero sentinels run there
+    f = build_field(3, 4)
+    cases = walk_cases(f)
+    assert_kernel_matches_evaluate(f, [cases[name] for name in (
+        "bijection", "zero", "constant", "exponent_0_mod_n",
+        "constant_cancels_off_0", "zero_on_non_squares")])
+
+
+def test_untabled_walk_matches_slow_path(field_q5, field_q9, monkeypatch):
+    monkeypatch.setattr(ffcore, "TABLE_LIMIT", 0)
     for f in (field_q5, field_q9):
-        g = f.generator
-        polys = [
-            x_power(f, 7, g),
-            SparsePoly(f, [(0, f.from_int(2)), (3, f.one), (17, -g)]),
-            SparsePoly(f, [(0, g), (1, g ** 3), (5, f.one), (9, -f.one)]),
-        ]
-        for poly in polys:
-            assert _evaluate_all_tabled(f, poly) == [
-                int(evaluate(f, poly, x)) for x in f.elements()
-            ]
+        assert not f.tables_supported()
+        assert_kernel_matches_evaluate(f, walk_cases(f).values())
+
+
+def test_fold_units_merges_and_cancels(field_q5):
+    f = field_q5
+    n = f.q2 - 1
+    poly = SparsePoly(f, [(0, f.one), (n, f.one), (3, f.one), (3 + 2 * n, -f.one)])
+    assert poly.fold_units() == SparsePoly(f, [(0, f.from_int(2))])
 
 
 def test_evaluate_on_field_matches_repeated_multiplication(field_q5):
