@@ -21,6 +21,7 @@ from .families import (
     build_h,
     corollary_negative,
     derived_exponents,
+    gcd_criterion,
     lemma_d4_identity,
     lemma_u_identity,
     lemma_v_identity,

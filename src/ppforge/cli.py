@@ -9,12 +9,18 @@ Parameters are space-separated key=value pairs after the subcommand, e.g.
 
 q is an odd prime power, written plain or as p^h.  c is a canonical integer
 or the literal `all` (the family's full valid-c set).  Ranges are a..b
-(inclusive) and lists are comma-separated; both may be mixed.  Output is CSV
-(default) or JSON lines; rows are sorted by parameter tuple before emission,
-so --jobs never changes the output.  All numeric I/O is exact integer text.
+(inclusive, a <= b) and lists are comma-separated; both may be mixed.  The
+parameter tuples are sorted before any row is computed, and rows come out in
+tuple order, so --jobs never changes the output.  Output is CSV (default) or
+JSON lines.  All numeric I/O is exact integer text.
+
+A sweep or search first validates the family hypotheses of every requested q,
+once per (family, d, k, u, v, c) group: they do not depend on r.  Only then are
+rows computed, with the gcd criterion per r and the oracle per tuple.
 
 Exit codes: 0 agreement/permutation (sweep: zero disagreements), 1 agreement/
-non-permutation, 2 disagreement, 64 usage error, 65 hypothesis violation.
+non-permutation, 2 disagreement, 64 usage error, 65 hypothesis violation
+(raised before any row is computed).
 """
 
 import argparse
@@ -24,18 +30,19 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from math import gcd, isqrt
 
-from .errors import PPForgeError, SizeExceeded
+from .errors import HypothesesNotSatisfied, PPForgeError, SizeExceeded
 from .families import (
     FamilyParams,
     TAGS,
     build_f,
     default_k_window,
+    gcd_criterion,
     lemma_d4_identity,
     lemma_u_identity,
     lemma_v_identity,
-    predicate,
     valid_c_values,
     validate,
 )
@@ -106,13 +113,16 @@ def parse_prime_power(text, max_field=None):
 
 
 def parse_int_list(text):
-    """Comma-separated integers and a..b inclusive ranges."""
+    """Comma-separated integers and a..b inclusive ranges with a <= b."""
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
             lo, _, hi = chunk.partition("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = int(lo), int(hi)
+            if lo > hi:
+                raise UsageError(f"reversed range {chunk!r}")
+            out.extend(range(lo, hi + 1))
         elif chunk:
             out.append(int(chunk))
     if not out:
@@ -149,11 +159,12 @@ def _params_from_tuple(field, tup):
 
 
 def compute_row(field, tup):
-    """One ResultRow dict for (tag, d, k, u, v, r, c_canonical)."""
+    """One ResultRow dict for (tag, d, k, u, v, r, c_canonical) whose family
+    hypotheses hold; compute_rows validates them first."""
     start = time.perf_counter_ns()
     params = _params_from_tuple(field, tup)
     f = build_f(params)
-    pred = predicate(params)
+    pred = gcd_criterion(params)
     report = is_permutation_of_field(field, f)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
     tag = params.tag
@@ -174,40 +185,30 @@ def compute_row(field, tup):
     }
 
 
-_WORKER_FIELD_ARGS = None
+def _worker_row(field_args, tup):
+    return compute_row(build_field(*field_args), tup)
 
 
-def _worker_init(p, h, seed, max_size):
-    global _WORKER_FIELD_ARGS
-    _WORKER_FIELD_ARGS = (p, h, seed, max_size)
-
-
-def _worker_row(tup):
-    p, h, seed, max_size = _WORKER_FIELD_ARGS
-    field = build_field(p, h, seed=seed, max_size=max_size)
-    return compute_row(field, tup)
+def _validate_groups(field, tuples):
+    """Validate each distinct (tag, d, k, u, v, c) group once, in tuple order;
+    raise HypothesesNotSatisfied for the first that fails."""
+    for group in dict.fromkeys((tag, d, k, u, v, 1, c) for tag, d, k, u, v, _, c in tuples):
+        report = validate(_params_from_tuple(field, group))
+        if not report.satisfied:
+            raise HypothesesNotSatisfied(report.violations)
 
 
 def compute_rows(field, tuples, jobs, seed, max_size):
-    """Rows for every parameter tuple, order restored by sorting."""
-    if jobs > 1 and len(tuples) > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_worker_init,
-            initargs=(field.p, field.h, seed, max_size),
-        ) as pool:
-            rows = list(pool.map(_worker_row, tuples, chunksize=64))
-    else:
-        rows = [compute_row(field, tup) for tup in tuples]
-    rows.sort(key=_row_sort_key)
-    return rows
-
-
-def _row_sort_key(row):
-    return (
-        row["q"], row["family"], row["d"], row["k"] or 0,
-        row["u"] or 0, row["v"] or 0, row["r"], row["c"],
-    )
+    """Rows for every parameter tuple, in tuple order, on at most
+    min(jobs, len(tuples)) processes.  Every group is validated before any
+    row is computed."""
+    _validate_groups(field, tuples)
+    workers = min(jobs, len(tuples))
+    if workers < 2:
+        return [compute_row(field, tup) for tup in tuples]
+    worker = partial(_worker_row, (field.p, field.h, seed, max_size))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, tuples, chunksize=64))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ FAMILY_KEYS = {"family", "q", "d", "k", "u", "v", "r", "c"}
 
 
 def build_grid(args_params, field, tag, for_sweep):
-    """All (tag, d, k, u, v, r, c) tuples of the requested grid."""
+    """All (tag, d, k, u, v, r, c) tuples of the requested grid, sorted."""
     q = field.q
     if tag in ("T1", "T2", "T3", "T4"):
         if "d" not in args_params:
@@ -262,7 +263,6 @@ def build_grid(args_params, field, tag, for_sweep):
     if c_text is None:
         raise UsageError("c is required")
 
-    tuples = []
     if tag == "T6":
         u_values = parse_int_list(args_params["u"]) if "u" in args_params else None
         v_values = parse_int_list(args_params["v"]) if "v" in args_params else None
@@ -275,14 +275,13 @@ def build_grid(args_params, field, tag, for_sweep):
             k_values = (parse_int_list(args_params["k"]) if "k" in args_params
                         else default_k_window(tag, d))
             combos.extend((d, k, 0, 0) for k in k_values)
-    for d, k, u, v in combos:
-        if c_text == "all":
-            c_values = [int(c) for c in valid_c_values(field, tag)]
-        else:
-            c_values = parse_int_list(c_text)
-        for c in c_values:
-            for r in r_values:
-                tuples.append((tag, d, k, u, v, r, c))
+    if c_text == "all":
+        c_values = [int(c) for c in valid_c_values(field, tag)]
+    else:
+        c_values = parse_int_list(c_text)
+    # sorted factors make the product sorted: no sort of the whole grid
+    tuples = [(tag, d, k, u, v, r, c) for d, k, u, v in sorted(combos)
+              for r in sorted(r_values) for c in sorted(c_values)]
     if not tuples:
         raise UsageError("empty parameter grid")
     return tuples
@@ -293,24 +292,6 @@ def _field_for(args_params, max_size):
         raise UsageError("q is required")
     p, h = parse_prime_power(args_params["q"], max_size)
     return build_field(p, h, seed=env_seed(), max_size=max_size)
-
-
-def _check_hypotheses(field, tuples, err):
-    """Exit-65 path: every requested tuple must satisfy its family hypotheses."""
-    seen = set()
-    for tag, d, k, u, v, _, c in tuples:
-        key = (tag, d, k, u, v, c)
-        if key in seen:
-            continue
-        seen.add(key)
-        params = FamilyParams(tag=tag, field=field, r=1, c=field.from_int(c),
-                              d=d, k=k, u=u, v=v)
-        report = validate(params)
-        if not report.satisfied:
-            for violation in report.violations:
-                print(f"violation: {violation}", file=err)
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -344,38 +325,36 @@ def cmd_check(ns, out, err):
     tuples = build_grid(params, field, tag, for_sweep=False)
     if len(tuples) != 1:
         raise UsageError("check takes exactly one parameter tuple; use sweep for grids")
-    if not _check_hypotheses(field, tuples, err):
-        return EXIT_HYPOTHESES
-    row = compute_row(field, tuples[0])
+    row, = compute_rows(field, tuples, ns.jobs, env_seed(), ns.max_field)
     emit_rows([row], ROW_FIELDS, ns.format, out)
     if not row["agree"]:
         return EXIT_DISAGREEMENT
     return EXIT_OK if row["oracle"] else EXIT_NON_PERMUTATION
 
 
-def _sweep_common(ns, err):
+def _sweep_common(ns):
+    """Rows of the grid at every requested q, in ascending q."""
     params = parse_kv(ns.params, FAMILY_KEYS)
     tag = params.get("family")
     if tag not in TAGS:
         raise UsageError(f"family must be one of {', '.join(TAGS)}")
     if "q" not in params:
         raise UsageError("q is required")
-    rows = []
+    seed = env_seed()
+    fields = []
     for q_text in params["q"].split(","):
         p, h = parse_prime_power(q_text, ns.max_field)
-        field = build_field(p, h, seed=env_seed(), max_size=ns.max_field)
-        tuples = build_grid(params, field, tag, for_sweep=True)
-        if not _check_hypotheses(field, tuples, err):
-            return None
-        rows.extend(compute_rows(field, tuples, ns.jobs, env_seed(), ns.max_field))
-    rows.sort(key=_row_sort_key)
-    return rows
+        fields.append(build_field(p, h, seed=seed, max_size=ns.max_field))
+    grids = [(field, build_grid(params, field, tag, for_sweep=True))
+             for field in sorted(fields, key=lambda field: field.q)]
+    for field, tuples in grids[1:]:  # compute_rows validates the first grid itself
+        _validate_groups(field, tuples)
+    return [row for field, tuples in grids
+            for row in compute_rows(field, tuples, ns.jobs, seed, ns.max_field)]
 
 
 def cmd_sweep(ns, out, err):
-    rows = _sweep_common(ns, err)
-    if rows is None:
-        return EXIT_HYPOTHESES
+    rows = _sweep_common(ns)
     emit_rows(rows, ROW_FIELDS, ns.format, out)
     disagreements = sum(1 for row in rows if not row["agree"])
     print(f"tuples={len(rows)} disagreements={disagreements}", file=err)
@@ -383,9 +362,7 @@ def cmd_sweep(ns, out, err):
 
 
 def cmd_search(ns, out, err):
-    rows = _sweep_common(ns, err)
-    if rows is None:
-        return EXIT_HYPOTHESES
+    rows = _sweep_common(ns)
     hits = [row for row in rows if row["oracle"]]
     emit_rows(hits, SEARCH_FIELDS, ns.format, out)
     print(f"tuples={len(rows)} permutations={len(hits)}", file=err)
@@ -466,10 +443,11 @@ def main(argv=None, out=None, err=None):
         if ns.jobs < 1:
             raise UsageError("--jobs must be >= 1")
         return COMMANDS[ns.command](ns, out, err)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=err)
-        return EXIT_USAGE
-    except SizeExceeded as exc:
+    except HypothesesNotSatisfied as exc:
+        for violation in exc.violations:
+            print(f"violation: {violation}", file=err)
+        return EXIT_HYPOTHESES
+    except (UsageError, SizeExceeded) as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE
     except (PPForgeError, ValueError, OSError) as exc:

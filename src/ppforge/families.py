@@ -18,7 +18,6 @@ arithmetic; the oracle module provides the independent exhaustive check.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
@@ -94,15 +93,13 @@ class HypothesisReport:
 
 
 def _c_power_is_one(field, c, m):
-    """(c/2)^((q+1)/m) == 1; false for c == 0."""
-    return not c.is_zero() and _half_power_is_one(field, int(c), m)
+    """(c/2)^((q+1)/m) == 1; false for c == 0.
 
-
-@lru_cache(maxsize=1 << 16)
-def _half_power_is_one(field, c, m):
-    # independent of r, so a sweep over r pays the inverse and power once
-    half = field.from_int(c) / field.from_int(2)
-    return half ** ((field.q + 1) // m) == field.one
+    Tested as c^e == 2^e with e = (q+1)/m: 2 lies in F_p, so 2^e is an integer
+    power mod p and no field inverse is needed.
+    """
+    e = (field.q + 1) // m
+    return not c.is_zero() and c ** e == field.from_int(pow(2, e, field.p))
 
 
 def validate(params):
@@ -183,14 +180,24 @@ def build_f(params):
 
 
 def predicate(params):
-    """The family's exact gcd criterion for f permuting F_{q^2}.
+    """Whether f permutes F_{q^2}: validate(params), then gcd_criterion(params).
 
-    Requires the hypotheses to hold (raises HypothesesNotSatisfied
-    otherwise); the returned boolean then equals the oracle verdict.
+    Raises HypothesesNotSatisfied when the hypotheses fail; otherwise the
+    returned boolean equals the oracle verdict.
     """
     report = validate(params)
     if not report.satisfied:
         raise HypothesesNotSatisfied(report.violations)
+    return gcd_criterion(params)
+
+
+def gcd_criterion(params):
+    """The family's exact gcd condition on r for f permuting F_{q^2}.
+
+    Meaningful only where validate(params) holds, which it does not check.
+    The hypotheses depend on (q, d, k, u, v, c) and not on r, so a sweep
+    validates each such group once and calls this for every r.
+    """
     q = params.field.q
     r, k, d = params.r, params.k, params.d
     de = params.derived()
@@ -221,35 +228,31 @@ def predicate(params):
 def lemma_v_identity(field, d, k):
     """x^(v1+k) == x^(q*v+k) on all of mu_{q+1}, and x^(-v1) == omega^(i*s)
     on the i-th coset."""
-    mu = make_mu(field)
-    part = make_partition(mu, d)
-    if not part.disjoint:
-        raise PartitionNotDisjoint(f"d={d}, subgroup order {part.subgroup_order}")
-    q = field.q
-    de = derived_exponents(q, d)
-    for x in mu.elements():
-        if x ** (de.v1 + k) != x ** (q * de.v + k):
-            return False
-        i = coset_index(part, x)
-        if x ** (-de.v1) != part.omega_pow(i * de.s):
-            return False
-    return True
+    de = derived_exponents(field.q, d)
+    return _coset_identity(field, d, de.s, de.v1 + k, field.q * de.v + k, de.v1, False)
 
 
 def lemma_u_identity(field, d, k):
     """x^(u1+k) == x^(q*u+k+2) on all of mu_{q+1}, and x^(-u1) ==
     omega^(i*s) * x^(-1) on the i-th coset."""
+    de = derived_exponents(field.q, d)
+    return _coset_identity(field, d, de.s, de.u1 + k, field.q * de.u + k + 2, de.u1, True)
+
+
+def _coset_identity(field, d, s, a, b, e, times_inverse):
+    """x^a == x^b on all of mu_{q+1}, and x^(-e) == omega^(i*s), times x^(-1)
+    if times_inverse, on the i-th coset of the d-partition."""
     mu = make_mu(field)
     part = make_partition(mu, d)
     if not part.disjoint:
         raise PartitionNotDisjoint(f"d={d}, subgroup order {part.subgroup_order}")
-    q = field.q
-    de = derived_exponents(q, d)
     for x in mu.elements():
-        if x ** (de.u1 + k) != x ** (q * de.u + k + 2):
+        if x ** a != x ** b:
             return False
-        i = coset_index(part, x)
-        if x ** (-de.u1) != part.omega_pow(i * de.s) * x ** (-1):
+        expected = part.omega_pow(coset_index(part, x) * s)
+        if times_inverse:
+            expected = expected * x ** (-1)
+        if x ** (-e) != expected:
             return False
     return True
 

@@ -7,7 +7,14 @@ from collections import Counter
 
 import pytest
 
-from ppforge import SizeExceeded, build_field, field_from_text, is_permutation_of_field
+from ppforge import (
+    HypothesesNotSatisfied,
+    SizeExceeded,
+    build_field,
+    field_from_text,
+    is_permutation_of_field,
+)
+from ppforge import cli, families
 from ppforge.cli import main, parse_int_list, parse_prime_power
 from ppforge.families import FamilyParams, build_f
 from ppforge.cli import UsageError
@@ -43,8 +50,13 @@ def test_parse_int_list():
     assert parse_int_list("1,3,5") == [1, 3, 5]
     assert parse_int_list("1..4") == [1, 2, 3, 4]
     assert parse_int_list("7,1..3") == [7, 1, 2, 3]
+    assert parse_int_list("3..3") == [3]
     with pytest.raises(UsageError):
         parse_int_list(",")
+    with pytest.raises(UsageError, match="reversed range"):
+        parse_int_list("1,9..3")
+    code, out, err = run_cli("sweep", "family=T1", "q=13", "d=2", "k=1", "r=1,9..3", "c=2")
+    assert code == 64 and out == "" and "reversed range '9..3'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +202,62 @@ def test_sweep_hypothesis_violation():
     code, _, err = run_cli("sweep", "family=T1", "q=13", "d=2", "k=2", "r=1..5", "c=all")
     assert code == 65
     assert "k is not odd" in err
+
+
+def test_sweep_rejects_any_violating_q_before_computing_a_row(monkeypatch):
+    def no_rows(field, tup):
+        raise AssertionError(f"row computed at q={field.q} before every q was validated")
+
+    monkeypatch.setattr(cli, "compute_row", no_rows)
+    # 7 sorts before 13; 19 sorts after it, so it is caught only by validating up front
+    for q in ("q=13,7", "q=13,19"):
+        code, out, err = run_cli("--jobs=1", "sweep", "family=T1", q, "d=2", "k=1",
+                                 "r=1..3", "c=all")
+        assert code == 65 and out == ""
+        assert "violation: q != 1 (mod 4)" in err
+
+
+def test_sweep_validates_once_per_group(monkeypatch):
+    calls = []
+
+    def counting(validate):
+        def wrapper(params):
+            calls.append((params.k, int(params.c)))
+            return validate(params)
+        return wrapper
+
+    monkeypatch.setattr(cli, "validate", counting(cli.validate))
+    monkeypatch.setattr(families, "validate", counting(families.validate))
+    code, _, err = run_cli("--jobs=1", "sweep", "family=T1", "q=13", "d=2", "k=1,3",
+                           "r=1..20", "c=all")
+    assert code == 0 and "tuples=280 disagreements=0" in err
+    assert len(calls) == 14 == len(set(calls))  # 2 k x 7 c, never once per r
+
+
+def test_compute_rows_caps_workers_at_tuple_count(monkeypatch):
+    class InProcessPool:
+        def __init__(self, max_workers, **kwargs):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    workers = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    field = build_field(13, 1)
+    tuples = [("T1", 2, 1, 0, 0, 5, 2), ("T1", 2, 1, 0, 0, 6, 2)]
+    rows = cli.compute_rows(field, tuples, 64, 0, 1 << 26)
+    assert workers == [2]
+    assert [(row["r"], row["oracle"]) for row in rows] == [(5, True), (6, False)]
+    with pytest.raises(HypothesesNotSatisfied):
+        cli.compute_rows(field, [("T1", 2, 2, 0, 0, 5, 2)] * 2, 64, 0, 1 << 26)
+    assert workers == [2]
 
 
 def test_sweep_deterministic_and_parallel_consistent():

@@ -8,6 +8,7 @@ from ppforge import (
     corollary_negative,
     derived_exponents,
     evaluate,
+    gcd_criterion,
     is_permutation_of_field,
     lemma_d4_identity,
     lemma_u_identity,
@@ -198,6 +199,14 @@ def test_predicate_examples(field_q13, field_q11, field_q5):
 def test_predicate_requires_hypotheses(field_q7):
     with pytest.raises(HypothesesNotSatisfied):
         predicate(make(field_q7, "T1", d=2, k=1))
+
+
+def test_gcd_criterion_is_predicate_without_validation(field_q7, field_q13, field_q5):
+    for params in ([make(field_q13, "T1", d=2, k=k, r=r) for k in (1, 3) for r in range(1, 30)]
+                   + [make(field_q5, "T6", u=1, v=v, r=r) for v in (1, 3) for r in range(1, 25)]):
+        assert gcd_criterion(params) == predicate(params), params
+    # the sweep validates each group once and then asks only for the criterion
+    assert gcd_criterion(make(field_q7, "T1", d=2, k=1, r=5)) is False
 
 
 def test_predicate_oracle_agreement_spotchecks(field_q13, field_q11, field_q5):
