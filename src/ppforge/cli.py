@@ -302,7 +302,7 @@ def cmd_field_info(ns, out, err):
     params = parse_kv(ns.params, {"q", "file"})
     if "file" in params:
         with open(params["file"], "r", encoding="ascii") as fh:
-            field = field_from_text(fh.read())
+            field = field_from_text(fh.read(), ns.max_field)
         if "q" in params:
             p, h = parse_prime_power(params["q"], ns.max_field)
             if (p, h) != (field.p, field.h):

@@ -246,13 +246,10 @@ def _coset_identity(field, d, s, a, b, e, times_inverse):
     part = make_partition(mu, d)
     if not part.disjoint:
         raise PartitionNotDisjoint(f"d={d}, subgroup order {part.subgroup_order}")
-    for x in mu.elements():
-        if x ** a != x ** b:
-            return False
-        expected = part.omega_pow(coset_index(part, x) * s)
-        if times_inverse:
-            expected = expected * x ** (-1)
-        if x ** (-e) != expected:
+    walks = zip(mu.elements(), mu.walk(a), mu.walk(b), mu.walk(-e),
+                mu.walk(-1 if times_inverse else 0))
+    for x, xa, xb, x_minus_e, factor in walks:
+        if xa != xb or x_minus_e != part.omega_pow(coset_index(part, x) * s) * factor:
             return False
     return True
 
@@ -265,18 +262,13 @@ def lemma_d4_identity(field):
     if q % 8 != 3:
         raise BadCongruence(q, "q = 3 (mod 8)")
     mu = make_mu(field)
-    part = make_partition(mu, 4)
-    omega = part.omega
+    omega = make_partition(mu, 4).omega
     one = field.one
     minus_one = -one
     u = (q + 5) // 4
     quarter = (q + 1) // 4
     class_sizes = {0: 0, 1: 0, 2: 0, 3: 0}
-    for x in mu.elements():
-        z = x ** quarter
-        lhs = x ** u
-        r1 = x ** (2 + q * u)
-        r2 = x ** (2 - u)
+    for z, lhs, r1, r2 in zip(mu.walk(quarter), mu.walk(u), mu.walk(2 + q * u), mu.walk(2 - u)):
         if z == one or z == minus_one:
             class_sizes[0 if z == one else 1] += 1
             if lhs != r1 or lhs != r2:
@@ -341,15 +333,9 @@ def valid_c_values(field, tag):
     if tag in ("T3", "T4"):
         return [field.from_int(n) for n in range(1, field.q2)]
     m = 4 if tag == "T5" else 2
-    gamma = field.generator ** (field.q - 1)
     two = field.from_int(2)
-    step = gamma ** m
-    out = []
-    cur = field.one
-    for _ in range((field.q + 1) // m):
-        out.append(two * cur)
-        cur = cur * step
-    return out
+    # (q+1)//m values even where m does not divide q+1 (T5 at q = 1 mod 4)
+    return [two * x for x in make_mu(field).walk(m)[:(field.q + 1) // m]]
 
 
 def default_k_window(tag, d):

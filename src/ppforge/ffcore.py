@@ -449,11 +449,12 @@ def field_to_text(field):
     )
 
 
-def field_from_text(text):
+def field_from_text(text, max_size=DEFAULT_MAX_FIELD_SIZE):
     """Parse and fully validate a field description file.
 
     Raises ValueError on malformed input, NotPrime / irreducibility /
-    generator-order failures as appropriate.
+    generator-order failures as appropriate, and SizeExceeded when p^2h
+    exceeds max_size, before any primality, irreducibility or order test.
     """
     entries = {}
     for line in text.splitlines():
@@ -467,6 +468,8 @@ def field_from_text(text):
         raise ValueError(f"field description missing keys: {sorted(missing)}")
     p = int(entries["p"])
     h = int(entries["h"])
+    if h > max_size.bit_length() or p ** (2 * h) > max_size:
+        raise SizeExceeded(f"{p}^{2 * h}", max_size)
     if not is_prime(p) or p == 2:
         raise NotPrime(p)
     if h < 1:

@@ -6,6 +6,10 @@ gamma = g^(q-1) for a generator g of the full multiplicative group.  For a
 divisor d of q+1, omega = gamma^((q+1)/d) has order exactly d and the cosets
 omega^i * mu_{(q+1)/d} tile the subgroup precisely when gcd(d, (q+1)/d) = 1.
 
+Every root is gamma^i for one index i in [0, q]: MuContext.log reads i off a
+dict and MuContext.walk(e) lists x^e = (gamma^e)^i in index order, so powers
+of roots, omega^j and coset indices need no per-root exponentiation.
+
 All decision procedures here are exact: gcd conditions are checked by integer
 arithmetic, image disjointness by enumerating all q+1 images.
 """
@@ -15,38 +19,51 @@ from math import gcd
 from typing import Optional
 
 from .errors import NotADivisor, NotInMu, PartitionNotDisjoint
+from .ffcore import Element
 from .oracle import evaluate
 
 
 class MuContext:
-    """The (q+1)-th roots of unity: generator gamma and cached element list."""
+    """The (q+1)-th roots of unity gamma^0, ..., gamma^q, listed once by
+    walk(1) and indexed by the dict {int(gamma^i): i}."""
 
-    __slots__ = ("field", "gamma", "order", "_elements", "_canonicals")
+    __slots__ = ("field", "gamma", "order", "_elements", "_index")
 
     def __init__(self, field, gamma):
         self.field = field
         self.gamma = gamma
         self.order = field.q + 1
-        self._elements = None
-        self._canonicals = None
+        self._elements = self.walk(1)
+        self._index = {int(x): i for i, x in enumerate(self._elements)}
+
+    def walk(self, e):
+        """[(gamma^e)^i for i in 0..q], i.e. x^e for x = gamma^i in index
+        order; one multiplication per root by the fixed gamma^e."""
+        field = self.field
+        step = field.multiplier((self.gamma ** e).coeffs)
+        cur = field.one.coeffs
+        out = []
+        for _ in range(self.order):
+            out.append(Element(field, cur))
+            cur = step(cur)
+        return out
 
     def elements(self):
         """All q+1 roots, as powers gamma^0, gamma^1, ..., gamma^q."""
-        if self._elements is None:
-            elems = [self.field.one]
-            for _ in range(self.order - 1):
-                elems.append(elems[-1] * self.gamma)
-            self._elements = elems
-            self._canonicals = frozenset(int(x) for x in elems)
         return self._elements
 
+    def log(self, x):
+        """The i in [0, q] with x = gamma^i; NotInMu if x is not a root."""
+        i = self._index.get(int(x))
+        if i is None:
+            raise NotInMu(f"{x!r} is not a (q+1)-th root of unity")
+        return i
+
     def canonical_set(self):
-        if self._canonicals is None:
-            self.elements()
-        return self._canonicals
+        return self._index.keys()
 
     def __contains__(self, x):
-        return int(x) in self.canonical_set()
+        return int(x) in self._index
 
 
 def make_mu(field):
@@ -63,7 +80,7 @@ class CosetPartition:
     operations refuse non-disjoint partitions.
     """
 
-    __slots__ = ("mu", "d", "omega", "s", "subgroup_order", "disjoint", "_omega_pows")
+    __slots__ = ("mu", "d", "omega", "s", "subgroup_order", "disjoint")
 
     def __init__(self, mu, d):
         order = mu.order
@@ -72,16 +89,12 @@ class CosetPartition:
         self.mu = mu
         self.d = d
         self.subgroup_order = order // d
-        self.omega = mu.gamma ** self.subgroup_order
+        self.omega = self.omega_pow(1)
         self.s = self.subgroup_order % d or d
         self.disjoint = gcd(d, self.subgroup_order) == 1
-        pows = [mu.field.one]
-        for _ in range(d - 1):
-            pows.append(pows[-1] * self.omega)
-        self._omega_pows = pows
 
     def omega_pow(self, j):
-        return self._omega_pows[j % self.d]
+        return self.mu.elements()[j % self.d * self.subgroup_order]
 
 
 def make_partition(mu, d):
@@ -91,19 +104,14 @@ def make_partition(mu, d):
 def coset_index(part, x):
     """The i in [0, d) with x in omega^i * mu_{(q+1)/d}.
 
-    Computed from x^((q+1)/d) = omega^(i*s) by a linear-scan discrete log in
-    the order-d group generated by omega (at most d trials).
+    With x = gamma^m, x lies in the coset of omega^i iff m = i*(q+1)/d
+    (mod d), so i = m * s^-1 mod d; s is a unit mod d because the cosets are
+    disjoint.
     """
-    if x not in part.mu:
-        raise NotInMu(f"{x!r} is not a (q+1)-th root of unity")
+    m = part.mu.log(x)
     if not part.disjoint:
         raise PartitionNotDisjoint(f"d={part.d}, subgroup order {part.subgroup_order}")
-    z = x ** part.subgroup_order
-    d, s = part.d, part.s
-    for i in range(d):
-        if part.omega_pow(i * s) == z:
-            return i
-    raise AssertionError("unreachable: x^((q+1)/d) must land in <omega>")
+    return m * pow(part.s, -1, part.d) % part.d
 
 
 def coset_decompose(part, x):

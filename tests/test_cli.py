@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +88,20 @@ def test_field_info_refuses_oversized_q_before_factoring():
     code, _, err = run_cli("field-info", "q=1000000000039")
     assert code == 64 and "exceeds the configured cap" in err
     assert run_cli("field-info", "q=3^1000000000")[0] == 64
+
+
+def test_field_info_refuses_oversized_file_before_primality(tmp_path):
+    # a 31-digit p: is_prime alone would run far longer than the bound below
+    path = tmp_path / "huge.field"
+    path.write_text("p=1000000000000000000000000000057\nh=1\nmodulus=1,0,1\ngenerator=2\n")
+    start = time.perf_counter()
+    code, _, err = run_cli("field-info", f"file={path}")
+    assert time.perf_counter() - start < 0.5
+    assert code == 64 and "exceeds the configured cap" in err
+    path.write_text("p=3\nh=1000000000\nmodulus=1,0,1\ngenerator=2\n")
+    assert run_cli("field-info", f"file={path}")[0] == 64
+    with pytest.raises(SizeExceeded):
+        field_from_text("p=13\nh=1\nmodulus=6,0,1\ngenerator=2\n", max_size=168)
 
 
 def test_parse_prime_power_bounds():
@@ -363,23 +380,26 @@ def test_sweep_verdicts_invariant_under_seed_and_jobs(monkeypatch):
     assert sum(per_seed[0].values()) == 82
 
 
+def run_module(*argv):
+    """python -m ppforge in a child process that imports this same ppforge."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-m", "ppforge", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_no_arguments_is_usage_error():
-    proc = subprocess.run([sys.executable, "-m", "ppforge"], capture_output=True)
+    proc = run_module()
     assert proc.returncode == 64
 
 
 def test_help_exits_zero():
-    proc = subprocess.run([sys.executable, "-m", "ppforge", "--help"],
-                          capture_output=True, text=True)
+    proc = run_module("--help")
     assert proc.returncode == 0
     assert "sweep" in proc.stdout
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ppforge", "check", "family=T1", "q=13",
-         "d=2", "k=1", "r=5", "c=2"],
-        capture_output=True, text=True,
-    )
+    proc = run_module("check", "family=T1", "q=13", "d=2", "k=1", "r=5", "c=2")
     assert proc.returncode == 0
     assert "2x^5 + 2x^101" in proc.stdout

@@ -1,9 +1,12 @@
+from math import gcd
+
 import pytest
 
 from ppforge import (
     FamilyParams,
     SparsePoly,
     build_f,
+    build_field,
     build_h,
     corollary_negative,
     derived_exponents,
@@ -25,7 +28,7 @@ from ppforge.errors import (
     NegativeExponent,
     PartitionNotDisjoint,
 )
-from ppforge.families import default_k_window, t6_even_v_is_constant_on_mu
+from ppforge.families import _coset_identity, default_k_window, t6_even_v_is_constant_on_mu
 
 
 def make(field, tag, r=1, c=2, **kw):
@@ -186,6 +189,30 @@ def test_t1_t2_variable_terms_merge(field_q13):
         assert len(build_f(params).reduce_mod().terms) <= 2
 
 
+@pytest.mark.parametrize("p", [5, 13, 17, 29])
+def test_t1_t2_reduce_to_a_monomial_iff_q_plus_1_divides_the_exponent(p):
+    # the condition behind the known c10 failure: the variable terms of f merge
+    # into c*x^r exactly when (q+1) | v1+k (T1) or (q+1) | u1+k (T2)
+    f = build_field(p, 1)
+    q = f.q
+    seen = set()
+    for tag in ("T1", "T2"):
+        cs = valid_c_values(f, tag)[:3]
+        for d in range(1, q + 2):
+            if not validate(FamilyParams(tag=tag, field=f, r=1, c=cs[0], d=d, k=1)):
+                continue
+            de = derived_exponents(q, d)
+            for k in default_k_window(tag, d):
+                collapses = ((de.v1 if tag == "T1" else de.u1) + k) % (q + 1) == 0
+                seen.add(collapses)
+                for r in (1, 2, 5, q):
+                    for c in cs:
+                        params = FamilyParams(tag=tag, field=f, r=r, c=c, d=d, k=k)
+                        assert validate(params)
+                        assert (len(build_f(params).reduce_mod().terms) == 1) == collapses
+    assert seen == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # gcd predicates vs the exhaustive oracle
 # ---------------------------------------------------------------------------
@@ -249,6 +276,25 @@ def test_lemma_u_identity_examples(field_q5, field_q13):
 def test_lemma_identity_rejects_non_disjoint(field_q7):
     with pytest.raises(PartitionNotDisjoint):
         lemma_v_identity(field_q7, 4, 0)
+
+
+@pytest.mark.parametrize("p,h", [(13, 1), (29, 1), (3, 4)])
+def test_coset_identity_mutants_fail(p, h):
+    # with walks over mu_{q+1} the audit amounts to a check at gamma, so a
+    # wrong exponent or a wrong coset twist must each make it fail; at d = 1
+    # omega = 1 and the twist is invisible
+    f = build_field(p, h)
+    q = f.q
+    for d in range(2, q + 2):
+        if (q + 1) % d or gcd(d, (q + 1) // d) != 1:
+            continue
+        de = derived_exponents(q, d)
+        for k in (0, 1):
+            for a, b, e, times_inverse in ((de.v1 + k, q * de.v + k, de.v1, False),
+                                           (de.u1 + k, q * de.u + k + 2, de.u1, True)):
+                assert _coset_identity(f, d, de.s, a, b, e, times_inverse)
+                assert not _coset_identity(f, d, de.s, a + 1, b, e, times_inverse)
+                assert not _coset_identity(f, d, de.s % d + 1, a, b, e, times_inverse)
 
 
 def test_lemma_d4_identity(field_q11, field_q19, field_q13):

@@ -43,6 +43,22 @@ def test_gamma_has_exact_order_q_plus_1(field_q13):
     assert x == one
 
 
+@pytest.mark.parametrize("p,h", [(5, 1), (3, 2), (3, 4)])
+def test_walk_and_log_against_plain_powers(p, h):
+    f = build_field(p, h)
+    q = f.q
+    mu = make_mu(f)
+    for e in (0, 1, -1, q, q + 2, -(q + 5)):
+        walk = mu.walk(e)
+        assert len(walk) == q + 1
+        assert all(x == mu.gamma ** (e * i) for i, x in enumerate(walk))
+    assert mu.elements() == mu.walk(1)
+    assert [mu.log(x) for x in mu.elements()] == list(range(q + 1))
+    with pytest.raises(NotInMu):
+        mu.log(f.generator)
+    assert f.generator not in mu and mu.gamma in mu
+
+
 def test_mu_solves_x_q_plus_1_equals_1(field_q5):
     mu = make_mu(field_q5)
     solutions = {int(x) for x in field_q5.elements() if x ** 6 == field_q5.one}
