@@ -14,9 +14,12 @@ parameter tuples are sorted before any row is computed, and rows come out in
 tuple order, so --jobs never changes the output.  Output is CSV (default) or
 JSON lines.  All numeric I/O is exact integer text.
 
-A sweep or search first validates the family hypotheses of every requested q,
+Every subcommand parses and size-checks each comma-separated q before it
+builds any field.  check is a sweep whose grid must be exactly one tuple.  A
+sweep, search or check validates the family hypotheses of every requested q,
 once per (family, d, k, u, v, c) group: they do not depend on r.  Only then are
-rows computed, with the gcd criterion per r and the oracle per tuple.
+rows computed, with the gcd criterion per r and the oracle per tuple; f is
+folded mod q^2 - 1 once, for both the oracle and the reduced_f column.
 
 Exit codes: 0 agreement/permutation (sweep: zero disagreements), 1 agreement/
 non-permutation, 2 disagreement, 64 usage error, 65 hypothesis violation
@@ -163,7 +166,7 @@ def compute_row(field, tup):
     hypotheses hold; compute_rows validates them first."""
     start = time.perf_counter_ns()
     params = _params_from_tuple(field, tup)
-    f = build_f(params)
+    f = build_f(params).reduce_mod()  # one fold, shared by oracle and display
     pred = gcd_criterion(params)
     report = is_permutation_of_field(field, f)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
@@ -180,7 +183,7 @@ def compute_row(field, tup):
         "predicate": pred,
         "oracle": report.is_bijection,
         "agree": pred == report.is_bijection,
-        "reduced_f": str(f.reduce_mod()),
+        "reduced_f": str(f),
         "elapsed_us": elapsed_us,
     }
 
@@ -242,7 +245,14 @@ FAMILY_KEYS = {"family", "q", "d", "k", "u", "v", "r", "c"}
 
 
 def build_grid(args_params, field, tag, for_sweep):
-    """All (tag, d, k, u, v, r, c) tuples of the requested grid, sorted."""
+    """All (tag, d, k, u, v, r, c) tuples of the requested grid, sorted.
+
+    A sweep defaults r to 1..q^2-1 and c to all; for check both are required.
+    """
+    if not for_sweep:
+        for key in ("r", "c"):
+            if key not in args_params:
+                raise UsageError(f"{key} is required")
     q = field.q
     if tag in ("T1", "T2", "T3", "T4"):
         if "d" not in args_params:
@@ -259,10 +269,6 @@ def build_grid(args_params, field, tag, for_sweep):
     if any(r < 1 for r in r_values):
         raise UsageError("r values must be >= 1")
 
-    c_text = args_params.get("c", "all" if for_sweep else None)
-    if c_text is None:
-        raise UsageError("c is required")
-
     if tag == "T6":
         u_values = parse_int_list(args_params["u"]) if "u" in args_params else None
         v_values = parse_int_list(args_params["v"]) if "v" in args_params else None
@@ -275,10 +281,10 @@ def build_grid(args_params, field, tag, for_sweep):
             k_values = (parse_int_list(args_params["k"]) if "k" in args_params
                         else default_k_window(tag, d))
             combos.extend((d, k, 0, 0) for k in k_values)
-    if c_text == "all":
+    if args_params.get("c", "all") == "all":
         c_values = [int(c) for c in valid_c_values(field, tag)]
     else:
-        c_values = parse_int_list(c_text)
+        c_values = parse_int_list(args_params["c"])
     # sorted factors make the product sorted: no sort of the whole grid
     tuples = [(tag, d, k, u, v, r, c) for d, k, u, v in sorted(combos)
               for r in sorted(r_values) for c in sorted(c_values)]
@@ -287,11 +293,13 @@ def build_grid(args_params, field, tag, for_sweep):
     return tuples
 
 
-def _field_for(args_params, max_size):
-    if "q" not in args_params:
+def _fields(params, max_size):
+    """The field of every comma-separated q, in the order given.  Every q is
+    parsed and size-checked before any field is built."""
+    if "q" not in params:
         raise UsageError("q is required")
-    p, h = parse_prime_power(args_params["q"], max_size)
-    return build_field(p, h, seed=env_seed(), max_size=max_size)
+    degrees = [parse_prime_power(text, max_size) for text in params["q"].split(",")]
+    return [build_field(p, h, seed=env_seed(), max_size=max_size) for p, h in degrees]
 
 
 # ---------------------------------------------------------------------------
@@ -300,32 +308,21 @@ def _field_for(args_params, max_size):
 
 def cmd_field_info(ns, out, err):
     params = parse_kv(ns.params, {"q", "file"})
+    if "," in params.get("q", ""):
+        raise UsageError(f"field-info takes one q, got q={params['q']}")
     if "file" in params:
         with open(params["file"], "r", encoding="ascii") as fh:
             field = field_from_text(fh.read(), ns.max_field)
-        if "q" in params:
-            p, h = parse_prime_power(params["q"], ns.max_field)
-            if (p, h) != (field.p, field.h):
-                raise UsageError(f"file describes q={field.q}, not q={params['q']}")
+        if "q" in params and parse_prime_power(params["q"], ns.max_field) != (field.p, field.h):
+            raise UsageError(f"file describes q={field.q}, not q={params['q']}")
     else:
-        field = _field_for(params, ns.max_field)
+        field, = _fields(params, ns.max_field)
     out.write(field_to_text(field))
     return EXIT_OK
 
 
 def cmd_check(ns, out, err):
-    params = parse_kv(ns.params, FAMILY_KEYS)
-    tag = params.get("family")
-    if tag not in TAGS:
-        raise UsageError(f"family must be one of {', '.join(TAGS)}")
-    field = _field_for(params, ns.max_field)
-    for key in ("r", "c"):
-        if key not in params:
-            raise UsageError(f"{key} is required")
-    tuples = build_grid(params, field, tag, for_sweep=False)
-    if len(tuples) != 1:
-        raise UsageError("check takes exactly one parameter tuple; use sweep for grids")
-    row, = compute_rows(field, tuples, ns.jobs, env_seed(), ns.max_field)
+    row, = _sweep_common(ns)
     emit_rows([row], ROW_FIELDS, ns.format, out)
     if not row["agree"]:
         return EXIT_DISAGREEMENT
@@ -333,24 +330,21 @@ def cmd_check(ns, out, err):
 
 
 def _sweep_common(ns):
-    """Rows of the grid at every requested q, in ascending q."""
+    """Rows of the grid at every requested q, in ascending q.  check is a
+    sweep whose grid, over all q, must be exactly one tuple."""
     params = parse_kv(ns.params, FAMILY_KEYS)
     tag = params.get("family")
     if tag not in TAGS:
         raise UsageError(f"family must be one of {', '.join(TAGS)}")
-    if "q" not in params:
-        raise UsageError("q is required")
-    seed = env_seed()
-    fields = []
-    for q_text in params["q"].split(","):
-        p, h = parse_prime_power(q_text, ns.max_field)
-        fields.append(build_field(p, h, seed=seed, max_size=ns.max_field))
-    grids = [(field, build_grid(params, field, tag, for_sweep=True))
-             for field in sorted(fields, key=lambda field: field.q)]
+    for_sweep = ns.command != "check"
+    grids = [(field, build_grid(params, field, tag, for_sweep))
+             for field in sorted(_fields(params, ns.max_field), key=lambda field: field.q)]
+    if not for_sweep and sum(len(tuples) for _, tuples in grids) != 1:
+        raise UsageError("check takes exactly one parameter tuple; use sweep for grids")
     for field, tuples in grids[1:]:  # compute_rows validates the first grid itself
         _validate_groups(field, tuples)
     return [row for field, tuples in grids
-            for row in compute_rows(field, tuples, ns.jobs, seed, ns.max_field)]
+            for row in compute_rows(field, tuples, ns.jobs, env_seed(), ns.max_field)]
 
 
 def cmd_sweep(ns, out, err):
@@ -371,40 +365,29 @@ def cmd_search(ns, out, err):
 
 def cmd_identities(ns, out, err):
     params = parse_kv(ns.params, {"q", "k"})
-    if "q" not in params:
-        raise UsageError("q is required")
     k_values = parse_int_list(params["k"]) if "k" in params else [0, 1]
     rows = []
-    all_pass = True
-    for q_text in params["q"].split(","):
-        p, h = parse_prime_power(q_text, ns.max_field)
-        field = build_field(p, h, seed=env_seed(), max_size=ns.max_field)
+
+    def add(q, d, lemma, k, ok, note=None):
+        result = "skipped" if ok is None else "pass" if ok else "fail"
+        rows.append(dict(zip(IDENTITY_FIELDS, (q, d, lemma, k, result, note))))
+
+    for field in _fields(params, ns.max_field):
         q = field.q
-        divisors = [d for d in range(1, q + 2) if (q + 1) % d == 0]
-        for d in divisors:
+        for d in (d for d in range(1, q + 2) if (q + 1) % d == 0):
             if gcd(d, (q + 1) // d) != 1:
-                rows.append({"q": q, "d": d, "lemma": "v", "k": None,
-                             "result": "skipped", "note": "cosets not disjoint"})
+                add(q, d, "v", None, None, "cosets not disjoint")
                 continue
             for k in k_values:
-                ok = lemma_v_identity(field, d, k)
-                all_pass &= ok
-                rows.append({"q": q, "d": d, "lemma": "v", "k": k,
-                             "result": "pass" if ok else "fail", "note": None})
-                ok = lemma_u_identity(field, d, k)
-                all_pass &= ok
-                rows.append({"q": q, "d": d, "lemma": "u", "k": k,
-                             "result": "pass" if ok else "fail", "note": None})
+                add(q, d, "v", k, lemma_v_identity(field, d, k))
+                add(q, d, "u", k, lemma_u_identity(field, d, k))
         if q % 8 == 3:
-            ok = lemma_d4_identity(field)
-            all_pass &= ok
-            rows.append({"q": q, "d": 4, "lemma": "d4", "k": None,
-                         "result": "pass" if ok else "fail", "note": None})
+            add(q, 4, "d4", None, lemma_d4_identity(field))
         else:
-            rows.append({"q": q, "d": 4, "lemma": "d4", "k": None,
-                         "result": "skipped", "note": "q != 3 (mod 8)"})
+            add(q, 4, "d4", None, None, "q != 3 (mod 8)")
     emit_rows(rows, IDENTITY_FIELDS, ns.format, out)
-    return EXIT_OK if all_pass else EXIT_NON_PERMUTATION
+    fail = any(row["result"] == "fail" for row in rows)
+    return EXIT_NON_PERMUTATION if fail else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Ground-truth engines: exhaustive permutation testing and pointwise equality.
 
 Everything here decides by enumeration, and nothing assumes the shape of the
-polynomial: any SparsePoly is folded mod q^2 - 1 (SparsePoly.fold_units) and
-evaluated term by term.  x = 0 is evaluated on its own; the nonzero inputs
-are walked in generator order x = g^t, t = 0, 1, ..., q^2 - 2, where a term
-c*x^e equals c*g^(t*e).  The walk yields one label per image:
+polynomial: any SparsePoly is folded mod q^2 - 1 (SparsePoly.reduce_mod) and
+evaluated term by term.  f(0) is read from the constant term; the nonzero
+inputs are walked in generator order x = g^t, t = 0, 1, ..., q^2 - 2, where a
+term c*x^e equals c*g^(t*e).  The walk yields one label per image:
 
 * on fields with tables (q^2 <= TABLE_LIMIT) the label is log f(g^t): term j
   is the log lc_j + t*e_j mod q^2 - 1, and terms are added through the Zech
@@ -63,8 +63,8 @@ def evaluate(field, poly, x):
 
 def _walk(field, poly):
     """(label of f(0), iterator over the labels of f(g^t), t = 0..q^2-2)."""
-    terms = poly.fold_units().terms
-    const = poly.terms[0][1] if poly.terms and poly.terms[0][0] == 0 else field.zero
+    terms = poly.reduce_mod().terms
+    const = terms[0][1] if terms and terms[0][0] == 0 else field.zero
     if field.tables_supported():
         _, log, zech = field.tables()
         n = field.q2 - 1

@@ -1,10 +1,10 @@
 """Sparse polynomials over F_{q^2}: exponent/coefficient term lists.
 
 SparsePoly is the unit of evaluation and display.  Terms are kept normalized:
-exponents strictly increasing, coefficients nonzero, duplicates merged.  A
-reduced view (exponents folded mod q^2 - 1) agrees with the original as a
-function on all of F_{q^2} as long as every positive exponent stays positive
-after folding, which the folding rule guarantees.
+exponents strictly increasing, coefficients nonzero, duplicates merged.  The
+one fold, reduce_mod (exponents mod q^2 - 1), agrees with the original as a
+function on all of F_{q^2} because every positive exponent stays positive;
+the oracle evaluates through it and the CLI prints it.
 """
 
 from .errors import FieldMismatch, NegativeExponent
@@ -51,23 +51,16 @@ class SparsePoly:
         A positive exponent e maps to ((e - 1) mod n) + 1, never to 0, so a
         term that vanishes at x = 0 keeps vanishing there; exponent 0 stays a
         true constant.  The folded polynomial therefore equals the original
-        pointwise on the whole field.
+        pointwise on the whole field.  Returns self when nothing folds.
         """
         if n is None:
             n = self.field.q2 - 1
+        if not self.terms or self.terms[-1][0] <= n:  # nothing folds
+            return self
         return SparsePoly(
             self.field,
             [(e if e == 0 else (e - 1) % n + 1, c) for e, c in self.terms],
         )
-
-    def fold_units(self):
-        """Fold every exponent to e mod (q^2 - 1) and re-merge.
-
-        x^(q^2 - 1) = 1 on the nonzero elements, so the result equals the
-        original there; at x = 0 it may not, since x^(q^2 - 1) becomes 1.
-        """
-        n = self.field.q2 - 1
-        return SparsePoly(self.field, [(e % n, c) for e, c in self.terms])
 
     def compose_power(self, r, m):
         """Return x^r * self(x^m): every term (e, c) becomes (r + e*m, c)."""

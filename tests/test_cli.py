@@ -149,6 +149,31 @@ def test_check_usage_errors():
     assert run_cli("check", "family=T1", "q=13", "d=0", "k=1", "r=1", "c=2")[0] == 64
 
 
+T1_TUPLE = ("family=T1", "q=13", "d=2", "k=1", "r=5", "c=2")
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (("check", *T1_TUPLE, "bogus=1"), "unknown parameter 'bogus'"),
+    (("check", *T1_TUPLE, "q=5"), "duplicate parameter 'q'"),
+    (("check", "family=T1", "q=13", "d=2", "k=1", "c=2"), "r is required"),
+    (("sweep", "family=T1", "q=13", "k=1", "r=5", "c=2"), "T1 requires d"),
+    (("check", "family=T6", "q=5", "u=1", "r=1", "c=2"), "T6 requires u and v"),
+    (("--jobs=0", "check", *T1_TUPLE), "--jobs must be >= 1"),
+    (("field-info", "q=3^0"), "bad exponent in q=3^0"),
+    (("field-info", "file={f169}", "q=7"), "file describes q=13, not q=7"),
+    (("field-info", "q=13,7"), "field-info takes one q, got q=13,7"),
+    # q=7 breaks T1's hypotheses, but the usage error comes before exit 65
+    (("check", "family=T1", "q=13,7", "d=2", "k=1", "r=5", "c=2"),
+     "check takes exactly one parameter tuple"),
+])
+def test_usage_errors(argv, fragment, tmp_path):
+    f169 = tmp_path / "f169.field"
+    f169.write_text(run_cli("field-info", "q=13")[1])
+    code, out, err = run_cli(*(arg.format(f169=f169) for arg in argv))
+    assert code == 64 and out == ""
+    assert fragment in err and err.startswith("usage error: ")
+
+
 def test_check_non_divisor_d_is_a_hypothesis_violation():
     code, _, err = run_cli("check", "family=T1", "q=13", "d=5", "k=1", "r=1", "c=2")
     assert code == 65
@@ -342,6 +367,15 @@ def test_identities_include_d4_when_admissible():
     assert code == 0
     d4 = [row for row in parse_csv(out) if row["lemma"] == "d4"]
     assert len(d4) == 1 and d4[0]["result"] == "pass"
+
+
+def test_identities_report_a_failing_lemma(monkeypatch):
+    monkeypatch.setattr(cli, "lemma_u_identity", lambda field, d, k: d != 3)
+    code, out, _ = run_cli("identities", "q=11", "k=1")
+    assert code == 1
+    results = {(row["d"], row["lemma"]): row["result"] for row in parse_csv(out)}
+    assert results[("3", "u")] == "fail" and results[("3", "v")] == "pass"
+    assert results[("4", "u")] == "pass" and results[("2", "v")] == "skipped"
 
 
 # ---------------------------------------------------------------------------

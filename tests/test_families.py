@@ -93,13 +93,21 @@ def test_validate_c_condition_counts(field_q13, field_q11):
         ("T6", field_q13, 7),
         ("T5", field_q11, 3),
     }
+    # ...and every other nonzero c violates exactly the c-hypothesis
+    c_violation = {"T5": "(c/2)^((q+1)/4) != 1", "T6": "(c/2)^((q+1)/2) != 1"}
     for tag, field, expected in sets:
         cs = valid_c_values(field, tag)
         assert len(cs) == expected
-        assert len({int(c) for c in cs}) == expected
+        valid = {int(c) for c in cs}
+        assert len(valid) == expected
+        kw = {"d": 2, "k": 1} if tag == "T1" else ({"u": 1, "v": 1} if tag == "T6" else {"k": 0})
         for c in cs:
-            kw = {"d": 2, "k": 1} if tag == "T1" else ({"u": 1, "v": 1} if tag == "T6" else {"k": 0})
             assert validate(FamilyParams(tag=tag, field=field, r=1, c=c, **kw)).satisfied
+        if tag in c_violation:
+            for n in set(range(1, field.q2)) - valid:
+                report = validate(FamilyParams(tag=tag, field=field, r=1,
+                                               c=field.from_int(n), **kw))
+                assert report.violations == (c_violation[tag],)
     # brute-force cross-check for T1 at q=13: exactly the c with (c/2)^7 = 1
     f = field_q13
     brute = {int(c) for c in f.elements()

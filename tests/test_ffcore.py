@@ -114,6 +114,8 @@ def test_pow_half_order_is_minus_one(field_q13):
     order_two = [x for x in f.elements() if x * x == f.one and x != f.one]
     assert order_two == [-f.one]
     assert f.generator ** ((f.q2 - 1) // 2) == -f.one
+    elems = list(f.elements())
+    assert all(a - b == a + (-b) for a, b in zip(elems, reversed(elems)))
 
 
 @given(e1=st.integers(-10**9, 10**9), e2=st.integers(-10**9, 10**9))

@@ -109,13 +109,6 @@ def test_untabled_walk_matches_slow_path(field_q5, field_q9, monkeypatch):
         assert_kernel_matches_evaluate(f, walk_cases(f).values())
 
 
-def test_fold_units_merges_and_cancels(field_q5):
-    f = field_q5
-    n = f.q2 - 1
-    poly = SparsePoly(f, [(0, f.one), (n, f.one), (3, f.one), (3 + 2 * n, -f.one)])
-    assert poly.fold_units() == SparsePoly(f, [(0, f.from_int(2))])
-
-
 def test_evaluate_on_field_matches_repeated_multiplication(field_q5):
     f = field_q5
     poly = SparsePoly(f, [(0, f.from_int(3)), (2, f.one), (7, f.generator)])
