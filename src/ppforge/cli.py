@@ -82,6 +82,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int(text):
+    """int(text), or a UsageError that names the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"not an integer: {text!r}") from None
+
+
 def parse_prime_power(text, max_field=None):
     """(p, h) for q given plain or as p^h; must be an odd prime power.
 
@@ -90,7 +98,7 @@ def parse_prime_power(text, max_field=None):
     """
     if "^" in text:
         base, _, expo = text.partition("^")
-        p, h = int(base), int(expo)
+        p, h = _int(base), _int(expo)
         if h < 1:
             raise UsageError(f"bad exponent in q={text}")
         if p < 3:
@@ -98,7 +106,7 @@ def parse_prime_power(text, max_field=None):
         if max_field is not None and (h > max_field.bit_length() or p ** (2 * h) > max_field):
             raise SizeExceeded(f"{p}^{2 * h}", max_field)
     else:
-        q = int(text)
+        q = _int(text)
         if q < 3:
             raise UsageError(f"q={text} is not an odd prime power")
         if max_field is not None and q * q > max_field:
@@ -122,12 +130,12 @@ def parse_int_list(text):
         chunk = chunk.strip()
         if ".." in chunk:
             lo, _, hi = chunk.partition("..")
-            lo, hi = int(lo), int(hi)
+            lo, hi = _int(lo), _int(hi)
             if lo > hi:
                 raise UsageError(f"reversed range {chunk!r}")
             out.extend(range(lo, hi + 1))
         elif chunk:
-            out.append(int(chunk))
+            out.append(_int(chunk))
     if not out:
         raise UsageError(f"empty list/range: {text!r}")
     return out

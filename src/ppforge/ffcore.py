@@ -13,7 +13,9 @@ for a fixed seed.  FieldSpec and Element are immutable after construction and
 safe to share between threads; all operations are pure.
 """
 
+from collections import deque
 from functools import lru_cache
+from math import isqrt
 from operator import mul
 import random
 
@@ -24,6 +26,9 @@ DEFAULT_SEED = 0
 
 # Largest q^2 for which the exp/log/Zech tables (three lists of about q^2
 # ints) are built; beyond it the oracle walks x = g^t with running products.
+# The build steps g block by block (FieldSpec.power_blocks), so its only
+# temporaries are 2h lists of about q ints each; the tables themselves set
+# the memory cost.
 TABLE_LIMIT = 1 << 18
 
 
@@ -269,9 +274,7 @@ class FieldSpec:
         self.zero = Element(self, (0,) * self.degree)
         self.one = self.from_int(1)
         self.generator = Element(self, tuple(generator_coeffs))
-        self._exp = None
-        self._log = None
-        self._zech = None
+        self._tables = None
 
     def _build_reduce_rows(self):
         # row[i] = coefficient vector of t^(2h+i) modulo the modulus
@@ -304,20 +307,58 @@ class FieldSpec:
                     prod[j] += c * row[j]
         return tuple(c % p for c in prod[:n])
 
+    def _mul_rows(self, a):
+        # rows of the matrix of v -> a*v; column j is a*t^j, and t*c is c
+        # shifted up one place minus its top coefficient times the modulus
+        p = self.p
+        cols, col = [], list(a)
+        for _ in range(self.degree):
+            cols.append(col)
+            col = [(x - col[-1] * m) % p for x, m in zip([0] + col[:-1], self.modulus)]
+        return tuple(zip(*cols))
+
     def multiplier(self, a):
         """The F_p-linear map v -> a*v on coefficient vectors, as a function.
 
         Its matrix is built once, so each call costs (2h)^2 products and no
         reduction by the modulus; a is a coefficient vector.
         """
-        n, p = self.degree, self.p
-        units = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
-        rows = tuple(zip(*(self._mul_coeffs(a, unit) for unit in units)))
+        p, rows = self.p, self._mul_rows(a)
 
         def times_a(v):
             return tuple([sum(map(mul, row, v)) % p for row in rows])
 
         return times_a
+
+    def power_blocks(self, a, count):
+        """The powers a^0, ..., a^(count-1) (count >= 1) of the coefficient
+        vector a, as consecutive blocks of coordinate columns.
+
+        A block is a list of 2h lists; column j holds the t^j coefficients of
+        one run of consecutive powers.  Every block but the last has B powers,
+        B the least power of two >= sqrt(count).  The first block takes one
+        multiplier step per power; each later one is the previous block times
+        a^B, that F_p-linear map applied a whole column at a time.
+        """
+        p = self.p
+        size = 1 << isqrt(count - 1).bit_length()
+        step, cur = self.multiplier(a), self.one.coeffs
+        first = []
+        for _ in range(min(size, count)):
+            first.append(cur)
+            cur = step(cur)
+        block = [list(col) for col in zip(*first)]
+        yield block
+        rows = self._mul_rows(cur)  # cur is a^B
+        for start in range(size, count, size):
+            nxt = []
+            for row in rows:
+                acc = [row[0] * x for x in block[0]]
+                for m, col in zip(row[1:], block[1:]):
+                    acc = [s + m * x for s, x in zip(acc, col)]
+                nxt.append([s % p for s in acc])
+            block = nxt
+            yield block if count - start >= size else [col[:count - start] for col in block]
 
     def same_field(self, other):
         return self is other or (
@@ -358,25 +399,30 @@ class FieldSpec:
         its inverse (log[0] is None), and zech[i] = log(1 + g^i) is the Zech
         logarithm, None where 1 + g^i = 0.  With them g^a + g^b is
         g^(a + zech[b - a]), one lookup at any extension degree.
+
+        exp is filled one power_blocks block at a time: each block's columns
+        are Horner-encoded, top coefficient first, into a slice of exp.  The
+        three lists are published together, so a concurrent reader sees all
+        of them or none.
         """
-        if self._exp is None:
+        if self._tables is None:
             if not self.tables_supported():
                 raise SizeExceeded(self.q2, TABLE_LIMIT)
             p, n = self.p, self.q2 - 1
             exp = [0] * n
+            start = 0
+            for cols in self.power_blocks(self.generator.coeffs, n):
+                canon = cols[-1]
+                for col in cols[-2::-1]:
+                    canon = [c * p + x for c, x in zip(canon, col)]
+                exp[start:start + len(canon)] = canon
+                start += len(canon)
             log = [None] * self.q2
-            cur = self.one.coeffs
-            times_g = self.multiplier(self.generator.coeffs)
-            powers = [p ** i for i in range(self.degree)]
-            for i in range(n):
-                canon = sum(map(mul, cur, powers))
-                exp[i] = canon
-                log[canon] = i
-                cur = times_g(cur)
+            deque(map(log.__setitem__, exp, range(n)), maxlen=0)
             # adding 1 changes only the t^0 coefficient of the encoding
             zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp]
-            self._exp, self._log, self._zech = exp, log, zech
-        return self._exp, self._log, self._zech
+            self._tables = exp, log, zech
+        return self._tables
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, h={self.h}, q2={self.q2})"

@@ -38,15 +38,11 @@ class MuContext:
 
     def walk(self, e):
         """[(gamma^e)^i for i in 0..q], i.e. x^e for x = gamma^i in index
-        order; one multiplication per root by the fixed gamma^e."""
+        order, stepped by FieldSpec.power_blocks of the fixed gamma^e."""
         field = self.field
-        step = field.multiplier((self.gamma ** e).coeffs)
-        cur = field.one.coeffs
-        out = []
-        for _ in range(self.order):
-            out.append(Element(field, cur))
-            cur = step(cur)
-        return out
+        return [Element(field, coeffs)
+                for cols in field.power_blocks((self.gamma ** e).coeffs, self.order)
+                for coeffs in zip(*cols)]
 
     def elements(self):
         """All q+1 roots, as powers gamma^0, gamma^1, ..., gamma^q."""

@@ -165,6 +165,11 @@ T1_TUPLE = ("family=T1", "q=13", "d=2", "k=1", "r=5", "c=2")
     # q=7 breaks T1's hypotheses, but the usage error comes before exit 65
     (("check", "family=T1", "q=13,7", "d=2", "k=1", "r=5", "c=2"),
      "check takes exactly one parameter tuple"),
+    (("sweep", "family=T1", "q=13", "d=2", "k=x", "r=5", "c=2"), "not an integer: 'x'"),
+    (("sweep", "family=T1", "q=13", "d=2", "k=1", "r=5", "c=two"), "not an integer: 'two'"),
+    (("sweep", "family=T1", "q=3^x", "d=2", "k=1", "r=5", "c=2"), "not an integer: 'x'"),
+    (("sweep", "family=T1", "q=13,", "d=2", "k=1", "r=5", "c=2"), "not an integer: ''"),
+    (("identities", "q=13", "k=1.5"), "not an integer: '1.5'"),
 ])
 def test_usage_errors(argv, fragment, tmp_path):
     f169 = tmp_path / "f169.field"

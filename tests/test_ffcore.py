@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -223,3 +224,35 @@ def test_elements_enumerates_whole_field(field_q9):
     elems = list(field_q9.elements())
     assert len(elems) == 81
     assert len({int(x) for x in elems}) == 81
+
+
+@pytest.mark.parametrize("p,h", [(3, 1), (5, 1), (13, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
+def test_tables_match_plain_powers(p, h):
+    # n = q^2 - 1 is a multiple of the block length at q = 3, 5, 3^2 and not
+    # at the others; g^i is a running product of plain Element multiplications
+    f = build_field(p, h)
+    exp, log, zech = f.tables()
+    n, g, one = f.q2 - 1, f.generator, f.one
+    assert len(exp) == len(zech) == n and len(log) == f.q2
+    x = one
+    for i in range(n):
+        assert exp[i] == int(x)
+        assert log[exp[i]] == i
+        assert zech[i] == log[int(x + one)]
+        x = x * g
+    assert x == one
+    assert log[0] is None
+    assert [i for i, z in enumerate(zech) if z is None] == [n // 2]
+
+
+def test_tables_build_without_a_field_sized_temporary():
+    # a fresh FieldSpec, so tables() builds inside the traced window
+    cached = build_field(3, 5)
+    f = FieldSpec(3, 5, cached.modulus, cached.generator.coeffs)
+    tracemalloc.start()
+    try:
+        f.tables()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < 0.05 * retained
