@@ -34,7 +34,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import HypothesesNotSatisfied, PPForgeError, SizeExceeded
 from .families import (
@@ -55,6 +55,7 @@ from .ffcore import (
     build_field,
     field_from_text,
     field_to_text,
+    factorize,
     is_prime,
 )
 from .oracle import is_permutation_of_field
@@ -94,7 +95,7 @@ def parse_prime_power(text, max_field=None):
     """(p, h) for q given plain or as p^h; must be an odd prime power.
 
     With max_field set, a q with q^2 above it raises SizeExceeded before any
-    factoring; the least prime factor is searched only up to sqrt(q).
+    factoring.
     """
     if "^" in text:
         base, _, expo = text.partition("^")
@@ -111,13 +112,10 @@ def parse_prime_power(text, max_field=None):
             raise UsageError(f"q={text} is not an odd prime power")
         if max_field is not None and q * q > max_field:
             raise SizeExceeded(q * q, max_field)
-        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-        h = 0
-        while q % p == 0:
-            q //= p
-            h += 1
-        if q != 1:
+        factors = factorize(q)
+        if len(factors) != 1:
             raise UsageError(f"q={text} is not a prime power")
+        (p, h), = factors
     if p == 2 or not is_prime(p):
         raise UsageError(f"q must be a power of an odd prime, got base {p}")
     return p, h

@@ -23,7 +23,7 @@ from typing import Tuple
 
 from .errors import BadCongruence, HypothesesNotSatisfied, PartitionNotDisjoint
 from .ffcore import Element, FieldSpec
-from .oracle import evaluate, is_permutation_of_field
+from .oracle import is_permutation_of_field
 from .sparsepoly import SparsePoly
 from .unity import coset_index, make_mu, make_partition
 
@@ -311,12 +311,8 @@ def t6_even_v_is_constant_on_mu(field, u, v, c):
     x^r h(x)^(q-1) acts there as c^(q-1) * x^r.  Checked pointwise."""
     if v % 2 != 0:
         raise ValueError("v must be even here")
-    h = SparsePoly(
-        field,
-        [(0, c), (u, -field.one), (u + (field.q + 1) // 2 * v, field.one)],
-    )
-    mu = make_mu(field)
-    return all(evaluate(field, h, x) == c for x in mu.elements())
+    h = build_h(FamilyParams(tag="T6", field=field, r=1, c=c, u=u, v=v))
+    return all(hx == c for hx in make_mu(field).evaluate(h))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ safe to share between threads; all operations are pure.
 from collections import deque
 from functools import lru_cache
 from math import isqrt
-from operator import mul
 import random
 
 from .errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
@@ -25,10 +24,10 @@ DEFAULT_MAX_FIELD_SIZE = 1 << 26
 DEFAULT_SEED = 0
 
 # Largest q^2 for which the exp/log/Zech tables (three lists of about q^2
-# ints) are built; beyond it the oracle walks x = g^t with running products.
-# The build steps g block by block (FieldSpec.power_blocks), so its only
-# temporaries are 2h lists of about q ints each; the tables themselves set
-# the memory cost.
+# ints) are built; beyond it the oracle Horner-encodes the blocks of
+# FieldSpec.power_blocks, the walk that also fills exp.  The build's only
+# temporaries are blocks of 2h lists of about q ints each; the tables
+# themselves set the memory cost.
 TABLE_LIMIT = 1 << 18
 
 
@@ -317,48 +316,59 @@ class FieldSpec:
             col = [(x - col[-1] * m) % p for x, m in zip([0] + col[:-1], self.modulus)]
         return tuple(zip(*cols))
 
-    def multiplier(self, a):
-        """The F_p-linear map v -> a*v on coefficient vectors, as a function.
+    def _apply(self, a, block):
+        """The block of coordinate columns times the vector a, the F_p-linear
+        map v -> a*v applied a whole column at a time."""
+        p = self.p
+        out = []
+        for row in self._mul_rows(a):
+            acc = [row[0] * x for x in block[0]]
+            for m, col in zip(row[1:], block[1:]):
+                acc = [s + m * x for s, x in zip(acc, col)]
+            out.append([s % p for s in acc])
+        return out
 
-        Its matrix is built once, so each call costs (2h)^2 products and no
-        reduction by the modulus; a is a coefficient vector.
-        """
-        p, rows = self.p, self._mul_rows(a)
-
-        def times_a(v):
-            return tuple([sum(map(mul, row, v)) % p for row in rows])
-
-        return times_a
-
-    def power_blocks(self, a, count):
-        """The powers a^0, ..., a^(count-1) (count >= 1) of the coefficient
-        vector a, as consecutive blocks of coordinate columns.
+    def power_blocks(self, a, terms, count):
+        """The values of sum c*x^e over the (e, c) in terms (Elements c) at
+        x = a^0, ..., a^(count-1) (count >= 1, a a nonzero Element), as
+        consecutive blocks of coordinate columns.
 
         A block is a list of 2h lists; column j holds the t^j coefficients of
-        one run of consecutive powers.  Every block but the last has B powers,
-        B the least power of two >= sqrt(count).  The first block takes one
-        multiplier step per power; each later one is the previous block times
-        a^B, that F_p-linear map applied a whole column at a time.
+        the values at one run of consecutive powers.  Every block but the last
+        has B values, B the least power of two >= sqrt(count).  Each term has
+        its own walk.  Its first block c, c*a^e, ..., c*a^(e(B-1)) is built
+        by doubling: the block so far is extended by itself times a^(e*len),
+        and that multiplier is squared, which leaves (a^e)^B.  Each later
+        block is the previous one times (a^e)^B.  The terms' blocks are summed
+        coordinate by coordinate mod p; a lone term's block is yielded as is,
+        and no terms at all is the zero polynomial.
         """
         p = self.p
         size = 1 << isqrt(count - 1).bit_length()
-        step, cur = self.multiplier(a), self.one.coeffs
-        first = []
-        for _ in range(min(size, count)):
-            first.append(cur)
-            cur = step(cur)
-        block = [list(col) for col in zip(*first)]
-        yield block
-        rows = self._mul_rows(cur)  # cur is a^B
-        for start in range(size, count, size):
-            nxt = []
-            for row in rows:
-                acc = [row[0] * x for x in block[0]]
-                for m, col in zip(row[1:], block[1:]):
-                    acc = [s + m * x for s, x in zip(acc, col)]
-                nxt.append([s % p for s in acc])
-            block = nxt
-            yield block if count - start >= size else [col[:count - start] for col in block]
+        walks = []
+        for e, c in terms or [(0, self.zero)]:
+            m, block = (a ** e).coeffs, [[x] for x in c.coeffs]
+            while len(block[0]) < size:
+                block = [col + ext for col, ext in zip(block, self._apply(m, block))]
+                m = self._mul_coeffs(m, m)
+            walks.append((m, block))
+        for start in range(0, count, size):
+            if start:
+                walks = [(m, self._apply(m, block)) for m, block in walks]
+            if len(walks) == 1:
+                cols = walks[0][1]
+            else:
+                cols = [[sum(xs) % p for xs in zip(*col)]
+                        for col in zip(*[block for _, block in walks])]
+            yield cols if count - start >= size else [col[:count - start] for col in cols]
+
+    def encode(self, cols):
+        """Canonical encodings of the values in a block of coordinate columns,
+        Horner's rule with the top coefficient first."""
+        canon = cols[-1]
+        for col in cols[-2::-1]:
+            canon = [c * self.p + x for c, x in zip(canon, col)]
+        return canon
 
     def same_field(self, other):
         return self is other or (
@@ -400,21 +410,18 @@ class FieldSpec:
         logarithm, None where 1 + g^i = 0.  With them g^a + g^b is
         g^(a + zech[b - a]), one lookup at any extension degree.
 
-        exp is filled one power_blocks block at a time: each block's columns
-        are Horner-encoded, top coefficient first, into a slice of exp.  The
-        three lists are published together, so a concurrent reader sees all
-        of them or none.
+        exp is filled one block of power_blocks(g, [(1, one)], n) at a time,
+        each block encoded into a slice of exp as the untabled oracle encodes
+        its walk.  The three lists are published together, so a concurrent
+        reader sees all of them or none.
         """
         if self._tables is None:
             if not self.tables_supported():
                 raise SizeExceeded(self.q2, TABLE_LIMIT)
             p, n = self.p, self.q2 - 1
-            exp = [0] * n
-            start = 0
-            for cols in self.power_blocks(self.generator.coeffs, n):
-                canon = cols[-1]
-                for col in cols[-2::-1]:
-                    canon = [c * p + x for c, x in zip(canon, col)]
+            exp, start = [0] * n, 0
+            for cols in self.power_blocks(self.generator, [(1, self.one)], n):
+                canon = self.encode(cols)
                 exp[start:start + len(canon)] = canon
                 start += len(canon)
             log = [None] * self.q2
@@ -461,13 +468,10 @@ def _build_field_cached(p, h, seed):
 
 
 def _find_generator(p, h, modulus, rng):
-    q2 = p ** (2 * h)
-    n = q2 - 1
-    primes = [prime for prime, _ in factorize(n)]
     probe = FieldSpec(p, h, modulus, (1,) + (0,) * (2 * h - 1))
     while True:
-        candidate = probe.from_int(rng.randrange(1, q2))
-        if all((candidate ** (n // ell)) != probe.one for ell in primes):
+        candidate = probe.from_int(rng.randrange(1, probe.q2))
+        if verify_generator(probe, candidate):
             return candidate.coeffs
 
 

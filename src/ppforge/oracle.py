@@ -9,8 +9,10 @@ term c*x^e equals c*g^(t*e).  The walk yields one label per image:
 * on fields with tables (q^2 <= TABLE_LIMIT) the label is log f(g^t): term j
   is the log lc_j + t*e_j mod q^2 - 1, and terms are added through the Zech
   table, one lookup per term at every extension degree; zero is q^2 - 1;
-* above the limit each term keeps its running value c*g^(t*e), multiplied by
-  the fixed g^e once per point; the label is the canonical image.
+* above the limit the label is the canonical image: FieldSpec.power_blocks
+  sums the terms' walks c*g^(t*e) a block of consecutive t at a time, each
+  block stepped from the last by the linear map of g^(e*B), and each block
+  is Horner-encoded as the exp table is.
 
 Labels name images one to one, so the bijection test marks them in a
 bytearray and stops at the first repeat.  A non-bijection's least colliding
@@ -71,7 +73,8 @@ def _walk(field, poly):
         label0 = log[int(const)]
         return (n if label0 is None else label0,
                 _log_walk(n, [(log[int(c)], e) for e, c in terms], zech))
-    return int(const), _product_walk(field, terms)
+    blocks = field.power_blocks(field.generator, terms, field.q2 - 1)
+    return int(const), (x for cols in blocks for x in field.encode(cols))
 
 
 def _log_walk(n, terms, zech):
@@ -86,17 +89,6 @@ def _log_walk(n, terms, zech):
                 z = zech[b - acc]  # a negative index wraps mod n, as wanted
                 acc = None if z is None else (acc + z) % n
         yield n if acc is None else acc
-
-
-def _product_walk(field, terms):
-    """Canonical f(g^t) for t = 0..q^2-2, by running products per term."""
-    p = field.p
-    powers = [p ** i for i in range(field.degree)]
-    steps = [field.multiplier((field.generator ** e).coeffs) for e, _ in terms]
-    values = [c.coeffs for _, c in terms]
-    for _ in range(field.q2 - 1):
-        yield sum(sum(col) % p * pw for col, pw in zip(zip(*values), powers))
-        values = [step(v) for step, v in zip(steps, values)]
 
 
 def evaluate_on_field(field, poly):

@@ -45,16 +45,15 @@ class SparsePoly:
         """Terms as (exponent, canonical integer) pairs."""
         return tuple((e, int(c)) for e, c in self.terms)
 
-    def reduce_mod(self, n=None):
-        """Fold exponents modulo n (default q^2 - 1) and re-merge.
+    def reduce_mod(self):
+        """Fold exponents modulo n = q^2 - 1 and re-merge.
 
         A positive exponent e maps to ((e - 1) mod n) + 1, never to 0, so a
         term that vanishes at x = 0 keeps vanishing there; exponent 0 stays a
         true constant.  The folded polynomial therefore equals the original
         pointwise on the whole field.  Returns self when nothing folds.
         """
-        if n is None:
-            n = self.field.q2 - 1
+        n = self.field.q2 - 1
         if not self.terms or self.terms[-1][0] <= n:  # nothing folds
             return self
         return SparsePoly(

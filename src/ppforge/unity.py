@@ -7,20 +7,22 @@ divisor d of q+1, omega = gamma^((q+1)/d) has order exactly d and the cosets
 omega^i * mu_{(q+1)/d} tile the subgroup precisely when gcd(d, (q+1)/d) = 1.
 
 Every root is gamma^i for one index i in [0, q]: MuContext.log reads i off a
-dict and MuContext.walk(e) lists x^e = (gamma^e)^i in index order, so powers
-of roots, omega^j and coset indices need no per-root exponentiation.
+dict, MuContext.walk(e) lists x^e = (gamma^e)^i in index order and
+MuContext.evaluate(h) lists h(gamma^i) as a sum of such walks, so powers of
+roots, values of h, omega^j and coset indices need no per-root
+exponentiation.  make_mu builds one MuContext per field.
 
 All decision procedures here are exact: gcd conditions are checked by integer
 arithmetic, image disjointness by enumerating all q+1 images.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Optional
 
 from .errors import NotADivisor, NotInMu, PartitionNotDisjoint
 from .ffcore import Element
-from .oracle import evaluate
 
 
 class MuContext:
@@ -38,10 +40,17 @@ class MuContext:
 
     def walk(self, e):
         """[(gamma^e)^i for i in 0..q], i.e. x^e for x = gamma^i in index
-        order, stepped by FieldSpec.power_blocks of the fixed gamma^e."""
+        order; e may be negative."""
+        return self._values([(e, self.field.one)])
+
+    def evaluate(self, poly):
+        """[poly(gamma^i) for i in 0..q]: the walks of poly's terms, summed."""
+        return self._values(poly.terms)
+
+    def _values(self, terms):
         field = self.field
         return [Element(field, coeffs)
-                for cols in field.power_blocks((self.gamma ** e).coeffs, self.order)
+                for cols in field.power_blocks(self.gamma, terms, self.order)
                 for coeffs in zip(*cols)]
 
     def elements(self):
@@ -62,8 +71,9 @@ class MuContext:
         return int(x) in self._index
 
 
+@lru_cache(maxsize=None)
 def make_mu(field):
-    """MuContext for the field; gamma = generator^(q-1) has exact order q+1."""
+    """The field's one MuContext; gamma = generator^(q-1) has order q+1."""
     return MuContext(field, field.generator ** (field.q - 1))
 
 
@@ -148,11 +158,10 @@ def agw_check(field, r, h):
         return CheckResult(False, "gcd(r, q-1) != 1")
     mu = make_mu(field)
     images = set()
-    for x in mu.elements():
-        hv = evaluate(field, h, x)
+    for xr, hv in zip(mu.walk(r), mu.evaluate(h)):
         if hv.is_zero():
             return CheckResult(False, "h vanishes on mu_{q+1}")
-        images.add(int(x ** r * hv ** (q - 1)))
+        images.add(int(xr * hv ** (q - 1)))
     if len(images) != mu.order:
         return CheckResult(False, "x^r h(x)^(q-1) is not a bijection of mu_{q+1}")
     return CheckResult(True)

@@ -102,9 +102,11 @@ def test_tabled_evaluation_matches_slow_path(field_q5, field_q9, field_q25):
         "constant_cancels_off_0", "zero_on_non_squares")])
 
 
-def test_untabled_walk_matches_slow_path(field_q5, field_q9, monkeypatch):
+def test_untabled_walk_matches_slow_path(field_q5, field_q9, field_q13, monkeypatch):
+    # q^2 - 1 is a multiple of power_blocks' block length at q = 5 and 3^2,
+    # and not at q = 13 and 3^3, whose last blocks are partial
     monkeypatch.setattr(ffcore, "TABLE_LIMIT", 0)
-    for f in (field_q5, field_q9):
+    for f in (field_q5, field_q9, field_q13, build_field(3, 3)):
         assert not f.tables_supported()
         assert_kernel_matches_evaluate(f, walk_cases(f).values())
 
