@@ -15,7 +15,9 @@ tuple order, so --jobs never changes the output.  Output is CSV (default) or
 JSON lines.  All numeric I/O is exact integer text.
 
 Every subcommand parses and size-checks each comma-separated q before it
-builds any field.  check is a sweep whose grid must be exactly one tuple.  A
+builds any field.  A grid's size, the product of its factors' sizes, is
+counted before any range or c=all is expanded; a grid above --max-grid is a
+usage error.  check is a sweep whose grid must be exactly one tuple.  A
 sweep, search or check validates the family hypotheses of every requested q,
 once per (family, d, k, u, v, c) group: they do not depend on r.  Only then are
 rows computed, with the gcd criterion per r and the oracle per tuple; f is
@@ -46,6 +48,7 @@ from .families import (
     lemma_d4_identity,
     lemma_u_identity,
     lemma_v_identity,
+    valid_c_count,
     valid_c_values,
     validate,
 )
@@ -65,6 +68,11 @@ EXIT_NON_PERMUTATION = 1
 EXIT_DISAGREEMENT = 2
 EXIT_USAGE = 64
 EXIT_HYPOTHESES = 65
+
+# Largest parameter grid a sweep, search or check builds: 14 times the largest
+# grid in the tests, README and benchmark (18,704 tuples); each row of it is
+# held in memory until the grid is done.
+DEFAULT_MAX_GRID = 1 << 18
 
 ROW_FIELDS = (
     "family", "q", "d", "k", "u", "v", "r", "c",
@@ -121,9 +129,13 @@ def parse_prime_power(text, max_field=None):
     return p, h
 
 
-def parse_int_list(text):
-    """Comma-separated integers and a..b inclusive ranges with a <= b."""
-    out = []
+def parse_int_list(text, limit=None):
+    """Comma-separated integers and a..b inclusive ranges with a <= b.
+
+    The values are counted before any range is expanded; with limit set, a
+    count above it is a UsageError that names the count.
+    """
+    parts = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
@@ -131,12 +143,15 @@ def parse_int_list(text):
             lo, hi = _int(lo), _int(hi)
             if lo > hi:
                 raise UsageError(f"reversed range {chunk!r}")
-            out.extend(range(lo, hi + 1))
+            parts.append(range(lo, hi + 1))
         elif chunk:
-            out.append(_int(chunk))
-    if not out:
+            parts.append((_int(chunk),))
+    count = sum(map(len, parts))
+    if not count:
         raise UsageError(f"empty list/range: {text!r}")
-    return out
+    if limit is not None and count > limit:
+        raise UsageError(f"{text!r} lists {count} values, above --max-grid={limit}")
+    return [x for part in parts for x in part]
 
 
 def parse_kv(pairs, allowed):
@@ -250,11 +265,14 @@ def emit_rows(rows, fields, fmt, out):
 FAMILY_KEYS = {"family", "q", "d", "k", "u", "v", "r", "c"}
 
 
-def build_grid(args_params, field, tag, for_sweep):
+def build_grid(args_params, field, tag, for_sweep, max_grid=DEFAULT_MAX_GRID):
     """All (tag, d, k, u, v, r, c) tuples of the requested grid, sorted.
 
     A sweep defaults r to 1..q^2-1 and c to all; for check both are required.
+    The grid's size is the product of its factors' sizes, checked against
+    max_grid before any factor above it or the grid itself is built.
     """
+    ints = partial(parse_int_list, limit=max_grid)
     if not for_sweep:
         for key in ("r", "c"):
             if key not in args_params:
@@ -263,7 +281,7 @@ def build_grid(args_params, field, tag, for_sweep):
     if tag in ("T1", "T2", "T3", "T4"):
         if "d" not in args_params:
             raise UsageError(f"{tag} requires d")
-        d_values = parse_int_list(args_params["d"])
+        d_values = ints(args_params["d"])
     elif tag == "T5":
         d_values = [4]
     else:
@@ -271,26 +289,34 @@ def build_grid(args_params, field, tag, for_sweep):
     if any(d < 1 for d in d_values):
         raise UsageError("d values must be >= 1")
 
-    r_values = parse_int_list(args_params["r"]) if "r" in args_params else list(range(1, q * q))
-    if any(r < 1 for r in r_values):
-        raise UsageError("r values must be >= 1")
+    if "r" in args_params:
+        r_values = ints(args_params["r"])
+        if any(r < 1 for r in r_values):
+            raise UsageError("r values must be >= 1")
+    else:
+        r_values = range(1, q * q)
 
     if tag == "T6":
-        u_values = parse_int_list(args_params["u"]) if "u" in args_params else None
-        v_values = parse_int_list(args_params["v"]) if "v" in args_params else None
-        if not u_values or not v_values:
+        if "u" not in args_params or "v" not in args_params:
             raise UsageError("T6 requires u and v")
+        u_values, v_values = ints(args_params["u"]), ints(args_params["v"])
+        combo_count = len(u_values) * len(v_values)
+    else:
+        k_values = ints(args_params["k"]) if "k" in args_params else None
+        windows = [(d, default_k_window(tag, d) if k_values is None else k_values)
+                   for d in d_values]
+        combo_count = sum(len(ks) for _, ks in windows)
+    c_values = None if args_params.get("c", "all") == "all" else ints(args_params["c"])
+    size = combo_count * len(r_values) * (
+        valid_c_count(field, tag) if c_values is None else len(c_values))
+    if size > max_grid:
+        raise UsageError(f"grid of {size} tuples exceeds --max-grid={max_grid}")
+    if tag == "T6":
         combos = [(2, 0, u, v) for u in u_values for v in v_values]
     else:
-        combos = []
-        for d in d_values:
-            k_values = (parse_int_list(args_params["k"]) if "k" in args_params
-                        else default_k_window(tag, d))
-            combos.extend((d, k, 0, 0) for k in k_values)
-    if args_params.get("c", "all") == "all":
+        combos = [(d, k, 0, 0) for d, ks in windows for k in ks]
+    if c_values is None:
         c_values = [int(c) for c in valid_c_values(field, tag)]
-    else:
-        c_values = parse_int_list(args_params["c"])
     # sorted factors make the product sorted: no sort of the whole grid
     tuples = [(tag, d, k, u, v, r, c) for d, k, u, v in sorted(combos)
               for r in sorted(r_values) for c in sorted(c_values)]
@@ -343,7 +369,7 @@ def _sweep_common(ns):
     if tag not in TAGS:
         raise UsageError(f"family must be one of {', '.join(TAGS)}")
     for_sweep = ns.command != "check"
-    grids = [(field, build_grid(params, field, tag, for_sweep))
+    grids = [(field, build_grid(params, field, tag, for_sweep, ns.max_grid))
              for field in sorted(_fields(params, ns.max_field), key=lambda field: field.q)]
     if not for_sweep and sum(len(tuples) for _, tuples in grids) != 1:
         raise UsageError("check takes exactly one parameter tuple; use sweep for grids")
@@ -371,7 +397,7 @@ def cmd_search(ns, out, err):
 
 def cmd_identities(ns, out, err):
     params = parse_kv(ns.params, {"q", "k"})
-    k_values = parse_int_list(params["k"]) if "k" in params else [0, 1]
+    k_values = parse_int_list(params["k"], ns.max_grid) if "k" in params else [0, 1]
     rows = []
 
     def add(q, d, lemma, k, ok, note=None):
@@ -408,6 +434,8 @@ def make_parser():
                         help="parallel workers for sweeps (default: cores)")
     parser.add_argument("--max-field", type=int, default=DEFAULT_MAX_FIELD_SIZE,
                         help="refuse fields with q^2 above this size")
+    parser.add_argument("--max-grid", type=int, default=DEFAULT_MAX_GRID,
+                        help="refuse parameter grids of more tuples than this")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("field-info", "check", "sweep", "identities", "search"):
         cmd = sub.add_parser(name)

@@ -319,6 +319,14 @@ def t6_even_v_is_constant_on_mu(field, u, v, c):
 # sweep helpers
 # ---------------------------------------------------------------------------
 
+def valid_c_count(field, tag):
+    """len(valid_c_values(field, tag)), known before the list is built."""
+    if tag in ("T3", "T4"):
+        return field.q2 - 1
+    # (q+1)//m values even where m does not divide q+1 (T5 at q = 1 mod 4)
+    return (field.q + 1) // (4 if tag == "T5" else 2)
+
+
 def valid_c_values(field, tag):
     """Every c satisfying the family's c-hypothesis, deterministically ordered.
 
@@ -326,20 +334,20 @@ def valid_c_values(field, tag):
     2 * mu_{(q+1)/2}; similarly with m = 4 for T5.  T3/T4 accept every
     nonzero c, enumerated in canonical order.
     """
+    count = valid_c_count(field, tag)
     if tag in ("T3", "T4"):
-        return [field.from_int(n) for n in range(1, field.q2)]
-    m = 4 if tag == "T5" else 2
+        return [field.from_int(n) for n in range(1, count + 1)]
     two = field.from_int(2)
-    # (q+1)//m values even where m does not divide q+1 (T5 at q = 1 mod 4)
-    return [two * x for x in make_mu(field).walk(m)[:(field.q + 1) // m]]
+    return [two * x for x in make_mu(field).walk(4 if tag == "T5" else 2)[:count]]
 
 
 def default_k_window(tag, d):
-    """One full period of k values with the parity the family requires."""
+    """One full period of k values with the parity the family requires, as a
+    range, so its length is known before it is built."""
     if tag in ("T1", "T2"):
-        return list(range(1, 2 * d, 2))
+        return range(1, 2 * d, 2)
     if tag == "T5":
-        return list(range(0, 8, 2))
+        return range(0, 8, 2)
     if tag in ("T3", "T4"):
-        return list(range(0, 2 * d))
-    return []
+        return range(0, 2 * d)
+    return range(0)

@@ -1,26 +1,44 @@
 """Ground-truth engines: exhaustive permutation testing and pointwise equality.
 
 Everything here decides by enumeration, and nothing assumes the shape of the
-polynomial: any SparsePoly is folded mod q^2 - 1 (SparsePoly.reduce_mod) and
-evaluated term by term.  f(0) is read from the constant term; the nonzero
-inputs are walked in generator order x = g^t, t = 0, 1, ..., q^2 - 2, where a
-term c*x^e equals c*g^(t*e).  The walk yields one label per image:
+polynomial: any SparsePoly is folded mod n = q^2 - 1 (SparsePoly.reduce_mod)
+and evaluated term by term.  f(0) is read from the constant term; the nonzero
+inputs are walked in generator order x = g^t, t = 0, 1, ..., n - 1, where a
+term c*x^e equals c*g^(t*e).  The walk yields one label per image.
+
+The walk is a base walk and shifted copies of it.  Let e_0 be the least
+folded exponent and D a divisor of every difference e_j - e_0 and of n; with
+M = n/D, each e_j*M = e_0*M (mod n), so f(g^(t+M)) = g^(e_0*M) * f(g^t) for
+every t.  Only t < M is evaluated term by term:
 
 * on fields with tables (q^2 <= TABLE_LIMIT) the label is log f(g^t): term j
-  is the log lc_j + t*e_j mod q^2 - 1, and terms are added through the Zech
-  table, one lookup per term at every extension degree; zero is q^2 - 1;
+  is the log lc_j + t*e_j mod n, and terms are added through the Zech table,
+  one lookup per term at every extension degree; zero is labelled n;
 * above the limit the label is the canonical image: FieldSpec.power_blocks
   sums the terms' walks c*g^(t*e) a block of consecutive t at a time, each
   block stepped from the last by the linear map of g^(e*B), and each block
   is Horner-encoded as the exp table is.
 
-Labels name images one to one, so the bijection test marks them in a
-bytearray and stops at the first repeat.  A non-bijection's least colliding
-pair costs one more full evaluation, paid only by a caller who reads it.
+Run k = 1..D-1 (t = kM..kM+M-1) is the base run shifted: with tables each
+label plus k*e_0*M mod n, the zero label n staying n; above the limit the
+previous run's columns times g^(e_0*M), one linear map per run, then
+encoded.  D is read off the folded exponents alone: it is the largest
+divisor of gcd(n, e_j - e_0 for all j) that is at most sqrt(n), so a run is
+never shorter than sqrt(n) points (a lone term, whose gcd is n, still walks
+about sqrt(n) of them).  A polynomial whose gcd is 1 walks all n points term
+by term.  The runs come in t order as one label sequence, which both the
+bijection test and evaluate_on_field consume.
+
+Labels name images one to one, so the bijection test marks every one of the
+q^2 labels in a bytearray and stops at the first repeat.  A non-bijection's
+least colliding pair costs one more full evaluation, paid only by a caller
+who reads it.
 """
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
+from itertools import chain
+from math import gcd, isqrt
 from typing import Callable, Optional, Tuple
 
 from .sparsepoly import SparsePoly
@@ -64,22 +82,31 @@ def evaluate(field, poly, x):
 
 
 def _walk(field, poly):
-    """(label of f(0), iterator over the labels of f(g^t), t = 0..q^2-2)."""
+    """(label of f(0), iterator over the labels of f(g^t), t = 0..n-1)."""
     terms = poly.reduce_mod().terms
     const = terms[0][1] if terms and terms[0][0] == 0 else field.zero
+    n = field.q2 - 1
+    e0 = terms[0][0] if terms else 0
+    common = gcd(n, *(e - e0 for e, _ in terms))
+    # D runs of M = n/D points, D the largest divisor of common not above sqrt(n)
+    runs = min(common, isqrt(n))
+    while common % runs:
+        runs -= 1
+    run_len = n // runs
     if field.tables_supported():
         _, log, zech = field.tables()
-        n = field.q2 - 1
         label0 = log[int(const)]
+        base = _log_walk(n, run_len, [(log[int(c)], e) for e, c in terms], zech)
         return (n if label0 is None else label0,
-                _log_walk(n, [(log[int(c)], e) for e, c in terms], zech))
-    blocks = field.power_blocks(field.generator, terms, field.q2 - 1)
-    return int(const), (x for cols in blocks for x in field.encode(cols))
+                chain.from_iterable(_log_runs(n, base, runs, e0 * run_len)))
+    base = field.power_blocks(field.generator, terms, run_len)
+    factor = field.generator ** (e0 * run_len)
+    return int(const), chain.from_iterable(_vector_runs(field, base, runs, factor))
 
 
-def _log_walk(n, terms, zech):
-    """log f(g^t) for t = 0..n-1 (n for a zero image); terms are (log c, e)."""
-    for t in range(n):
+def _log_walk(n, count, terms, zech):
+    """log f(g^t) for t = 0..count-1 (n for a zero image); terms are (log c, e)."""
+    for t in range(count):
         acc = None
         for lc, e in terms:
             b = (lc + t * e) % n
@@ -89,6 +116,36 @@ def _log_walk(n, terms, zech):
                 z = zech[b - acc]  # a negative index wraps mod n, as wanted
                 acc = None if z is None else (acc + z) % n
         yield n if acc is None else acc
+
+
+def _log_runs(n, base, runs, shift):
+    """The labels of the base walk, then runs - 1 copies, the k-th shifted by
+    k*shift mod n; the zero label n stays n."""
+    if runs == 1:
+        yield base
+        return
+    base = list(base)
+    yield base
+    zeros = [i for i, label in enumerate(base) if label == n]
+    for k in range(1, runs):
+        s = k * shift % n
+        run = [(label + s) % n for label in base]
+        for i in zeros:
+            run[i] = n
+        yield run
+
+
+def _vector_runs(field, base, runs, factor):
+    """The encoded values of the base walk, given as power_blocks, then
+    runs - 1 copies, each the previous one times factor."""
+    if runs == 1:
+        yield from map(field.encode, base)
+        return
+    cols = [list(chain.from_iterable(col)) for col in zip(*base)]
+    yield field.encode(cols)
+    for _ in range(1, runs):
+        cols = field._apply(factor.coeffs, cols)
+        yield field.encode(cols)
 
 
 def evaluate_on_field(field, poly):

@@ -245,6 +245,48 @@ def test_sweep_empty_range_is_usage_error():
     assert run_cli("sweep", "family=T1", "q=13", "d=2", "k=1", "r=", "c=all")[0] == 64
 
 
+def test_oversized_grid_is_rejected_before_it_is_built(monkeypatch):
+    # a range is counted, not expanded
+    with pytest.raises(UsageError, match="lists 1000000000001 values, above --max-grid=5"):
+        parse_int_list("1,1..1000000000000", limit=5)
+    assert parse_int_list("1..5", limit=5) == [1, 2, 3, 4, 5]
+
+    def not_built(*args):
+        raise AssertionError("built past the grid bound")
+
+    monkeypatch.setattr(cli, "valid_c_values", not_built)
+    monkeypatch.setattr(cli, "compute_rows", not_built)
+    cases = [
+        # (argv, the size the message names)
+        (["sweep", "family=T1", "q=13", "d=2", "k=1", "r=1..1000000000000", "c=2"],
+         "lists 1000000000000 values, above --max-grid=262144"),
+        # c=all for T3 is every nonzero c: 4 default k x 168 default r x 168 c
+        (["--max-grid=100000", "sweep", "family=T3", "q=13", "d=2"],
+         "grid of 112896 tuples exceeds --max-grid=100000"),
+        # a default k window is counted, not listed: d = 10^9 has 10^9 odd k
+        (["sweep", "family=T1", "q=13", "d=1000000000", "r=1", "c=2"],
+         "grid of 1000000000 tuples exceeds --max-grid=262144"),
+        (["sweep", "family=T6", "q=13", "u=1..1000", "v=1..1000", "r=1", "c=2"],
+         "grid of 1000000 tuples exceeds --max-grid=262144"),
+        (["identities", "q=13", "k=1..1000000000000"],
+         "lists 1000000000000 values, above --max-grid=262144"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (64, ""), argv
+        assert err.startswith("usage error: ") and message in err, (argv, err)
+
+
+def test_max_grid_bounds_each_grid_inclusively():
+    argv = ["sweep", "family=T1", "q=13", "d=2", "k=1,3", "r=1..3", "c=2"]
+    assert run_cli("--max-grid=6", *argv)[0] == 0
+    code, _, err = run_cli("--max-grid=5", *argv)
+    assert code == 64 and "grid of 6 tuples exceeds --max-grid=5" in err
+    # the default admits the largest grid of the tests, README and benchmark
+    params = cli.parse_kv(["family=T1", "d=2,14", "r=1..167", "c=all"], cli.FAMILY_KEYS)
+    assert len(cli.build_grid(params, build_field(13, 1), "T1", True)) == 18704
+
+
 def test_sweep_hypothesis_violation():
     code, _, err = run_cli("sweep", "family=T1", "q=13", "d=2", "k=2", "r=1..5", "c=all")
     assert code == 65

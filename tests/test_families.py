@@ -28,7 +28,13 @@ from ppforge.errors import (
     NegativeExponent,
     PartitionNotDisjoint,
 )
-from ppforge.families import _coset_identity, default_k_window, t6_even_v_is_constant_on_mu
+from ppforge.families import (
+    TAGS,
+    _coset_identity,
+    default_k_window,
+    t6_even_v_is_constant_on_mu,
+    valid_c_count,
+)
 
 
 def make(field, tag, r=1, c=2, **kw):
@@ -113,6 +119,12 @@ def test_validate_c_condition_counts(field_q13, field_q11):
     brute = {int(c) for c in f.elements()
              if not c.is_zero() and (c / f.from_int(2)) ** 7 == f.one}
     assert {int(c) for c in valid_c_values(f, "T1")} == brute
+
+
+def test_valid_c_count_is_the_list_length(field_q5, field_q9, field_q11, field_q13):
+    for field in (field_q5, field_q9, field_q11, field_q13):
+        for tag in TAGS:
+            assert valid_c_count(field, tag) == len(valid_c_values(field, tag)), (field, tag)
 
 
 def test_valid_c_t3_is_every_nonzero(field_q5):
@@ -337,8 +349,8 @@ def test_t6_even_v_collapses_on_mu(field_q5, field_q13):
 
 
 def test_default_k_window():
-    assert default_k_window("T1", 2) == [1, 3]
-    assert default_k_window("T2", 7) == [1, 3, 5, 7, 9, 11, 13]
-    assert default_k_window("T5", 4) == [0, 2, 4, 6]
-    assert default_k_window("T3", 3) == [0, 1, 2, 3, 4, 5]
-    assert default_k_window("T6", 2) == []
+    assert list(default_k_window("T1", 2)) == [1, 3]
+    assert list(default_k_window("T2", 7)) == [1, 3, 5, 7, 9, 11, 13]
+    assert list(default_k_window("T5", 4)) == [0, 2, 4, 6]
+    assert list(default_k_window("T3", 3)) == [0, 1, 2, 3, 4, 5]
+    assert list(default_k_window("T6", 2)) == []

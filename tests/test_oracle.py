@@ -1,6 +1,9 @@
 from math import gcd
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppforge import (
     SparsePoly,
@@ -60,11 +63,35 @@ def least_pair(images):
     return None
 
 
+def agw_trinomial(f):
+    """x + a*x^q + x^(2q-1) for the first a in F_q such that a^2 - 4 is a
+    nonzero square of F_q, or None if there is none (q = 5).
+
+    On mu_{q+1}, h(y) = 1 + a*y + y^2 has h(y)^q = y^-2 h(y) and no root
+    (its roots lie in F_q and are not +-1), so x^1 h(x)^(q-1) = x^-1 permutes
+    mu_{q+1} and, by the AGW criterion, f = x h(x^(q-1)) permutes F_{q^2}.
+    Its exponents differ by multiples of q - 1, so the oracle's walk splits.
+    """
+    q = f.q
+    for j in range(q - 1):
+        a = f.generator ** ((q + 1) * j)  # the nonzero elements of F_q
+        disc = a * a - f.from_int(4 % f.p)
+        if not disc.is_zero() and disc ** ((q - 1) // 2) == f.one:
+            return SparsePoly(f, [(1, f.one), (q, a), (2 * q - 1, f.one)])
+    return None
+
+
 def walk_cases(f):
-    """Polynomials covering every corner of the oracle's walk, by name."""
+    """Polynomials covering every corner of the oracle's walk, by name.
+
+    The walk splits x = g^t into D runs of n/D points, D read off the folded
+    exponents; the cases from "single_term" on plant D > 1.
+    """
     g = f.generator
     n = f.q2 - 1
+    q = f.q
     two = f.from_int(2)
+    trinomial = agw_trinomial(f)
     return {
         # gcd(7, q^2 - 1) = 1 for q = 5, 9, 25, 81
         "bijection": x_power(f, 7, g),
@@ -77,6 +104,16 @@ def walk_cases(f):
         "cancels_after_folding": SparsePoly(f, [(5, g), (5 + n, -g), (1, f.one)]),
         "zero_on_non_squares": SparsePoly(f, [(0, f.one), (n // 2, f.one)]),
         "zero_part_sum_on_F_q": SparsePoly(f, [(1, f.one), (f.q, -f.one), (2, g)]),
+        # one term: the exponent gcd is n, so the walk takes as many runs as
+        # it allows (the largest divisor of n not above sqrt(n))
+        "single_term": x_power(f, 2, g),
+        # D = gcd(n, 6) > 1 with a constant term: not a bijection
+        "constant_plus_planted_D": SparsePoly(f, [(0, two), (6, g)]),
+        # D = q - 1, and the first run meets the zero image at t = 0
+        "zero_in_base_walk": SparsePoly(f, [(1, g), (q, -g)]),
+        # e_0 = 0 and every exponent a multiple of D = q - 1: no shift at all
+        "e0_zero_rest_0_mod_D": SparsePoly(f, [(0, g), (q - 1, f.one), (2 * (q - 1), two)]),
+        **({"agw_trinomial": trinomial} if trinomial is not None else {}),
     }
 
 
@@ -109,6 +146,47 @@ def test_untabled_walk_matches_slow_path(field_q5, field_q9, field_q13, monkeypa
     for f in (field_q5, field_q9, field_q13, build_field(3, 3)):
         assert not f.tables_supported()
         assert_kernel_matches_evaluate(f, walk_cases(f).values())
+
+
+def test_agw_trinomial_permutes_on_both_paths(field_q9, field_q13, monkeypatch):
+    fields = (field_q9, field_q13, build_field(5, 2), build_field(3, 3))
+    for limit in (ffcore.TABLE_LIMIT, 0):
+        monkeypatch.setattr(ffcore, "TABLE_LIMIT", limit)
+        for f in fields:
+            assert is_permutation_of_field(f, agw_trinomial(f)).is_bijection, f
+    assert agw_trinomial(build_field(5, 1)) is None
+
+
+ORACLE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)]
+
+
+@st.composite
+def sparse_polys(draw):
+    """A random sparse polynomial on a small field: exponents e_0 + D*j for a
+    planted divisor D of n, plus e_0 + 1 when D = 1, so that D is exactly 1."""
+    f = build_field(*draw(st.sampled_from(ORACLE_FIELDS)))
+    n = f.q2 - 1
+    planted = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    e0 = draw(st.integers(0, 2 * n))
+    exponents = [e0] + [e0 + planted * j for j in draw(st.lists(
+        st.integers(1, 2 * n // planted), max_size=3))]
+    if planted == 1:
+        exponents.append(e0 + 1)
+    coeffs = draw(st.lists(st.integers(1, f.q2 - 1),
+                           min_size=len(exponents), max_size=len(exponents)))
+    return SparsePoly(f, [(e, f.from_int(c)) for e, c in zip(exponents, coeffs)])
+
+
+@given(poly=sparse_polys(), tabled=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_oracle_matches_brute_force_on_random_polys(poly, tabled):
+    f = poly.field
+    expected = [int(evaluate(f, poly, x)) for x in f.elements()]
+    with mock.patch.object(ffcore, "TABLE_LIMIT", ffcore.TABLE_LIMIT if tabled else 0):
+        assert f.tables_supported() == tabled
+        report = is_permutation_of_field(f, poly)
+        assert report.is_bijection == (len(set(expected)) == f.q2)
+        assert report.first_collision == least_pair(expected)
 
 
 def test_evaluate_on_field_matches_repeated_multiplication(field_q5):
