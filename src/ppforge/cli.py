@@ -16,8 +16,8 @@ JSON lines.  All numeric I/O is exact integer text.
 
 Every subcommand parses and size-checks each comma-separated q before it
 builds any field.  A grid's size, the product of its factors' sizes, is
-counted before any range or c=all is expanded; a grid above --max-grid is a
-usage error.  check is a sweep whose grid must be exactly one tuple.  A
+counted before any range or c=all is expanded; a grid above MAX_GRID tuples is
+a usage error.  check is a sweep whose grid must be exactly one tuple.  A
 sweep, search or check validates the family hypotheses of every requested q,
 once per (family, d, k, u, v, c) group: they do not depend on r.  Only then are
 rows computed, with the gcd criterion per r and the oracle per tuple; f is
@@ -69,10 +69,12 @@ EXIT_DISAGREEMENT = 2
 EXIT_USAGE = 64
 EXIT_HYPOTHESES = 65
 
-# Largest parameter grid a sweep, search or check builds: 14 times the largest
-# grid in the tests, README and benchmark (18,704 tuples); each row of it is
-# held in memory until the grid is done.
-DEFAULT_MAX_GRID = 1 << 18
+# Largest parameter grid a sweep, search or check builds, and the longest list
+# a parameter may give.  Every row of a grid is held until the grid is done; a
+# T3 q=13 sweep held about 0.65 KB per row (peak RSS 25.3 MB at 10,752 tuples,
+# 91.3 MB at 112,896), so 2^20 rows is about 0.7 GB, and about a minute at
+# 20-25k tuples/s.
+MAX_GRID = 1 << 20
 
 ROW_FIELDS = (
     "family", "q", "d", "k", "u", "v", "r", "c",
@@ -129,11 +131,11 @@ def parse_prime_power(text, max_field=None):
     return p, h
 
 
-def parse_int_list(text, limit=None):
+def parse_int_list(text):
     """Comma-separated integers and a..b inclusive ranges with a <= b.
 
-    The values are counted before any range is expanded; with limit set, a
-    count above it is a UsageError that names the count.
+    The values are counted before any range is expanded; a count above
+    MAX_GRID is a UsageError that names the count.
     """
     parts = []
     for chunk in text.split(","):
@@ -149,8 +151,8 @@ def parse_int_list(text, limit=None):
     count = sum(map(len, parts))
     if not count:
         raise UsageError(f"empty list/range: {text!r}")
-    if limit is not None and count > limit:
-        raise UsageError(f"{text!r} lists {count} values, above --max-grid={limit}")
+    if count > MAX_GRID:
+        raise UsageError(f"{text!r} lists {count} values, above the bound of {MAX_GRID}")
     return [x for part in parts for x in part]
 
 
@@ -265,14 +267,13 @@ def emit_rows(rows, fields, fmt, out):
 FAMILY_KEYS = {"family", "q", "d", "k", "u", "v", "r", "c"}
 
 
-def build_grid(args_params, field, tag, for_sweep, max_grid=DEFAULT_MAX_GRID):
+def build_grid(args_params, field, tag, for_sweep):
     """All (tag, d, k, u, v, r, c) tuples of the requested grid, sorted.
 
     A sweep defaults r to 1..q^2-1 and c to all; for check both are required.
     The grid's size is the product of its factors' sizes, checked against
-    max_grid before any factor above it or the grid itself is built.
+    MAX_GRID before any factor above it or the grid itself is built.
     """
-    ints = partial(parse_int_list, limit=max_grid)
     if not for_sweep:
         for key in ("r", "c"):
             if key not in args_params:
@@ -281,7 +282,7 @@ def build_grid(args_params, field, tag, for_sweep, max_grid=DEFAULT_MAX_GRID):
     if tag in ("T1", "T2", "T3", "T4"):
         if "d" not in args_params:
             raise UsageError(f"{tag} requires d")
-        d_values = ints(args_params["d"])
+        d_values = parse_int_list(args_params["d"])
     elif tag == "T5":
         d_values = [4]
     else:
@@ -290,7 +291,7 @@ def build_grid(args_params, field, tag, for_sweep, max_grid=DEFAULT_MAX_GRID):
         raise UsageError("d values must be >= 1")
 
     if "r" in args_params:
-        r_values = ints(args_params["r"])
+        r_values = parse_int_list(args_params["r"])
         if any(r < 1 for r in r_values):
             raise UsageError("r values must be >= 1")
     else:
@@ -299,18 +300,20 @@ def build_grid(args_params, field, tag, for_sweep, max_grid=DEFAULT_MAX_GRID):
     if tag == "T6":
         if "u" not in args_params or "v" not in args_params:
             raise UsageError("T6 requires u and v")
-        u_values, v_values = ints(args_params["u"]), ints(args_params["v"])
+        u_values = parse_int_list(args_params["u"])
+        v_values = parse_int_list(args_params["v"])
         combo_count = len(u_values) * len(v_values)
     else:
-        k_values = ints(args_params["k"]) if "k" in args_params else None
+        k_values = parse_int_list(args_params["k"]) if "k" in args_params else None
         windows = [(d, default_k_window(tag, d) if k_values is None else k_values)
                    for d in d_values]
         combo_count = sum(len(ks) for _, ks in windows)
-    c_values = None if args_params.get("c", "all") == "all" else ints(args_params["c"])
+    c_text = args_params.get("c", "all")
+    c_values = None if c_text == "all" else parse_int_list(c_text)
     size = combo_count * len(r_values) * (
         valid_c_count(field, tag) if c_values is None else len(c_values))
-    if size > max_grid:
-        raise UsageError(f"grid of {size} tuples exceeds --max-grid={max_grid}")
+    if size > MAX_GRID:
+        raise UsageError(f"grid of {size} tuples exceeds the bound of {MAX_GRID}")
     if tag == "T6":
         combos = [(2, 0, u, v) for u in u_values for v in v_values]
     else:
@@ -369,7 +372,7 @@ def _sweep_common(ns):
     if tag not in TAGS:
         raise UsageError(f"family must be one of {', '.join(TAGS)}")
     for_sweep = ns.command != "check"
-    grids = [(field, build_grid(params, field, tag, for_sweep, ns.max_grid))
+    grids = [(field, build_grid(params, field, tag, for_sweep))
              for field in sorted(_fields(params, ns.max_field), key=lambda field: field.q)]
     if not for_sweep and sum(len(tuples) for _, tuples in grids) != 1:
         raise UsageError("check takes exactly one parameter tuple; use sweep for grids")
@@ -397,7 +400,7 @@ def cmd_search(ns, out, err):
 
 def cmd_identities(ns, out, err):
     params = parse_kv(ns.params, {"q", "k"})
-    k_values = parse_int_list(params["k"], ns.max_grid) if "k" in params else [0, 1]
+    k_values = parse_int_list(params["k"]) if "k" in params else [0, 1]
     rows = []
 
     def add(q, d, lemma, k, ok, note=None):
@@ -434,8 +437,6 @@ def make_parser():
                         help="parallel workers for sweeps (default: cores)")
     parser.add_argument("--max-field", type=int, default=DEFAULT_MAX_FIELD_SIZE,
                         help="refuse fields with q^2 above this size")
-    parser.add_argument("--max-grid", type=int, default=DEFAULT_MAX_GRID,
-                        help="refuse parameter grids of more tuples than this")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("field-info", "check", "sweep", "identities", "search"):
         cmd = sub.add_parser(name)

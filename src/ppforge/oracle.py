@@ -7,9 +7,11 @@ inputs are walked in generator order x = g^t, t = 0, 1, ..., n - 1, where a
 term c*x^e equals c*g^(t*e).  The walk yields one label per image.
 
 The walk is a base walk and shifted copies of it.  Let e_0 be the least
-folded exponent and D a divisor of every difference e_j - e_0 and of n; with
-M = n/D, each e_j*M = e_0*M (mod n), so f(g^(t+M)) = g^(e_0*M) * f(g^t) for
-every t.  Only t < M is evaluated term by term:
+folded exponent.  When q - 1 divides every difference e_j - e_0, as it does
+for every x^r h(x^(q-1)) and every monomial, the walk splits into D = q - 1
+runs of M = n/D = q + 1 points: each e_j*M = e_0*M (mod n), so
+f(g^(t+M)) = g^(e_0*M) * f(g^t) for every t.  Only the base run t < M is
+evaluated term by term:
 
 * on fields with tables (q^2 <= TABLE_LIMIT) the label is log f(g^t): term j
   is the log lc_j + t*e_j mod n, and terms are added through the Zech table,
@@ -22,12 +24,10 @@ every t.  Only t < M is evaluated term by term:
 Run k = 1..D-1 (t = kM..kM+M-1) is the base run shifted: with tables each
 label plus k*e_0*M mod n, the zero label n staying n; above the limit the
 previous run's columns times g^(e_0*M), one linear map per run, then
-encoded.  D is read off the folded exponents alone: it is the largest
-divisor of gcd(n, e_j - e_0 for all j) that is at most sqrt(n), so a run is
-never shorter than sqrt(n) points (a lone term, whose gcd is n, still walks
-about sqrt(n) of them).  A polynomial whose gcd is 1 walks all n points term
-by term.  The runs come in t order as one label sequence, which both the
-bijection test and evaluate_on_field consume.
+encoded.  D is read off the folded exponents alone, never off a family.  Any
+other polynomial has D = 1: its base run is the whole walk, evaluated term
+by term and streamed.  The runs come in t order as one label sequence, which
+both the bijection test and evaluate_on_field consume.
 
 Labels name images one to one, so the bijection test marks every one of the
 q^2 labels in a bytearray and stops at the first repeat.  A non-bijection's
@@ -38,7 +38,6 @@ who reads it.
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from itertools import chain
-from math import gcd, isqrt
 from typing import Callable, Optional, Tuple
 
 from .sparsepoly import SparsePoly
@@ -87,11 +86,9 @@ def _walk(field, poly):
     const = terms[0][1] if terms and terms[0][0] == 0 else field.zero
     n = field.q2 - 1
     e0 = terms[0][0] if terms else 0
-    common = gcd(n, *(e - e0 for e, _ in terms))
-    # D runs of M = n/D points, D the largest divisor of common not above sqrt(n)
-    runs = min(common, isqrt(n))
-    while common % runs:
-        runs -= 1
+    q = field.q
+    # D = q - 1 runs of M = q + 1 points when q - 1 divides every e_j - e_0
+    runs = q - 1 if all((e - e0) % (q - 1) == 0 for e, _ in terms) else 1
     run_len = n // runs
     if field.tables_supported():
         _, log, zech = field.tables()

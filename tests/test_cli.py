@@ -246,10 +246,11 @@ def test_sweep_empty_range_is_usage_error():
 
 
 def test_oversized_grid_is_rejected_before_it_is_built(monkeypatch):
+    bound = cli.MAX_GRID
     # a range is counted, not expanded
-    with pytest.raises(UsageError, match="lists 1000000000001 values, above --max-grid=5"):
-        parse_int_list("1,1..1000000000000", limit=5)
-    assert parse_int_list("1..5", limit=5) == [1, 2, 3, 4, 5]
+    message = f"lists 1000000000001 values, above the bound of {bound}"
+    with pytest.raises(UsageError, match=message):
+        parse_int_list("1,1..1000000000000")
 
     def not_built(*args):
         raise AssertionError("built past the grid bound")
@@ -259,17 +260,17 @@ def test_oversized_grid_is_rejected_before_it_is_built(monkeypatch):
     cases = [
         # (argv, the size the message names)
         (["sweep", "family=T1", "q=13", "d=2", "k=1", "r=1..1000000000000", "c=2"],
-         "lists 1000000000000 values, above --max-grid=262144"),
-        # c=all for T3 is every nonzero c: 4 default k x 168 default r x 168 c
-        (["--max-grid=100000", "sweep", "family=T3", "q=13", "d=2"],
-         "grid of 112896 tuples exceeds --max-grid=100000"),
+         f"lists 1000000000000 values, above the bound of {bound}"),
+        # c=all for T3 is every nonzero c: 40 default k x 168 default r x 168 c
+        (["sweep", "family=T3", "q=13", "d=20"],
+         f"grid of 1128960 tuples exceeds the bound of {bound}"),
         # a default k window is counted, not listed: d = 10^9 has 10^9 odd k
         (["sweep", "family=T1", "q=13", "d=1000000000", "r=1", "c=2"],
-         "grid of 1000000000 tuples exceeds --max-grid=262144"),
-        (["sweep", "family=T6", "q=13", "u=1..1000", "v=1..1000", "r=1", "c=2"],
-         "grid of 1000000 tuples exceeds --max-grid=262144"),
+         f"grid of 1000000000 tuples exceeds the bound of {bound}"),
+        (["sweep", "family=T6", "q=13", "u=1..1025", "v=1..1025", "r=1", "c=2"],
+         f"grid of 1050625 tuples exceeds the bound of {bound}"),
         (["identities", "q=13", "k=1..1000000000000"],
-         "lists 1000000000000 values, above --max-grid=262144"),
+         f"lists 1000000000000 values, above the bound of {bound}"),
     ]
     for argv, message in cases:
         code, out, err = run_cli(*argv)
@@ -277,12 +278,25 @@ def test_oversized_grid_is_rejected_before_it_is_built(monkeypatch):
         assert err.startswith("usage error: ") and message in err, (argv, err)
 
 
-def test_max_grid_bounds_each_grid_inclusively():
+def test_grid_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID", 5)
+    assert parse_int_list("1..5") == [1, 2, 3, 4, 5]
+    with pytest.raises(UsageError, match="'1..6' lists 6 values, above the bound of 5"):
+        parse_int_list("1..6")
     argv = ["sweep", "family=T1", "q=13", "d=2", "k=1,3", "r=1..3", "c=2"]
-    assert run_cli("--max-grid=6", *argv)[0] == 0
-    code, _, err = run_cli("--max-grid=5", *argv)
-    assert code == 64 and "grid of 6 tuples exceeds --max-grid=5" in err
-    # the default admits the largest grid of the tests, README and benchmark
+    monkeypatch.setattr(cli, "MAX_GRID", 6)
+    assert run_cli(*argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_GRID", 5)
+    code, _, err = run_cli(*argv)
+    assert code == 64 and "grid of 6 tuples exceeds the bound of 5" in err
+
+
+def test_grid_bound_admits_default_grids():
+    # the default r and c=all at q = 13 and 17: 10 x 168^2 and 4 x 288^2 tuples
+    for q, d, size in ((13, 5, 282240), (17, 2, 331776)):
+        params = cli.parse_kv(["family=T3", f"d={d}"], cli.FAMILY_KEYS)
+        assert len(cli.build_grid(params, build_field(q, 1), "T3", True)) == size
+    # the largest grid of the benchmark
     params = cli.parse_kv(["family=T1", "d=2,14", "r=1..167", "c=all"], cli.FAMILY_KEYS)
     assert len(cli.build_grid(params, build_field(13, 1), "T1", True)) == 18704
 

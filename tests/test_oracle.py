@@ -15,7 +15,7 @@ from ppforge import (
     make_mu,
     pointwise_equal,
 )
-from ppforge import ffcore
+from ppforge import ffcore, oracle
 
 
 def x_power(field, n, coeff=None):
@@ -84,8 +84,9 @@ def agw_trinomial(f):
 def walk_cases(f):
     """Polynomials covering every corner of the oracle's walk, by name.
 
-    The walk splits x = g^t into D runs of n/D points, D read off the folded
-    exponents; the cases from "single_term" on plant D > 1.
+    The walk splits x = g^t into D = q - 1 runs of q + 1 points when q - 1
+    divides every difference of folded exponents; the cases from
+    "single_term" on plant such a split.
     """
     g = f.generator
     n = f.q2 - 1
@@ -104,11 +105,10 @@ def walk_cases(f):
         "cancels_after_folding": SparsePoly(f, [(5, g), (5 + n, -g), (1, f.one)]),
         "zero_on_non_squares": SparsePoly(f, [(0, f.one), (n // 2, f.one)]),
         "zero_part_sum_on_F_q": SparsePoly(f, [(1, f.one), (f.q, -f.one), (2, g)]),
-        # one term: the exponent gcd is n, so the walk takes as many runs as
-        # it allows (the largest divisor of n not above sqrt(n))
+        # one term: no exponent differences, so the walk splits
         "single_term": x_power(f, 2, g),
-        # D = gcd(n, 6) > 1 with a constant term: not a bijection
-        "constant_plus_planted_D": SparsePoly(f, [(0, two), (6, g)]),
+        # D = q - 1 with a constant term: not a bijection
+        "constant_plus_planted_D": SparsePoly(f, [(0, two), (q - 1, g)]),
         # D = q - 1, and the first run meets the zero image at t = 0
         "zero_in_base_walk": SparsePoly(f, [(1, g), (q, -g)]),
         # e_0 = 0 and every exponent a multiple of D = q - 1: no shift at all
@@ -155,6 +155,45 @@ def test_agw_trinomial_permutes_on_both_paths(field_q9, field_q13, monkeypatch):
         for f in fields:
             assert is_permutation_of_field(f, agw_trinomial(f)).is_bijection, f
     assert agw_trinomial(build_field(5, 1)) is None
+
+
+def test_unsplit_walk_stops_at_the_first_repeat(field_q13, monkeypatch):
+    """x^3 + x^5 has D = 1 (q - 1 does not divide 2), so its walk streams:
+    the bijection test evaluates no block past its first repeated image."""
+    f, g = field_q13, field_q13.generator
+    poly = SparsePoly(f, [(3, f.one), (5, f.one)])
+    seen = {int(evaluate(f, poly, f.zero))}
+    for repeat in range(f.q2 - 1):  # the first t whose image f(g^t) repeats
+        y = int(evaluate(f, poly, g ** repeat))
+        if y in seen:
+            break
+        seen.add(y)
+    assert repeat == 19
+
+    walked = []
+    log_walk = oracle._log_walk
+
+    def counted_log_walk(*args):
+        for label in log_walk(*args):
+            walked.append(label)
+            yield label
+
+    monkeypatch.setattr(oracle, "_log_walk", counted_log_walk)
+    assert not is_permutation_of_field(f, poly)
+    assert len(walked) == repeat + 1
+
+    blocks = []
+    power_blocks = ffcore.FieldSpec.power_blocks
+
+    def counted_power_blocks(self, *args):
+        for cols in power_blocks(self, *args):
+            blocks.append(len(cols[0]))
+            yield cols
+
+    monkeypatch.setattr(ffcore, "TABLE_LIMIT", 0)
+    monkeypatch.setattr(ffcore.FieldSpec, "power_blocks", counted_power_blocks)
+    assert not is_permutation_of_field(f, poly)
+    assert sum(blocks[:-1]) <= repeat < sum(blocks) < f.q2 - 1
 
 
 ORACLE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)]
