@@ -26,13 +26,22 @@ label plus k*e_0*M mod n, the zero label n staying n; above the limit the
 previous run's columns times g^(e_0*M), one linear map per run, then
 encoded.  D is read off the folded exponents alone, never off a family.  Any
 other polynomial has D = 1: its base run is the whole walk, evaluated term
-by term and streamed.  The runs come in t order as one label sequence, which
-both the bijection test and evaluate_on_field consume.
+by term and streamed.  evaluate_on_field reads the runs in t order as one
+label sequence.
 
 Labels name images one to one, so the bijection test marks every one of the
-q^2 labels in a bytearray and stops at the first repeat.  A non-bijection's
-least colliding pair costs one more full evaluation, paid only by a caller
-who reads it.
+q^2 labels and stops at the first repeat.  It marks one byte per label in a
+bytearray, except for a split walk with tables.  That walk marks the label
+of f(0) and then the base run's labels, one at a time, as bits b < n of an
+int; it stops at a repeat, or at a zero image, which every shift fixes, so
+run 1 would repeat it.  Run k is then the bitset base of the base run's
+labels rotated by s_k = k*e_0*M mod n, which is one big-int shift:
+ring >> (n - s_k) with ring = base | base << n.  The run repeats a label iff
+it meets the bits marked so far, and is otherwise marked by one big-int or.
+No mask is needed: bit j >= n of a run is a copy of the same run's bit
+j - n, so a run can meet the marks at or above n only where it meets them
+below n too.  A non-bijection's least colliding pair costs one more full
+evaluation, paid only by a caller who reads it.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -81,7 +90,13 @@ def evaluate(field, poly, x):
 
 
 def _walk(field, poly):
-    """(label of f(0), iterator over the labels of f(g^t), t = 0..n-1)."""
+    """(label of f(0), base run, D, shift): the walk over t = 0..n-1 is D runs
+    of M = n/D points, and run k is the base run t < M shifted k times.
+
+    With tables the base run is an iterator over labels and the shift is the
+    label offset e_0*M mod n; without, the base run is power_blocks' blocks of
+    values and the shift is the factor g^(e_0*M).
+    """
     terms = poly.reduce_mod().terms
     const = terms[0][1] if terms and terms[0][0] == 0 else field.zero
     n = field.q2 - 1
@@ -94,11 +109,16 @@ def _walk(field, poly):
         _, log, zech = field.tables()
         label0 = log[int(const)]
         base = _log_walk(n, run_len, [(log[int(c)], e) for e, c in terms], zech)
-        return (n if label0 is None else label0,
-                chain.from_iterable(_log_runs(n, base, runs, e0 * run_len)))
+        return n if label0 is None else label0, base, runs, e0 * run_len % n
     base = field.power_blocks(field.generator, terms, run_len)
-    factor = field.generator ** (e0 * run_len)
-    return int(const), chain.from_iterable(_vector_runs(field, base, runs, factor))
+    return int(const), base, runs, field.generator ** (e0 * run_len)
+
+
+def _labels(field, base, runs, shift):
+    """The labels of f(g^t), t = 0..n-1, from a _walk's base run and shift."""
+    if field.tables_supported():
+        return chain.from_iterable(_log_runs(field.q2 - 1, base, runs, shift))
+    return chain.from_iterable(_vector_runs(field, base, runs, shift))
 
 
 def _log_walk(n, count, terms, zech):
@@ -147,8 +167,9 @@ def _vector_runs(field, base, runs, factor):
 
 def evaluate_on_field(field, poly):
     """Images of all q^2 elements, indexed by canonical input encoding."""
-    zero_label, labels = _walk(field, poly)
-    _, inputs = _walk(field, SparsePoly.monomial(field, field.one, 1))
+    zero_label, *walk = _walk(field, poly)
+    labels = _labels(field, *walk)
+    inputs = _labels(field, *_walk(field, SparsePoly.monomial(field, field.one, 1))[1:])
     # decode[label] is the canonical image that the label names
     decode = field.tables()[0] + [0] if field.tables_supported() else range(field.q2)
     images = [0] * field.q2
@@ -175,20 +196,58 @@ def _least_collision(images):
 def is_permutation_of_field(field, poly):
     """Walk poly over all of F_{q^2}; bijection iff no image repeats.
 
-    Stops at the first repeated image.
+    Stops at the first repeated image, or with tables and a split walk, at
+    the first run that repeats one.
     """
-    zero_label, labels = _walk(field, poly)
-    seen = bytearray(field.q2)
-    seen[zero_label] = 1
-    for label in labels:
-        if seen[label]:
-            return PermutationReport(
-                is_bijection=False,
-                domain_size=field.q2,
-                find_collision=lambda: _least_collision(evaluate_on_field(field, poly)),
-            )
-        seen[label] = 1
+    if _collides(field, *_walk(field, poly)):
+        return PermutationReport(
+            is_bijection=False,
+            domain_size=field.q2,
+            find_collision=lambda: _least_collision(evaluate_on_field(field, poly)),
+        )
     return PermutationReport(is_bijection=True, domain_size=field.q2)
+
+
+def _collides(field, zero_label, base, runs, shift):
+    """Does some label of the walk equal another, or the label of f(0)?
+
+    One byte per label, or with tables and a split walk, one bit per label
+    and one rotation of the base run's bits per later run (module docstring).
+    """
+    n = field.q2 - 1
+    if runs == 1 or not field.tables_supported():
+        seen = bytearray(n + 1)
+        seen[zero_label] = 1
+        for label in _labels(field, base, runs, shift):
+            if seen[label]:
+                return True
+            seen[label] = 1
+        return False
+    marks = bytearray((n >> 3) + 1)  # bit b of the little-endian int: label b < n
+    if zero_label < n:
+        marks[zero_label >> 3] = 1 << (zero_label & 7)
+    for label in base:
+        byte, bit = label >> 3, 1 << (label & 7)
+        # every shift fixes the zero label n, so run 1 would repeat it
+        if label == n or marks[byte] & bit:
+            return True
+        marks[byte] |= bit
+    marked = int.from_bytes(marks, "little")
+    bits = marked ^ (1 << zero_label) if zero_label < n else marked
+    for run in _rotations(n, bits, runs, shift):
+        if marked & run:
+            return True
+        marked |= run
+    return False
+
+
+def _rotations(n, bits, runs, shift):
+    """The n-bit set bits rotated by k*shift mod n, for k = 1..runs-1: bit b
+    moves to bit (b + k*shift) mod n, and each bit j >= n of a rotation is a
+    copy of its bit j - n."""
+    ring = bits | bits << n
+    for k in range(1, runs):
+        yield ring >> (n - k * shift % n)
 
 
 def is_permutation_of_mu(mu, fn: Callable):

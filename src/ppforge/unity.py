@@ -152,18 +152,29 @@ def agw_check(field, r, h):
     mu_{q+1}, and x -> x^r * h(x)^(q-1) a bijection of mu_{q+1} (tested by
     enumerating all q+1 images).  A vanishing h yields a False verdict with
     reason code rather than an error.
+
+    The image of x = gamma^i is gamma^(r*i + L[i]) with L[i] the index of
+    h(gamma^i)^(q-1): log h(gamma^i) mod (q+1) with tables, since
+    (g^a)^(q-1) = gamma^a, and mu.log of that power without them.
     """
     q = field.q
     if gcd(r, q - 1) != 1:
         return CheckResult(False, "gcd(r, q-1) != 1")
     mu = make_mu(field)
-    images = set()
-    for xr, hv in zip(mu.walk(r), mu.evaluate(h)):
-        if hv.is_zero():
-            return CheckResult(False, "h vanishes on mu_{q+1}")
-        images.add(int(xr * hv ** (q - 1)))
-    if len(images) != mu.order:
-        return CheckResult(False, "x^r h(x)^(q-1) is not a bijection of mu_{q+1}")
+    values = mu.evaluate(h)
+    if field.tables_supported():
+        log = field.tables()[1]
+        indices = [log[int(hv)] for hv in values]  # log[0] is None
+    else:
+        indices = [None if hv.is_zero() else mu.log(hv ** (q - 1)) for hv in values]
+    if None in indices:
+        return CheckResult(False, "h vanishes on mu_{q+1}")
+    seen = bytearray(mu.order)
+    for i, index in enumerate(indices):
+        image = (r * i + index) % mu.order
+        if seen[image]:
+            return CheckResult(False, "x^r h(x)^(q-1) is not a bijection of mu_{q+1}")
+        seen[image] = 1
     return CheckResult(True)
 
 

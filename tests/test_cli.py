@@ -6,9 +6,13 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppforge import (
     HypothesesNotSatisfied,
@@ -473,6 +477,46 @@ def test_sweep_verdicts_invariant_under_seed_and_jobs(monkeypatch):
         per_seed.append(Counter(row["r"] for row in runs[0] if row["oracle"] == "true"))
     assert per_seed[0] == per_seed[1] == per_seed[2]
     assert sum(per_seed[0].values()) == 82
+
+
+@st.composite
+def small_sweeps(draw):
+    """sweep parameters of a random T1, T3 or T6 grid at q <= 13 over c=all,
+    a few r values wide."""
+    tag = draw(st.sampled_from(["T1", "T3", "T6"]))
+    q = draw(st.sampled_from([5, 9, 13] if tag == "T1" else [3, 5, 7, 9, 11, 13]))
+    if tag == "T6":
+        params = [f"u={draw(st.integers(0, q // 2)) * 2 + 1}",
+                  f"v={draw(st.integers(0, q // 2)) * 2 + 1}"]
+    else:
+        divisors = [d for d in range(1, q + 2) if (q + 1) % d == 0]
+        if tag == "T1":
+            divisors = [d for d in divisors if d % 2 == 0 and gcd((q + 1) // d, d) == 1]
+        d = draw(st.sampled_from(divisors))
+        k = draw(st.integers(0, d - 1)) * 2 + 1 if tag == "T1" else draw(st.integers(0, 2 * d - 1))
+        params = [f"d={d}", f"k={k}"]
+    r = draw(st.integers(1, q * q - 2))
+    return [f"family={tag}", f"q={q}", *params, f"r={r}..{r + draw(st.integers(1, 3))}", "c=all"]
+
+
+@given(argv=small_sweeps())
+@settings(max_examples=6, deadline=None)
+def test_sweep_rows_invariant_under_jobs_and_seed(argv):
+    # stdout is the same at --jobs=1 and --jobs=2 but for the elapsed_us
+    # column; the seed changes the field's model, hence the c encodings, but
+    # not how many c of each (d, k, u, v, r) give a permutation
+    per_seed = []
+    for seed in ("0", "1"):
+        outs = []
+        with mock.patch.dict(os.environ, {"PPFORGE_SEED": seed}):
+            for jobs in ("--jobs=1", "--jobs=2"):
+                code, out, err = run_cli(jobs, "sweep", *argv)
+                assert code == 0 and " disagreements=0" in err, err
+                outs.append([line.rsplit(",", 1)[0] for line in out.splitlines()])
+        assert outs[0] == outs[1]
+        per_seed.append(Counter((row["d"], row["k"], row["u"], row["v"], row["r"])
+                                for row in parse_csv(out) if row["oracle"] == "true"))
+    assert per_seed[0] == per_seed[1]
 
 
 def run_module(*argv):

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import gcd
 from unittest import mock
 
@@ -16,6 +17,7 @@ from ppforge import (
     pointwise_equal,
 )
 from ppforge import ffcore, oracle
+from ppforge.families import FamilyParams, build_f, valid_c_values
 
 
 def x_power(field, n, coeff=None):
@@ -194,6 +196,53 @@ def test_unsplit_walk_stops_at_the_first_repeat(field_q13, monkeypatch):
     monkeypatch.setattr(ffcore.FieldSpec, "power_blocks", counted_power_blocks)
     assert not is_permutation_of_field(f, poly)
     assert sum(blocks[:-1]) <= repeat < sum(blocks) < f.q2 - 1
+
+
+def test_split_walk_stops_at_the_first_colliding_run(field_q13, monkeypatch):
+    """Split walks on F_169 (runs of q + 1 = 14 points) whose first repeated
+    image is in run 6 or 4: the bijection test rotates the base run's bits
+    that many times, not q - 2 = 11.
+
+    x^2 + g x^14 has gcd(e_0, q - 1) = 2, so run 6 (t = 84) is a copy of the
+    base run.  x + g x^85 has gcd(e_0, q - 1) = 1; its run 4 first meets an
+    earlier run at a label that its rotation wraps past n."""
+    f, g = field_q13, field_q13.generator
+    rotated = []
+    rotations = oracle._rotations
+
+    def counted_rotations(*args):
+        for run in rotations(*args):
+            rotated.append(run)
+            yield run
+
+    monkeypatch.setattr(oracle, "_rotations", counted_rotations)
+    for poly, first_run in ((SparsePoly(f, [(2, f.one), (14, g)]), 6),
+                            (SparsePoly(f, [(1, f.one), (85, g)]), 4)):
+        seen = {int(evaluate(f, poly, f.zero))}
+        for repeat in range(f.q2 - 1):
+            y = int(evaluate(f, poly, g ** repeat))
+            if y in seen:
+                break
+            seen.add(y)
+        assert repeat // (f.q + 1) == first_run, poly
+        rotated.clear()
+        assert not is_permutation_of_field(f, poly)
+        assert len(rotated) == first_run, poly
+
+
+def test_ring_verdicts_match_the_label_stream():
+    """On the degree-8 field, where evaluate() is too slow to take every
+    case, the bitset verdict of every walk case and of T1 trinomials against
+    the images that evaluate_on_field expands run by run."""
+    f = build_field(3, 4)
+    params = [FamilyParams(tag="T1", field=f, r=r, c=c, d=2, k=k)
+              for k in (1, 3) for r in range(1, 7) for c in valid_c_values(f, "T1")[:4]]
+    verdicts = Counter()
+    for poly in [*walk_cases(f).values(), *map(build_f, params)]:
+        bijection = len(set(evaluate_on_field(f, poly))) == f.q2
+        assert is_permutation_of_field(f, poly).is_bijection == bijection, poly
+        verdicts[bijection] += 1
+    assert verdicts[True] > 10 and verdicts[False] > 10
 
 
 ORACLE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)]
