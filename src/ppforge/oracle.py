@@ -47,7 +47,7 @@ evaluation, paid only by a caller who reads it.
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .sparsepoly import SparsePoly
 
@@ -89,14 +89,25 @@ def evaluate(field, poly, x):
     return acc
 
 
-def _walk(field, poly):
-    """(label of f(0), base run, D, shift): the walk over t = 0..n-1 is D runs
-    of M = n/D points, and run k is the base run t < M shifted k times.
+class _Walk(NamedTuple):
+    """The walk over t = 0..n-1 as D runs of M = n/D points; run k is the
+    base run t < M shifted k times.
 
-    With tables the base run is an iterator over labels and the shift is the
-    label offset e_0*M mod n; without, the base run is power_blocks' blocks of
+    With tables (tabled) the labels are logs, the base run is an iterator
+    over labels and the shift is the label offset e_0*M mod n; without, the
+    labels are canonical encodings, the base run is power_blocks' blocks of
     values and the shift is the factor g^(e_0*M).
     """
+
+    zero_label: int  # the label of f(0)
+    base: object
+    runs: int  # D
+    shift: object
+    tabled: bool
+
+
+def _walk(field, poly):
+    """poly's walk; tables, where the field has them, decide its labels."""
     terms = poly.reduce_mod().terms
     const = terms[0][1] if terms and terms[0][0] == 0 else field.zero
     n = field.q2 - 1
@@ -109,16 +120,18 @@ def _walk(field, poly):
         _, log, zech = field.tables()
         label0 = log[int(const)]
         base = _log_walk(n, run_len, [(log[int(c)], e) for e, c in terms], zech)
-        return n if label0 is None else label0, base, runs, e0 * run_len % n
+        return _Walk(n if label0 is None else label0, base, runs, e0 * run_len % n, True)
     base = field.power_blocks(field.generator, terms, run_len)
-    return int(const), base, runs, field.generator ** (e0 * run_len)
+    return _Walk(int(const), base, runs, field.generator ** (e0 * run_len), False)
 
 
-def _labels(field, base, runs, shift):
-    """The labels of f(g^t), t = 0..n-1, from a _walk's base run and shift."""
-    if field.tables_supported():
-        return chain.from_iterable(_log_runs(field.q2 - 1, base, runs, shift))
-    return chain.from_iterable(_vector_runs(field, base, runs, shift))
+def _labels(field, walk):
+    """The labels of f(g^t), t = 0..n-1, in t order."""
+    if walk.tabled:
+        runs = _log_runs(field.q2 - 1, walk.base, walk.runs, walk.shift)
+    else:
+        runs = _vector_runs(field, walk.base, walk.runs, walk.shift)
+    return chain.from_iterable(runs)
 
 
 def _log_walk(n, count, terms, zech):
@@ -167,14 +180,13 @@ def _vector_runs(field, base, runs, factor):
 
 def evaluate_on_field(field, poly):
     """Images of all q^2 elements, indexed by canonical input encoding."""
-    zero_label, *walk = _walk(field, poly)
-    labels = _labels(field, *walk)
-    inputs = _labels(field, *_walk(field, SparsePoly.monomial(field, field.one, 1))[1:])
+    walk = _walk(field, poly)
+    inputs = _labels(field, _walk(field, SparsePoly.monomial(field, field.one, 1)))
     # decode[label] is the canonical image that the label names
-    decode = field.tables()[0] + [0] if field.tables_supported() else range(field.q2)
+    decode = field.tables()[0] + [0] if walk.tabled else range(field.q2)
     images = [0] * field.q2
-    images[0] = decode[zero_label]
-    for x, y in zip(inputs, labels):
+    images[0] = decode[walk.zero_label]
+    for x, y in zip(inputs, _labels(field, walk)):
         images[decode[x]] = decode[y]
     return images
 
@@ -199,7 +211,7 @@ def is_permutation_of_field(field, poly):
     Stops at the first repeated image, or with tables and a split walk, at
     the first run that repeats one.
     """
-    if _collides(field, *_walk(field, poly)):
+    if _collides(field, _walk(field, poly)):
         return PermutationReport(
             is_bijection=False,
             domain_size=field.q2,
@@ -208,17 +220,18 @@ def is_permutation_of_field(field, poly):
     return PermutationReport(is_bijection=True, domain_size=field.q2)
 
 
-def _collides(field, zero_label, base, runs, shift):
+def _collides(field, walk):
     """Does some label of the walk equal another, or the label of f(0)?
 
     One byte per label, or with tables and a split walk, one bit per label
     and one rotation of the base run's bits per later run (module docstring).
     """
     n = field.q2 - 1
-    if runs == 1 or not field.tables_supported():
+    zero_label = walk.zero_label
+    if walk.runs == 1 or not walk.tabled:
         seen = bytearray(n + 1)
         seen[zero_label] = 1
-        for label in _labels(field, base, runs, shift):
+        for label in _labels(field, walk):
             if seen[label]:
                 return True
             seen[label] = 1
@@ -226,7 +239,7 @@ def _collides(field, zero_label, base, runs, shift):
     marks = bytearray((n >> 3) + 1)  # bit b of the little-endian int: label b < n
     if zero_label < n:
         marks[zero_label >> 3] = 1 << (zero_label & 7)
-    for label in base:
+    for label in walk.base:
         byte, bit = label >> 3, 1 << (label & 7)
         # every shift fixes the zero label n, so run 1 would repeat it
         if label == n or marks[byte] & bit:
@@ -234,7 +247,7 @@ def _collides(field, zero_label, base, runs, shift):
         marks[byte] |= bit
     marked = int.from_bytes(marks, "little")
     bits = marked ^ (1 << zero_label) if zero_label < n else marked
-    for run in _rotations(n, bits, runs, shift):
+    for run in _rotations(n, bits, walk.runs, walk.shift):
         if marked & run:
             return True
         marked |= run

@@ -154,19 +154,14 @@ def agw_check(field, r, h):
     reason code rather than an error.
 
     The image of x = gamma^i is gamma^(r*i + L[i]) with L[i] the index of
-    h(gamma^i)^(q-1): log h(gamma^i) mod (q+1) with tables, since
-    (g^a)^(q-1) = gamma^a, and mu.log of that power without them.
+    h(gamma^i)^(q-1) in mu_{q+1}, so the test is that i -> r*i + L[i] mod
+    (q+1) is injective.
     """
     q = field.q
     if gcd(r, q - 1) != 1:
         return CheckResult(False, "gcd(r, q-1) != 1")
     mu = make_mu(field)
-    values = mu.evaluate(h)
-    if field.tables_supported():
-        log = field.tables()[1]
-        indices = [log[int(hv)] for hv in values]  # log[0] is None
-    else:
-        indices = [None if hv.is_zero() else mu.log(hv ** (q - 1)) for hv in values]
+    indices = [None if hv.is_zero() else mu.log(hv ** (q - 1)) for hv in mu.evaluate(h)]
     if None in indices:
         return CheckResult(False, "h vanishes on mu_{q+1}")
     seen = bytearray(mu.order)
