@@ -34,14 +34,19 @@ q^2 labels and stops at the first repeat.  It marks one byte per label in a
 bytearray, except for a split walk with tables.  That walk marks the label
 of f(0) and then the base run's labels, one at a time, as bits b < n of an
 int; it stops at a repeat, or at a zero image, which every shift fixes, so
-run 1 would repeat it.  Run k is then the bitset base of the base run's
-labels rotated by s_k = k*e_0*M mod n, which is one big-int shift:
-ring >> (n - s_k) with ring = base | base << n.  The run repeats a label iff
-it meets the bits marked so far, and is otherwise marked by one big-int or.
-No mask is needed: bit j >= n of a run is a copy of the same run's bit
-j - n, so a run can meet the marks at or above n only where it meets them
-below n too.  A non-bijection's least colliding pair costs one more full
-evaluation, paid only by a caller who reads it.
+run 1 would repeat it.  Run k is then the n-bit set base of the base run's
+labels rotated by k*s, s = e_0*M mod n, so the union U_m of runs 0..m-1,
+rotated by m*s, is the union of runs m..2m-1.  Rotation is a bijection, so
+runs 0..2m-1 are pairwise disjoint iff runs 0..m-1 are and U_m does not meet
+its own rotation by m*s.  The test doubles over the binary digits of D after
+the leading one: each digit turns U_m into U_2m, and a digit 1 then adds
+run 2m, base rotated by 2m*s.  Each step is one n-bit rotation (two big-int
+shifts, an or and a mask), tested against the union with one big-int and
+and merged with one or: at most 2*log2(D) steps in place of D - 1.  U_D
+holds every label of the walk, and must not hold the label of f(0).  A
+non-bijection stops at the first step whose rotation meets the union; its
+least colliding pair costs one more full evaluation, paid only by a caller
+who reads it.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -209,7 +214,7 @@ def is_permutation_of_field(field, poly):
     """Walk poly over all of F_{q^2}; bijection iff no image repeats.
 
     Stops at the first repeated image, or with tables and a split walk, at
-    the first run that repeats one.
+    the first doubling step whose runs repeat one.
     """
     if _collides(field, _walk(field, poly)):
         return PermutationReport(
@@ -224,7 +229,8 @@ def _collides(field, walk):
     """Does some label of the walk equal another, or the label of f(0)?
 
     One byte per label, or with tables and a split walk, one bit per label
-    and one rotation of the base run's bits per later run (module docstring).
+    of an n-bit union of runs, doubled over the binary digits of D by
+    rotations of itself and of the base run (module docstring).
     """
     n = field.q2 - 1
     zero_label = walk.zero_label
@@ -245,22 +251,32 @@ def _collides(field, walk):
         if label == n or marks[byte] & bit:
             return True
         marks[byte] |= bit
-    marked = int.from_bytes(marks, "little")
-    bits = marked ^ (1 << zero_label) if zero_label < n else marked
-    for run in _rotations(n, bits, walk.runs, walk.shift):
-        if marked & run:
+    base = int.from_bytes(marks, "little")
+    if zero_label < n:
+        base ^= 1 << zero_label
+    full = (1 << n) - 1
+    union, m = base, 1  # the labels of runs 0..m-1
+    for bit in bin(walk.runs)[3:]:
+        # runs m..2m-1 are runs 0..m-1 rotated by m*shift
+        run = _rotate(union, m * walk.shift, n, full)
+        if union & run:
             return True
-        marked |= run
-    return False
+        union |= run
+        m *= 2
+        if bit == "1":  # run m is the base run rotated by m*shift
+            run = _rotate(base, m * walk.shift, n, full)
+            if union & run:
+                return True
+            union |= run
+            m += 1
+    return zero_label < n and union >> zero_label & 1 == 1
 
 
-def _rotations(n, bits, runs, shift):
-    """The n-bit set bits rotated by k*shift mod n, for k = 1..runs-1: bit b
-    moves to bit (b + k*shift) mod n, and each bit j >= n of a rotation is a
-    copy of its bit j - n."""
-    ring = bits | bits << n
-    for k in range(1, runs):
-        yield ring >> (n - k * shift % n)
+def _rotate(bits, t, n, full):
+    """The n-bit set bits rotated by t mod n: bit b moves to (b + t) mod n;
+    full is the mask of the n bits."""
+    t %= n
+    return (bits << t | bits >> (n - t)) & full
 
 
 def is_permutation_of_mu(mu, fn: Callable):

@@ -198,26 +198,35 @@ def test_unsplit_walk_stops_at_the_first_repeat(field_q13, monkeypatch):
     assert sum(blocks[:-1]) <= repeat < sum(blocks) < f.q2 - 1
 
 
-def test_split_walk_stops_at_the_first_colliding_run(field_q13, monkeypatch):
-    """Split walks on F_169 (runs of q + 1 = 14 points) whose first repeated
-    image is in run 6 or 4: the bijection test rotates the base run's bits
-    that many times, not q - 2 = 11.
+@pytest.fixture
+def rotations(monkeypatch):
+    """The bit sets that oracle._rotate returns, in call order."""
+    rotated = []
+    rotate = oracle._rotate
+
+    def counted_rotate(*args):
+        rotated.append(rotate(*args))
+        return rotated[-1]
+
+    monkeypatch.setattr(oracle, "_rotate", counted_rotate)
+    return rotated
+
+
+def test_split_walk_stops_at_the_first_colliding_run(field_q13, rotations):
+    """Split walks on F_169 (D = q - 1 = 12 runs of q + 1 = 14 points) whose
+    first repeated image is in run 2, 4 or 6.  D = 0b1100, so the doubling's
+    unions hold runs 0..1, 0..2, 0..5 and 0..11 after its 1st to 4th
+    rotation: run 2, the one-run step, is tested at the 2nd, run 4 at the
+    3rd and run 6 at the 4th, where one rotation per run would take 2, 4
+    and 6 of q - 2 = 11.
 
     x^2 + g x^14 has gcd(e_0, q - 1) = 2, so run 6 (t = 84) is a copy of the
     base run.  x + g x^85 has gcd(e_0, q - 1) = 1; its run 4 first meets an
     earlier run at a label that its rotation wraps past n."""
     f, g = field_q13, field_q13.generator
-    rotated = []
-    rotations = oracle._rotations
-
-    def counted_rotations(*args):
-        for run in rotations(*args):
-            rotated.append(run)
-            yield run
-
-    monkeypatch.setattr(oracle, "_rotations", counted_rotations)
-    for poly, first_run in ((SparsePoly(f, [(2, f.one), (14, g)]), 6),
-                            (SparsePoly(f, [(1, f.one), (85, g)]), 4)):
+    for poly, first_run, steps in ((SparsePoly(f, [(1, f.one), (25, g)]), 2, 2),
+                                   (SparsePoly(f, [(1, f.one), (85, g)]), 4, 3),
+                                   (SparsePoly(f, [(2, f.one), (14, g)]), 6, 4)):
         seen = {int(evaluate(f, poly, f.zero))}
         for repeat in range(f.q2 - 1):
             y = int(evaluate(f, poly, g ** repeat))
@@ -225,9 +234,31 @@ def test_split_walk_stops_at_the_first_colliding_run(field_q13, monkeypatch):
                 break
             seen.add(y)
         assert repeat // (f.q + 1) == first_run, poly
-        rotated.clear()
+        rotations.clear()
         assert not is_permutation_of_field(f, poly)
-        assert len(rotated) == first_run, poly
+        assert len(rotations) == steps, poly
+        assert all(run < 1 << f.q2 - 1 for run in rotations)
+
+
+def test_split_walk_tests_the_label_of_f0_against_every_run(field_q5):
+    """Hand-made walks on F_25 (n = 24): D = 4 runs of 6 labels, the base
+    run 0..5 and shift 6, so the runs cover every label below n once.  The
+    label of f(0) repeats one iff it is below n.  A polynomial's walk never
+    gets here with f(0) != 0: its constant term makes e_0 = 0, so the shift
+    is 0 and the first rotation repeats the base run."""
+    for zero_label, collides in ((24, False), (20, True), (3, True)):
+        walk = oracle._Walk(zero_label, range(6), 4, 6, True)
+        assert oracle._collides(field_q5, walk) == collides, zero_label
+
+
+def test_split_walk_rotates_about_twice_log2_q_times(rotations):
+    """The permuting T6 tuple u = v = 1, r = 23, c = 2 at q = 509: D = 508 =
+    0b111111100, so 8 doublings and 6 one-run extensions, where one rotation
+    per run would take q - 2 = 507."""
+    f = build_field(509, 1)
+    poly = build_f(FamilyParams(tag="T6", field=f, r=23, c=f.from_int(2), u=1, v=1))
+    assert is_permutation_of_field(f, poly).is_bijection
+    assert len(rotations) == 14 <= 2 * (f.q - 1).bit_length()
 
 
 def test_ring_verdicts_match_the_label_stream():
@@ -245,7 +276,9 @@ def test_ring_verdicts_match_the_label_stream():
     assert verdicts[True] > 10 and verdicts[False] > 10
 
 
-ORACLE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)]
+# (11, 1) and (5, 2): D = q - 1 = 0b1010 and 0b11000, digit patterns of the
+# doubling that D = 2, 4, 6, 8 and 12 lack
+ORACLE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2)]
 
 
 @st.composite
