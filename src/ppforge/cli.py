@@ -43,6 +43,7 @@ from .families import (
     FamilyParams,
     TAGS,
     build_f,
+    build_h,
     default_k_window,
     gcd_criterion,
     lemma_d4_identity,
@@ -217,19 +218,24 @@ def _worker_row(field_args, tup):
 
 def _validate_groups(field, tuples):
     """Validate each distinct (tag, d, k, u, v, c) group once, in tuple order;
-    raise HypothesesNotSatisfied for the first that fails."""
-    for group in dict.fromkeys((tag, d, k, u, v, 1, c) for tag, d, k, u, v, _, c in tuples):
-        report = validate(_params_from_tuple(field, group))
+    raise HypothesesNotSatisfied for the first that fails.  Then build each
+    group's h, which does not depend on r either: a negative exponent is
+    refused here, before any row or worker."""
+    groups = [_params_from_tuple(field, group) for group in
+              dict.fromkeys((tag, d, k, u, v, 1, c) for tag, d, k, u, v, _, c in tuples)]
+    for report in map(validate, groups):
         if not report.satisfied:
             raise HypothesesNotSatisfied(report.violations)
+    for params in groups:
+        build_h(params)
 
 
 def compute_rows(field, tuples, jobs, seed, max_size):
     """Rows for every parameter tuple, in tuple order, on at most
-    min(jobs, len(tuples)) processes.  Every group is validated before any
-    row is computed."""
+    min(jobs, len(tuples), cores) processes: the pool starts all of its
+    workers at once.  Every group is validated before any row is computed."""
     _validate_groups(field, tuples)
-    workers = min(jobs, len(tuples))
+    workers = min(jobs, len(tuples), os.cpu_count() or 1)
     if workers < 2:
         return [compute_row(field, tup) for tup in tuples]
     worker = partial(_worker_row, (field.p, field.h, seed, max_size))
@@ -434,7 +440,8 @@ def make_parser():
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="parallel workers for sweeps (default: cores)")
+                        help="parallel workers for sweeps (default: cores); at most "
+                             "one per core and one per parameter tuple")
     parser.add_argument("--max-field", type=int, default=DEFAULT_MAX_FIELD_SIZE,
                         help="refuse fields with q^2 above this size")
     sub = parser.add_subparsers(dest="command", required=True)

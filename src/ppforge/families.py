@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Tuple
 
-from .errors import BadCongruence, HypothesesNotSatisfied, PartitionNotDisjoint
+from .errors import BadCongruence, HypothesesNotSatisfied
 from .ffcore import Element, FieldSpec
 from .oracle import is_permutation_of_field
 from .sparsepoly import SparsePoly
-from .unity import coset_index, make_mu, make_partition
+from .unity import make_mu, make_partition
 
 TAGS = ("T1", "T2", "T3", "T4", "T5", "T6")
 
@@ -243,13 +243,10 @@ def _coset_identity(field, d, s, a, b, e, times_inverse):
     """x^a == x^b on all of mu_{q+1}, and x^(-e) == omega^(i*s), times x^(-1)
     if times_inverse, on the i-th coset of the d-partition."""
     mu = make_mu(field)
-    part = make_partition(mu, d)
-    if not part.disjoint:
-        raise PartitionNotDisjoint(f"d={d}, subgroup order {part.subgroup_order}")
-    walks = zip(mu.elements(), mu.walk(a), mu.walk(b), mu.walk(-e),
-                mu.walk(-1 if times_inverse else 0))
-    for x, xa, xb, x_minus_e, factor in walks:
-        if xa != xb or x_minus_e != part.omega_pow(coset_index(part, x) * s) * factor:
+    part = make_partition(mu, d)  # part.coset refuses a non-disjoint partition
+    walks = zip(mu.walk(a), mu.walk(b), mu.walk(-e), mu.walk(-1 if times_inverse else 0))
+    for m, (xa, xb, x_minus_e, factor) in enumerate(walks):
+        if xa != xb or x_minus_e != part.omega_pow(part.coset(m) * s) * factor:
             return False
     return True
 

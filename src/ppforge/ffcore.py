@@ -184,7 +184,7 @@ class Element:
         return Element(self.field, self.field._mul_coeffs(self.coeffs, other.coeffs))
 
     def __pow__(self, e):
-        """Square-and-multiply power; a negative exponent inverts first.
+        """Square-and-multiply power; e is reduced mod q^2 - 1, x^-1 == x^(q^2-2).
 
         Conventions: x**0 == 1 for every x including 0, and 0**e == 0 for
         e > 0.  A negative power of 0 raises DivisionByZero.

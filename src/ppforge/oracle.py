@@ -196,11 +196,23 @@ def evaluate_on_field(field, poly):
     return images
 
 
-def _least_collision(images):
-    """Lexicographically least (x1, x2) with x1 < x2 and images equal, or None."""
+def distinct(size, labels):
+    """Are the labels, each in range(size), pairwise distinct?  One byte
+    per label; stops at the first repeat."""
+    seen = bytearray(size)
+    for label in labels:
+        if seen[label]:
+            return False
+        seen[label] = 1
+    return True
+
+
+def _least_collision(inputs, images):
+    """Lexicographically least (x1, x2) with x1 < x2 and equal images, or
+    None; the inputs ascend, and images lists their images in that order."""
     first_preimage = {}
     best = None
-    for x, y in enumerate(images):
+    for x, y in zip(inputs, images):
         if y in first_preimage:
             pair = (first_preimage[y], x)
             if best is None or pair < best:
@@ -220,7 +232,7 @@ def is_permutation_of_field(field, poly):
         return PermutationReport(
             is_bijection=False,
             domain_size=field.q2,
-            find_collision=lambda: _least_collision(evaluate_on_field(field, poly)),
+            find_collision=lambda: _least_collision(range(field.q2), evaluate_on_field(field, poly)),
         )
     return PermutationReport(is_bijection=True, domain_size=field.q2)
 
@@ -228,20 +240,14 @@ def is_permutation_of_field(field, poly):
 def _collides(field, walk):
     """Does some label of the walk equal another, or the label of f(0)?
 
-    One byte per label, or with tables and a split walk, one bit per label
-    of an n-bit union of runs, doubled over the binary digits of D by
-    rotations of itself and of the base run (module docstring).
+    One byte per label (distinct), or with tables and a split walk, one bit
+    per label of an n-bit union of runs, doubled over the binary digits of D
+    by rotations of itself and of the base run (module docstring).
     """
     n = field.q2 - 1
     zero_label = walk.zero_label
     if walk.runs == 1 or not walk.tabled:
-        seen = bytearray(n + 1)
-        seen[zero_label] = 1
-        for label in _labels(field, walk):
-            if seen[label]:
-                return True
-            seen[label] = 1
-        return False
+        return not distinct(n + 1, chain((zero_label,), _labels(field, walk)))
     marks = bytearray((n >> 3) + 1)  # bit b of the little-endian int: label b < n
     if zero_label < n:
         marks[zero_label >> 3] = 1 << (zero_label & 7)
@@ -282,28 +288,18 @@ def _rotate(bits, t, n, full):
 def is_permutation_of_mu(mu, fn: Callable):
     """Does the element map fn permute the (q+1)-th roots of unity?
 
-    Bijection iff all q+1 images lie in the subgroup and are pairwise
+    Bijection iff all q+1 images lie in the subgroup and their indices are
     distinct.  An image outside the subgroup is reported via outside_mu and
     counts as a non-bijection.
     """
     domain = sorted(mu.elements(), key=int)
-    member = mu.canonical_set()
-    images = []
-    outside = None
-    for x in domain:
-        y = int(fn(x))
-        images.append(y)
-        if y not in member and outside is None:
-            outside = int(x)
-    collision = _least_collision(images)
-    if collision is not None:
-        # translate positions in the sorted domain back to canonical inputs
-        collision = (int(domain[collision[0]]), int(domain[collision[1]]))
+    images = [fn(x) for x in domain]
+    outside = next((int(x) for x, y in zip(domain, images) if y not in mu), None)
     return PermutationReport(
-        is_bijection=collision is None and outside is None,
+        is_bijection=outside is None and distinct(mu.order, map(mu.log, images)),
         domain_size=mu.order,
         outside_mu=outside,
-        find_collision=lambda: collision,
+        find_collision=lambda: _least_collision(map(int, domain), map(int, images)),
     )
 
 

@@ -8,12 +8,14 @@ omega^i * mu_{(q+1)/d} tile the subgroup precisely when gcd(d, (q+1)/d) = 1.
 
 Every root is gamma^i for one index i in [0, q]: MuContext.log reads i off a
 dict, MuContext.walk(e) lists x^e = (gamma^e)^i in index order and
-MuContext.evaluate(h) lists h(gamma^i) as a sum of such walks, so powers of
-roots, values of h, omega^j and coset indices need no per-root
-exponentiation.  make_mu builds one MuContext per field.
+MuContext.evaluate(h) lists h(gamma^i) as a sum of such walks.  A branch
+A * x^n sends gamma^i to gamma^(log A + n*i), so the piecewise and
+omega-monomial maps are index maps on Z_{q+1} (Wang's cyclotomic mappings),
+their branch read off i by CosetPartition.coset: no per-root field power.
+make_mu builds one MuContext per field.
 
 All decision procedures here are exact: gcd conditions are checked by integer
-arithmetic, image disjointness by enumerating all q+1 images.
+arithmetic, bijectivity by marking all q+1 image indices (oracle.distinct).
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ from typing import Optional
 
 from .errors import NotADivisor, NotInMu, PartitionNotDisjoint
 from .ffcore import Element
+from .oracle import distinct
 
 
 class MuContext:
@@ -64,9 +67,6 @@ class MuContext:
             raise NotInMu(f"{x!r} is not a (q+1)-th root of unity")
         return i
 
-    def canonical_set(self):
-        return self._index.keys()
-
     def __contains__(self, x):
         return int(x) in self._index
 
@@ -86,7 +86,7 @@ class CosetPartition:
     operations refuse non-disjoint partitions.
     """
 
-    __slots__ = ("mu", "d", "omega", "s", "subgroup_order", "disjoint")
+    __slots__ = ("mu", "d", "omega", "s", "subgroup_order", "disjoint", "_s_inverse")
 
     def __init__(self, mu, d):
         order = mu.order
@@ -98,9 +98,17 @@ class CosetPartition:
         self.omega = self.omega_pow(1)
         self.s = self.subgroup_order % d or d
         self.disjoint = gcd(d, self.subgroup_order) == 1
+        self._s_inverse = pow(self.s, -1, d) if self.disjoint else None
 
     def omega_pow(self, j):
         return self.mu.elements()[j % self.d * self.subgroup_order]
+
+    def coset(self, m):
+        """The i in [0, d) with gamma^m in omega^i * mu_{(q+1)/d}: that coset
+        is {gamma^(i*(q+1)/d + d*j)}, so m = i*s (mod d) and i = m * s^-1."""
+        if self._s_inverse is None:
+            raise PartitionNotDisjoint(f"d={self.d}, subgroup order {self.subgroup_order}")
+        return m * self._s_inverse % self.d
 
 
 def make_partition(mu, d):
@@ -108,16 +116,8 @@ def make_partition(mu, d):
 
 
 def coset_index(part, x):
-    """The i in [0, d) with x in omega^i * mu_{(q+1)/d}.
-
-    With x = gamma^m, x lies in the coset of omega^i iff m = i*(q+1)/d
-    (mod d), so i = m * s^-1 mod d; s is a unit mod d because the cosets are
-    disjoint.
-    """
-    m = part.mu.log(x)
-    if not part.disjoint:
-        raise PartitionNotDisjoint(f"d={part.d}, subgroup order {part.subgroup_order}")
-    return m * pow(part.s, -1, part.d) % part.d
+    """The i in [0, d) with x in omega^i * mu_{(q+1)/d} (CosetPartition.coset)."""
+    return part.coset(part.mu.log(x))
 
 
 def coset_decompose(part, x):
@@ -164,12 +164,8 @@ def agw_check(field, r, h):
     indices = [None if hv.is_zero() else mu.log(hv ** (q - 1)) for hv in mu.evaluate(h)]
     if None in indices:
         return CheckResult(False, "h vanishes on mu_{q+1}")
-    seen = bytearray(mu.order)
-    for i, index in enumerate(indices):
-        image = (r * i + index) % mu.order
-        if seen[image]:
-            return CheckResult(False, "x^r h(x)^(q-1) is not a bijection of mu_{q+1}")
-        seen[image] = 1
+    if not distinct(mu.order, ((r * i + index) % mu.order for i, index in enumerate(indices))):
+        return CheckResult(False, "x^r h(x)^(q-1) is not a bijection of mu_{q+1}")
     return CheckResult(True)
 
 
@@ -177,8 +173,8 @@ def piecewise_check(part, pieces):
     """Permutation test for g(x) = A_i * x^(r_i) on the i-th coset.
 
     True iff every gcd(r_i, (q+1)/d) = 1 and the d image sets are pairwise
-    disjoint; disjointness is decided by evaluating all q+1 images and
-    looking for duplicates.
+    disjoint: the index map gamma^m -> gamma^(log A_j + r_j*m), j the coset
+    of gamma^m, is injective on the q+1 indices.
     """
     if not part.disjoint:
         raise PartitionNotDisjoint(f"d={part.d}, subgroup order {part.subgroup_order}")
@@ -190,11 +186,9 @@ def piecewise_check(part, pieces):
             raise NotInMu(f"piece constant {piece.A!r}")
     if any(gcd(piece.exponent, part.subgroup_order) != 1 for piece in pieces):
         return False
-    images = set()
-    for x in mu.elements():
-        piece = pieces[coset_index(part, x)]
-        images.add(int(piece.A * x ** piece.exponent))
-    return len(images) == mu.order
+    branches = [(mu.log(piece.A), piece.exponent) for piece in pieces]
+    return distinct(mu.order, ((log_a + n * m) % mu.order for m in range(mu.order)
+                               for log_a, n in [branches[part.coset(m)]]))
 
 
 def omega_monomial_check(part, A, k, n):
@@ -209,13 +203,17 @@ def omega_monomial_check(part, A, k, n):
 
 def materialize_omega_monomial(part, A, k, n):
     """The actual map g for omega_monomial_check, as an element function,
-    so the brute-force oracle can confirm the gcd criterion both ways."""
-    if A not in part.mu:
+    so the brute-force oracle can confirm the gcd criterion both ways.  On
+    the j-th coset y = gamma^(m - j*(q+1)/d) for x = gamma^m, so g(x) =
+    gamma^(log A + j*(k-n)*(q+1)/d + n*m)."""
+    mu, v = part.mu, part.subgroup_order
+    if A not in mu:
         raise NotInMu(f"constant {A!r}")
+    log_a = mu.log(A)
 
     def g(x):
-        i, y = coset_decompose(part, x)
-        return A * part.omega_pow(i * k) * y ** n
+        m = mu.log(x)
+        return mu.elements()[(log_a + part.coset(m) * (k - n) * v + n * m) % mu.order]
 
     return g
 

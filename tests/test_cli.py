@@ -357,6 +357,7 @@ def test_compute_rows_caps_workers_at_tuple_count(monkeypatch):
 
     workers = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     field = build_field(13, 1)
     tuples = [("T1", 2, 1, 0, 0, 5, 2), ("T1", 2, 1, 0, 0, 6, 2)]
     rows = cli.compute_rows(field, tuples, 64, 0, 1 << 26)
@@ -365,6 +366,22 @@ def test_compute_rows_caps_workers_at_tuple_count(monkeypatch):
     with pytest.raises(HypothesesNotSatisfied):
         cli.compute_rows(field, [("T1", 2, 2, 0, 0, 5, 2)] * 2, 64, 0, 1 << 26)
     assert workers == [2]
+    # the pool starts every worker at once, so --jobs is also capped at the
+    # cores: three tuples on two cores start two workers, not a million
+    tuples.append(("T1", 2, 1, 0, 0, 7, 2))
+    assert len(cli.compute_rows(field, tuples, 10 ** 6, 0, 1 << 26)) == 3
+    assert workers == [2, 2]
+
+
+def test_negative_exponent_in_h_fails_alike_at_every_jobs():
+    # h does not depend on r, so each group's h is built before any row or
+    # worker, and the error is raised, and printed, once in this process
+    for argv, exponent in ((("family=T4", "q=5", "d=3", "k=-9"), -4),
+                           (("family=T6", "q=13", "u=-1", "v=1"), -1)):
+        results = [run_cli(f"--jobs={jobs}", "sweep", *argv, "r=1..4", "c=all")
+                   for jobs in (1, 2)]
+        assert results[0] == results[1], argv
+        assert results[0] == (64, "", f"error: polynomial exponent {exponent} is negative\n")
 
 
 def test_sweep_deterministic_and_parallel_consistent():

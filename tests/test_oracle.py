@@ -284,10 +284,17 @@ ORACLE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2)]
 @st.composite
 def sparse_polys(draw):
     """A random sparse polynomial on a small field: exponents e_0 + D*j for a
-    planted divisor D of n, plus e_0 + 1 when D = 1, so that D is exactly 1."""
+    planted divisor D of n, plus e_0 + 1 when D = 1, so that D is exactly 1.
+
+    Only multiples of q - 1 split the walk, so half the draws plant
+    D = q - 1, and split bijections come up often enough to test the
+    doubling's one-run steps; the other half draw D among all divisors."""
     f = build_field(*draw(st.sampled_from(ORACLE_FIELDS)))
     n = f.q2 - 1
-    planted = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    if draw(st.booleans()):
+        planted = f.q - 1
+    else:
+        planted = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
     e0 = draw(st.integers(0, 2 * n))
     exponents = [e0] + [e0 + planted * j for j in draw(st.lists(
         st.integers(1, 2 * n // planted), max_size=3))]
@@ -370,6 +377,28 @@ def test_mu_agw_map_bijective(field_q13):
         mu, lambda x: x ** 5 * evaluate(f, h, x) ** (f.q - 1)
     )
     assert report.is_bijection
+
+
+def test_mu_first_collision_is_the_least_pair(field_q13):
+    # against a scan of every pair of canonical inputs; x -> x^4 on mu_14
+    # is 2-to-1, and the constant map sends every root outside mu_14
+    f = field_q13
+    mu = make_mu(f)
+    roots = sorted(int(x) for x in mu.elements())
+    for fn in (lambda x: x ** 4, lambda x: x ** 7 * mu.gamma, lambda x: f.generator):
+        report = is_permutation_of_mu(mu, fn)
+        images = {a: int(fn(f.from_int(a))) for a in roots}
+        pairs = [(a, b) for a in roots for b in roots if a < b and images[a] == images[b]]
+        assert not report.is_bijection
+        assert report.first_collision == min(pairs)
+    assert is_permutation_of_mu(mu, lambda x: x ** 3).first_collision is None
+
+
+def test_distinct_stops_at_the_first_repeat():
+    labels = iter([0, 4, 2, 4, 1])
+    assert not oracle.distinct(5, labels)
+    assert list(labels) == [1]
+    assert oracle.distinct(5, [3, 0, 4, 1, 2]) and oracle.distinct(5, [])
 
 
 def test_mu_image_outside_subgroup_reported(field_q5):

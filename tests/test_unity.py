@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -102,7 +103,7 @@ def test_walk_and_log_against_plain_powers(p, h):
 def test_mu_solves_x_q_plus_1_equals_1(field_q5):
     mu = make_mu(field_q5)
     solutions = {int(x) for x in field_q5.elements() if x ** 6 == field_q5.one}
-    assert solutions == mu.canonical_set()
+    assert solutions == {int(x) for x in mu.elements()}
 
 
 def test_partition_q5_d3(field_q5):
@@ -119,7 +120,7 @@ def test_partition_q5_d3(field_q5):
     for x in mu.elements():
         buckets[coset_index(part, x)].add(int(x))
     assert all(len(b) == 2 for b in buckets.values())
-    assert set.union(*buckets.values()) == mu.canonical_set()
+    assert set.union(*buckets.values()) == {int(x) for x in mu.elements()}
 
 
 def test_partition_flags_and_errors(field_q7, field_q13, field_q5):
@@ -263,6 +264,72 @@ def test_piecewise_errors(field_q5, field_q7):
     bad = make_partition(make_mu(field_q7), 4)
     with pytest.raises(PartitionNotDisjoint):
         piecewise_check(bad, [MonomialPiece(field_q7.one, 1)] * 4)
+
+
+def disjoint_partitions(mu):
+    """The partition of mu_{q+1} by every d with disjoint cosets."""
+    q = mu.field.q
+    return [make_partition(mu, d) for d in range(1, q + 2)
+            if (q + 1) % d == 0 and gcd(d, (q + 1) // d) == 1]
+
+
+def coset_by_membership(part, x):
+    """The j with x * omega^-j in the index-d subgroup, found by testing
+    membership in every coset: no coset index arithmetic."""
+    one = x.field.one
+    j, = [j for j in range(part.d)
+          if (x * part.omega_pow(-j)) ** part.subgroup_order == one]
+    return j
+
+
+@pytest.mark.parametrize("p,h", [(5, 1), (13, 1), (3, 2), (29, 1)])
+def test_piecewise_index_map_matches_element_images(p, h):
+    # the element form: g(x) = A_j * x^(n_j) with j found by membership,
+    # enumerated at every root.  Half the draws permute by construction:
+    # A_j = omega^(sigma(j)) * omega^(-j n_j) * y_j sends the j-th coset onto
+    # the sigma(j)-th, and the rest draw A_j at random.
+    f = build_field(p, h)
+    q = f.q
+    mu = make_mu(f)
+    rng = random.Random(q)
+    verdicts = Counter()
+    for part in disjoint_partitions(mu):
+        d, v = part.d, part.subgroup_order
+        cosets = [coset_by_membership(part, x) for x in mu.elements()]
+        units = [e for e in range(-2 * v, 2 * v + 1) if gcd(e, v) == 1]
+        for draw in range(8):
+            exponents = [rng.choice(units) for _ in range(d)]
+            if draw % 2:
+                sigma = rng.sample(range(d), d)
+                constants = [part.omega_pow(sigma[j] - j * exponents[j])
+                             * mu.gamma ** (d * rng.randrange(v)) for j in range(d)]
+            else:
+                constants = [mu.gamma ** rng.randrange(q + 1) for _ in range(d)]
+            pieces = [MonomialPiece(A, e) for A, e in zip(constants, exponents)]
+            images = {int(pieces[j].A * x ** pieces[j].exponent)
+                      for j, x in zip(cosets, mu.elements())}
+            bijection = len(images) == q + 1
+            assert piecewise_check(part, pieces) == bijection, (d, pieces)
+            verdicts[bijection, d > 1] += 1
+        # an exponent sharing a factor with (q+1)/d never permutes
+        if v > 1:
+            assert not piecewise_check(part, [MonomialPiece(f.one, v)] * d)
+    assert verdicts[True, True] and verdicts[False, True]
+
+
+@pytest.mark.parametrize("p,h", [(5, 1), (13, 1), (3, 2), (29, 1)])
+def test_materialized_omega_monomial_matches_coset_decompose(p, h):
+    f = build_field(p, h)
+    q = f.q
+    mu = make_mu(f)
+    rng = random.Random(q)
+    for part in disjoint_partitions(mu):
+        A = mu.gamma ** rng.randrange(q + 1)
+        for k, n in ((0, 1), (1, 0), (1, 2), (part.d + 1, -1), (-3, q + 4), (2, 5)):
+            g = materialize_omega_monomial(part, A, k, n)
+            for x in mu.elements():
+                i, y = coset_decompose(part, x)
+                assert g(x) == A * part.omega_pow(i * k) * y ** n, (part.d, k, n, x)
 
 
 def test_omega_monomial_check_examples(field_q5, field_q13):
