@@ -43,7 +43,6 @@ from .families import (
     FamilyParams,
     TAGS,
     build_f,
-    build_h,
     default_k_window,
     gcd_criterion,
     lemma_d4_identity,
@@ -218,16 +217,11 @@ def _worker_row(field_args, tup):
 
 def _validate_groups(field, tuples):
     """Validate each distinct (tag, d, k, u, v, c) group once, in tuple order;
-    raise HypothesesNotSatisfied for the first that fails.  Then build each
-    group's h, which does not depend on r either: a negative exponent is
-    refused here, before any row or worker."""
-    groups = [_params_from_tuple(field, group) for group in
-              dict.fromkeys((tag, d, k, u, v, 1, c) for tag, d, k, u, v, _, c in tuples)]
-    for report in map(validate, groups):
+    raise HypothesesNotSatisfied for the first that fails."""
+    for group in dict.fromkeys((tag, d, k, u, v, 1, c) for tag, d, k, u, v, _, c in tuples):
+        report = validate(_params_from_tuple(field, group))
         if not report.satisfied:
             raise HypothesesNotSatisfied(report.violations)
-    for params in groups:
-        build_h(params)
 
 
 def compute_rows(field, tuples, jobs, seed, max_size):

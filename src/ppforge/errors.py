@@ -1,8 +1,15 @@
 """Typed errors shared across the package."""
 
+import copyreg
+
 
 class PPForgeError(Exception):
     """Base class for all package-specific errors."""
+
+    def __reduce__(self):
+        # unpickle (a pool worker's raise) from args and attributes: a subclass
+        # __init__ that formats its message must not run on the formatted one
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class NotPrime(PPForgeError):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -21,7 +22,7 @@ from ppforge import (
     field_from_text,
     is_permutation_of_field,
 )
-from ppforge import cli, families
+from ppforge import cli, errors, families
 from ppforge.cli import main, parse_int_list, parse_prime_power
 from ppforge.families import FamilyParams, build_f
 from ppforge.cli import UsageError
@@ -357,7 +358,8 @@ def test_compute_rows_caps_workers_at_tuple_count(monkeypatch):
 
     workers = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cores = 64  # above every tuple count below, so the tuple cap binds first
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     field = build_field(13, 1)
     tuples = [("T1", 2, 1, 0, 0, 5, 2), ("T1", 2, 1, 0, 0, 6, 2)]
     rows = cli.compute_rows(field, tuples, 64, 0, 1 << 26)
@@ -369,13 +371,19 @@ def test_compute_rows_caps_workers_at_tuple_count(monkeypatch):
     # the pool starts every worker at once, so --jobs is also capped at the
     # cores: three tuples on two cores start two workers, not a million
     tuples.append(("T1", 2, 1, 0, 0, 7, 2))
+    cores = 2
     assert len(cli.compute_rows(field, tuples, 10 ** 6, 0, 1 << 26)) == 3
     assert workers == [2, 2]
+    # and below both caps, --jobs itself binds
+    cores = 64
+    assert len(cli.compute_rows(field, tuples, 2, 0, 1 << 26)) == 3
+    assert workers == [2, 2, 2]
 
 
-def test_negative_exponent_in_h_fails_alike_at_every_jobs():
-    # h does not depend on r, so each group's h is built before any row or
-    # worker, and the error is raised, and printed, once in this process
+def test_negative_exponent_in_h_fails_alike_at_every_jobs(monkeypatch):
+    # at --jobs=2 the error is raised in a worker and pickled back to this
+    # process; it must print exactly as the in-process raise does
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
     for argv, exponent in ((("family=T4", "q=5", "d=3", "k=-9"), -4),
                            (("family=T6", "q=13", "u=-1", "v=1"), -1)):
         results = [run_cli(f"--jobs={jobs}", "sweep", *argv, "r=1..4", "c=all")
@@ -383,6 +391,19 @@ def test_negative_exponent_in_h_fails_alike_at_every_jobs():
         assert results[0] == results[1], argv
         assert results[0] == (64, "", f"error: polynomial exponent {exponent} is negative\n")
 
+
+
+@pytest.mark.parametrize("error", [
+    errors.NotPrime(9), errors.SizeExceeded(10, 5), errors.NotADivisor(4, 6),
+    errors.NegativeExponent(-4), errors.HypothesesNotSatisfied(["a", "b"]),
+    errors.BadCongruence(7, "q = 1 mod 3"), errors.DivisionByZero("zero"),
+])
+def test_errors_survive_pickling(error):
+    # a pool worker's raise reaches the parent pickled: message, args and
+    # attributes must come back as they were
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert (str(back), back.args, vars(back)) == (str(error), error.args, vars(error))
 
 def test_sweep_deterministic_and_parallel_consistent():
     rows = []
