@@ -224,14 +224,22 @@ def _validate_groups(field, tuples):
             raise HypothesesNotSatisfied(report.violations)
 
 
-def compute_rows(field, tuples, jobs, seed, max_size):
+def compute_rows(field, tuples, jobs, seed, max_size, validated=False):
     """Rows for every parameter tuple, in tuple order, on at most
     min(jobs, len(tuples), cores) processes: the pool starts all of its
-    workers at once.  Every group is validated before any row is computed."""
-    _validate_groups(field, tuples)
+    workers at once.  Every group is validated before any row is computed,
+    unless the caller already has (validated).
+
+    A pool's workers look the field up with build_field; the parent builds its
+    tables first, so a forked worker finds them built in the cached field
+    instead of building its own copy."""
+    if not validated:
+        _validate_groups(field, tuples)
     workers = min(jobs, len(tuples), os.cpu_count() or 1)
     if workers < 2:
         return [compute_row(field, tup) for tup in tuples]
+    if field.tables_supported():
+        field.tables()
     worker = partial(_worker_row, (field.p, field.h, seed, max_size))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tuples, chunksize=64))
@@ -376,10 +384,11 @@ def _sweep_common(ns):
              for field in sorted(_fields(params, ns.max_field), key=lambda field: field.q)]
     if not for_sweep and sum(len(tuples) for _, tuples in grids) != 1:
         raise UsageError("check takes exactly one parameter tuple; use sweep for grids")
-    for field, tuples in grids[1:]:  # compute_rows validates the first grid itself
+    for field, tuples in grids:
         _validate_groups(field, tuples)
     return [row for field, tuples in grids
-            for row in compute_rows(field, tuples, ns.jobs, env_seed(), ns.max_field)]
+            for row in compute_rows(field, tuples, ns.jobs, env_seed(), ns.max_field,
+                                    validated=True)]
 
 
 def cmd_sweep(ns, out, err):

@@ -13,8 +13,10 @@ for a fixed seed.  FieldSpec and Element are immutable after construction and
 safe to share between threads; all operations are pure.
 """
 
+from array import array
 from collections import deque
 from functools import lru_cache
+from itertools import islice
 from math import isqrt
 import random
 
@@ -23,12 +25,15 @@ from .errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
 DEFAULT_MAX_FIELD_SIZE = 1 << 26
 DEFAULT_SEED = 0
 
-# Largest q^2 for which the exp/log/Zech tables (three lists of about q^2
-# ints) are built; beyond it the oracle Horner-encodes the blocks of
-# FieldSpec.power_blocks, the walk that also fills exp.  The build's only
-# temporaries are blocks of 2h lists of about q ints each; the tables
-# themselves set the memory cost.
+# Largest q^2 for which the exp/log/Zech tables are built; beyond it the
+# oracle Horner-encodes the blocks of FieldSpec.power_blocks, the walk that
+# also gives the tables their base powers.  The tables are three arrays of
+# about q^2 C ints (TABLE_TYPE, 4 bytes each: every entry is at most
+# q^2 - 1 < 2^31), 3.1 MB at q = 509.  The build's only temporaries are a block
+# of base powers and the encodings of one point's or one run's multiples, so
+# the tables themselves set the memory cost.
 TABLE_LIMIT = 1 << 18
+TABLE_TYPE = "i"
 
 
 def is_prime(n):
@@ -405,29 +410,69 @@ class FieldSpec:
     def tables(self):
         """(exp, log, zech) for the generator g; built once, lazily.
 
-        exp[i] is the canonical encoding of g^i for 0 <= i < q^2 - 1, log is
-        its inverse (log[0] is None), and zech[i] = log(1 + g^i) is the Zech
-        logarithm, None where 1 + g^i = 0.  With them g^a + g^b is
-        g^(a + zech[b - a]), one lookup at any extension degree.
+        exp[i] is the canonical encoding of g^i for 0 <= i < n = q^2 - 1, log
+        is its inverse, and zech[i] = log(1 + g^i) is the Zech logarithm.
+        Zero has no logarithm, and n stands for it: log[0] is n, and zech[i]
+        is n where 1 + g^i = 0.  With them g^a + g^b is g^(a + zech[b - a]),
+        one lookup at any extension degree.  The tables are flat arrays of
+        C ints (TABLE_TYPE): they hold no int objects, so a garbage collection
+        visits only their type, never their entries.
 
-        exp is filled one block of power_blocks(g, [(1, one)], n) at a time,
-        each block encoded into a slice of exp as the untabled oracle encodes
-        its walk.  The three lists are published together, so a concurrent
-        reader sees all of them or none.
+        exp follows the split n = M*(p - 1).  a = g^M generates F_p^*, and
+        F_p is the scalars, so g^(t + j*M) = a^j * g^t coordinate by
+        coordinate.  Only the M base powers g^t, t < M, come from
+        power_blocks(g, [(1, one)], M); every other power is a scalar multiple
+        of one, with no field multiplication.  Each block of base powers is
+        widened in one of two loop orders, each the faster where it runs:
+        * per point, where p - 1 is at least the block's length: the p - 1
+          multiples a^j * c of a coordinate c = a^l are the powers of a
+          rotated by l, one slice of a list, and their encodings fill
+          exp[t::M];
+        * per run, where the block is longer: the block scaled by a^j, one
+          lookup per coordinate, is encoded into exp[t + j*M], t in the block.
+        log is then exp inverted.  Adding 1 changes only the t^0 coefficient,
+        so zech[log c] is log[c + 1] for the encodings c = 1, ..., q^2 - 2,
+        except where that coefficient is p - 1 and wraps to 0: there it is
+        log[c + 1 - p].  The build's temporaries are one block of base powers
+        and the encodings of one point's or one run's multiples, never
+        anything field-sized.  The three tables are published together, so a
+        concurrent reader sees all of them or none.
         """
         if self._tables is None:
             if not self.tables_supported():
                 raise SizeExceeded(self.q2, TABLE_LIMIT)
             p, n = self.p, self.q2 - 1
-            exp, start = [0] * n, 0
-            for cols in self.power_blocks(self.generator, [(1, self.one)], n):
-                canon = self.encode(cols)
-                exp[start:start + len(canon)] = canon
-                start += len(canon)
-            log = [None] * self.q2
+            run = n // (p - 1)
+            # a^0, ..., a^(2p - 4): any p - 1 consecutive powers are a slice
+            a, units = (self.generator ** run).coeffs[0], [1]
+            for _ in range(2 * p - 4):
+                units.append(units[-1] * a % p)
+            dlog = [0] * p
+            for j in range(p - 1):
+                dlog[units[j]] = j
+            zero = [0] * (p - 1)
+            exp = array(TABLE_TYPE, [0]) * n
+            start = 0
+            for cols in self.power_blocks(self.generator, [(1, self.one)], run):
+                size = len(cols[0])
+                if p - 1 >= size:  # per point: exp[t], exp[t + M], ...
+                    for t, point in enumerate(zip(*cols), start):
+                        exp[t::run] = array(TABLE_TYPE, self.encode(
+                            [units[dlog[c]:dlog[c] + p - 1] if c else zero for c in point]))
+                else:  # per run: exp[start + j*M : start + j*M + size]
+                    for j, u in enumerate(units[:p - 1]):
+                        scale = [u * x % p for x in range(p)]
+                        s = start + j * run
+                        exp[s:s + size] = array(TABLE_TYPE, self.encode(
+                            [list(map(scale.__getitem__, col)) for col in cols]))
+                start += size
+            log = array(TABLE_TYPE, [n]) * self.q2
             deque(map(log.__setitem__, exp, range(n)), maxlen=0)
-            # adding 1 changes only the t^0 coefficient of the encoding
-            zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp]
+            # zech[log c] = log[c + 1], then the c = p*k + p - 1: log[p*k]
+            zech = array(TABLE_TYPE, [0]) * n
+            deque(map(zech.__setitem__, islice(log, 1, None), islice(log, 2, None)), maxlen=0)
+            deque(map(zech.__setitem__, islice(log, p - 1, None, p), islice(log, 0, None, p)),
+                  maxlen=0)
             self._tables = exp, log, zech
         return self._tables
 

@@ -15,7 +15,8 @@ evaluated term by term:
 
 * on fields with tables (q^2 <= TABLE_LIMIT) the label is log f(g^t): term j
   is the log lc_j + t*e_j mod n, and terms are added through the Zech table,
-  one lookup per term at every extension degree; zero is labelled n;
+  one lookup per term at every extension degree; zero is labelled n, the
+  value the tables hold for it (log[0], and zech[i] where 1 + g^i = 0);
 * above the limit the label is the canonical image: FieldSpec.power_blocks
   sums the terms' walks c*g^(t*e) a block of consecutive t at a time, each
   block stepped from the last by the linear map of g^(e*B), and each block
@@ -123,9 +124,8 @@ def _walk(field, poly):
     run_len = n // runs
     if field.tables_supported():
         _, log, zech = field.tables()
-        label0 = log[int(const)]
         base = _log_walk(n, run_len, [(log[int(c)], e) for e, c in terms], zech)
-        return _Walk(n if label0 is None else label0, base, runs, e0 * run_len % n, True)
+        return _Walk(log[int(const)], base, runs, e0 * run_len % n, True)
     base = field.power_blocks(field.generator, terms, run_len)
     return _Walk(int(const), base, runs, field.generator ** (e0 * run_len), False)
 
@@ -142,15 +142,15 @@ def _labels(field, walk):
 def _log_walk(n, count, terms, zech):
     """log f(g^t) for t = 0..count-1 (n for a zero image); terms are (log c, e)."""
     for t in range(count):
-        acc = None
+        acc = n
         for lc, e in terms:
             b = (lc + t * e) % n
-            if acc is None:
+            if acc == n:
                 acc = b
             else:
                 z = zech[b - acc]  # a negative index wraps mod n, as wanted
-                acc = None if z is None else (acc + z) % n
-        yield n if acc is None else acc
+                acc = n if z == n else (acc + z) % n
+        yield acc
 
 
 def _log_runs(n, base, runs, shift):
@@ -188,7 +188,7 @@ def evaluate_on_field(field, poly):
     walk = _walk(field, poly)
     inputs = _labels(field, _walk(field, SparsePoly.monomial(field, field.one, 1)))
     # decode[label] is the canonical image that the label names
-    decode = field.tables()[0] + [0] if walk.tabled else range(field.q2)
+    decode = field.tables()[0].tolist() + [0] if walk.tabled else range(field.q2)
     images = [0] * field.q2
     images[0] = decode[walk.zero_label]
     for x, y in zip(inputs, _labels(field, walk)):

@@ -25,6 +25,7 @@ from ppforge import (
 from ppforge import cli, errors, families
 from ppforge.cli import main, parse_int_list, parse_prime_power
 from ppforge.families import FamilyParams, build_f
+from ppforge.ffcore import FieldSpec
 from ppforge.cli import UsageError
 
 
@@ -330,7 +331,7 @@ def test_sweep_validates_once_per_group(monkeypatch):
 
     def counting(validate):
         def wrapper(params):
-            calls.append((params.k, int(params.c)))
+            calls.append((params.field.q, params.k, int(params.c)))
             return validate(params)
         return wrapper
 
@@ -340,6 +341,12 @@ def test_sweep_validates_once_per_group(monkeypatch):
                            "r=1..20", "c=all")
     assert code == 0 and "tuples=280 disagreements=0" in err
     assert len(calls) == 14 == len(set(calls))  # 2 k x 7 c, never once per r
+    # every q is validated once, all of them before any row is computed
+    calls.clear()
+    code, _, err = run_cli("--jobs=1", "sweep", "family=T1", "q=13,17", "d=2", "k=1",
+                           "r=1..3", "c=all")
+    assert code == 0 and "tuples=48 disagreements=0" in err
+    assert len(calls) == 16 == len(set(calls))  # 7 c at q=13, 9 at q=17
 
 
 def test_compute_rows_caps_workers_at_tuple_count(monkeypatch):
@@ -378,6 +385,22 @@ def test_compute_rows_caps_workers_at_tuple_count(monkeypatch):
     cores = 64
     assert len(cli.compute_rows(field, tuples, 2, 0, 1 << 26)) == 3
     assert workers == [2, 2, 2]
+
+
+def test_pooled_rows_build_the_tables_in_the_parent(monkeypatch):
+    # forked workers inherit the parent's cached field, so its tables are
+    # built once, before the pool starts, not once per worker; a fresh
+    # FieldSpec starts without them
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
+    cached = build_field(13, 1)
+    field = FieldSpec(13, 1, cached.modulus, cached.generator.coeffs)
+    tuples = cli.build_grid({"d": "2", "k": "1", "r": "1..70", "c": "2"}, field, "T1", True)
+    assert len(tuples) > 64  # more than one chunk of the pool
+    assert field._tables is None
+    pooled = cli.compute_rows(field, tuples, 2, 0, 1 << 26)
+    assert field._tables is not None
+    serial = cli.compute_rows(field, tuples, 1, 0, 1 << 26)
+    assert [row["oracle"] for row in pooled] == [row["oracle"] for row in serial]
 
 
 def test_negative_exponent_in_h_fails_alike_at_every_jobs(monkeypatch):

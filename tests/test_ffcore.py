@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -226,10 +227,26 @@ def test_elements_enumerates_whole_field(field_q9):
     assert len({int(x) for x in elems}) == 81
 
 
-@pytest.mark.parametrize("p,h", [(3, 1), (5, 1), (13, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
+# (p, h) -> the loop order tables() widens its base blocks in: per point
+# where p - 1 is at least the block length, per run where it is shorter
+TABLE_ORDERS = {(3, 1): "point", (5, 1): "point", (13, 1): "point", (131, 1): "point",
+                (3, 2): "run", (5, 2): "run", (3, 3): "run", (7, 2): "run", (3, 4): "run",
+                (11, 2): "run"}
+
+
+def test_table_orders_are_as_listed():
+    for (p, h), order in TABLE_ORDERS.items():
+        f = build_field(p, h)
+        run = (f.q2 - 1) // (p - 1)
+        block = len(next(f.power_blocks(f.generator, [(1, f.one)], run))[0])
+        assert order == ("point" if p - 1 >= block else "run"), (p, h)
+
+
+@pytest.mark.parametrize("p,h", sorted(TABLE_ORDERS))
 def test_tables_match_plain_powers(p, h):
-    # n = q^2 - 1 is a multiple of the block length at q = 3, 5, 3^2 and not
-    # at the others; g^i is a running product of plain Element multiplications
+    # the M = n/(p - 1) base powers fill whole blocks at q = 3 and 3^2 and
+    # end in a short block at the others; g^i is a running product of plain
+    # Element multiplications
     f = build_field(p, h)
     exp, log, zech = f.tables()
     n, g, one = f.q2 - 1, f.generator, f.one
@@ -241,14 +258,24 @@ def test_tables_match_plain_powers(p, h):
         assert zech[i] == log[int(x + one)]
         x = x * g
     assert x == one
-    assert log[0] is None
-    assert [i for i, z in enumerate(zech) if z is None] == [n // 2]
+    # n stands for zero: log[0], and zech at the one i with 1 + g^i = 0
+    assert log[0] == n
+    assert [i for i, z in enumerate(zech) if z == n] == [n // 2]
 
 
-def test_tables_build_without_a_field_sized_temporary():
-    # a fresh FieldSpec, so tables() builds inside the traced window
-    cached = build_field(3, 5)
-    f = FieldSpec(3, 5, cached.modulus, cached.generator.coeffs)
+def test_tables_hold_no_int_objects():
+    # a garbage collection visits a table's referents: its type alone, not
+    # one int object per entry
+    for table in build_field(131, 1).tables():
+        assert len(gc.get_referents(table)) <= 1
+
+
+@pytest.mark.parametrize("p,h", [(131, 1), (257, 1), (3, 5)])
+def test_tables_build_without_a_field_sized_temporary(p, h):
+    # (131, 1) and (257, 1) build per point, 3^5 per run; a fresh FieldSpec,
+    # so tables() builds inside the traced window
+    cached = build_field(p, h)
+    f = FieldSpec(p, h, cached.modulus, cached.generator.coeffs)
     tracemalloc.start()
     try:
         f.tables()
