@@ -25,13 +25,11 @@ from .errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
 DEFAULT_MAX_FIELD_SIZE = 1 << 26
 DEFAULT_SEED = 0
 
-# Largest q^2 for which the exp/log/Zech tables are built; beyond it the
-# oracle Horner-encodes the blocks of FieldSpec.power_blocks, the walk that
-# also gives the tables their base powers.  The tables are three arrays of
-# about q^2 C ints (TABLE_TYPE, 4 bytes each: every entry is at most
-# q^2 - 1 < 2^31), 3.1 MB at q = 509.  The build's only temporaries are a block
-# of base powers and the encodings of one point's or one run's multiples, so
-# the tables themselves set the memory cost.
+# Largest q^2 for which the exp/log/Zech tables of an extension field (h > 1)
+# are built; prime fields (h = 1) take their logs from TwoLevelLogs at any
+# size, and untabled extension fields Horner-encode FieldSpec.power_blocks.
+# The tables are three arrays of about q^2 C ints (TABLE_TYPE, 4 bytes each:
+# every entry is at most q^2 - 1 < 2^31), 1.6 MB at q = 19^2, the largest.
 TABLE_LIMIT = 1 << 18
 TABLE_TYPE = "i"
 
@@ -279,6 +277,7 @@ class FieldSpec:
         self.one = self.from_int(1)
         self.generator = Element(self, tuple(generator_coeffs))
         self._tables = None
+        self._two_level_logs = None
 
     def _build_reduce_rows(self):
         # row[i] = coefficient vector of t^(2h+i) modulo the modulus
@@ -402,10 +401,18 @@ class FieldSpec:
         for n in range(self.q2):
             yield self.from_int(n)
 
-    # -- exp/log/Zech tables (the oracle's log-domain walk) --
+    # -- discrete logs: two-level logs (h = 1), exp/log/Zech tables (h > 1) --
+
+    def two_level_logs(self):
+        """The field's TwoLevelLogs (h = 1 only); built once, lazily."""
+        if self._two_level_logs is None:
+            if self.h != 1:
+                raise ValueError(f"two-level logs need h = 1, got h = {self.h}")
+            self._two_level_logs = TwoLevelLogs(self)
+        return self._two_level_logs
 
     def tables_supported(self):
-        return self.q2 <= TABLE_LIMIT
+        return self.h > 1 and self.q2 <= TABLE_LIMIT
 
     def tables(self):
         """(exp, log, zech) for the generator g; built once, lazily.
@@ -421,50 +428,34 @@ class FieldSpec:
         exp follows the split n = M*(p - 1).  a = g^M generates F_p^*, and
         F_p is the scalars, so g^(t + j*M) = a^j * g^t coordinate by
         coordinate.  Only the M base powers g^t, t < M, come from
-        power_blocks(g, [(1, one)], M); every other power is a scalar multiple
-        of one, with no field multiplication.  Each block of base powers is
-        widened in one of two loop orders, each the faster where it runs:
-        * per point, where p - 1 is at least the block's length: the p - 1
-          multiples a^j * c of a coordinate c = a^l are the powers of a
-          rotated by l, one slice of a list, and their encodings fill
-          exp[t::M];
-        * per run, where the block is longer: the block scaled by a^j, one
-          lookup per coordinate, is encoded into exp[t + j*M], t in the block.
-        log is then exp inverted.  Adding 1 changes only the t^0 coefficient,
-        so zech[log c] is log[c + 1] for the encodings c = 1, ..., q^2 - 2,
+        power_blocks(g, [(1, one)], M); each block of them, scaled by a^j with
+        one lookup per coordinate, is encoded into exp[t + j*M].  log is then
+        exp inverted.  Adding 1 changes only the t^0 coefficient, so
+        zech[log c] is log[c + 1] for the encodings c = 1, ..., q^2 - 2,
         except where that coefficient is p - 1 and wraps to 0: there it is
         log[c + 1 - p].  The build's temporaries are one block of base powers
-        and the encodings of one point's or one run's multiples, never
-        anything field-sized.  The three tables are published together, so a
-        concurrent reader sees all of them or none.
+        and the encodings of one scaled block, never anything field-sized.
+        The three tables are published together, so a concurrent reader sees
+        all of them or none.
         """
         if self._tables is None:
+            if self.h == 1:
+                raise ValueError("a prime field has no tables; see two_level_logs()")
             if not self.tables_supported():
                 raise SizeExceeded(self.q2, TABLE_LIMIT)
             p, n = self.p, self.q2 - 1
             run = n // (p - 1)
-            # a^0, ..., a^(2p - 4): any p - 1 consecutive powers are a slice
-            a, units = (self.generator ** run).coeffs[0], [1]
-            for _ in range(2 * p - 4):
-                units.append(units[-1] * a % p)
-            dlog = [0] * p
-            for j in range(p - 1):
-                dlog[units[j]] = j
-            zero = [0] * (p - 1)
+            a = (self.generator ** run).coeffs[0]
             exp = array(TABLE_TYPE, [0]) * n
             start = 0
             for cols in self.power_blocks(self.generator, [(1, self.one)], run):
                 size = len(cols[0])
-                if p - 1 >= size:  # per point: exp[t], exp[t + M], ...
-                    for t, point in enumerate(zip(*cols), start):
-                        exp[t::run] = array(TABLE_TYPE, self.encode(
-                            [units[dlog[c]:dlog[c] + p - 1] if c else zero for c in point]))
-                else:  # per run: exp[start + j*M : start + j*M + size]
-                    for j, u in enumerate(units[:p - 1]):
-                        scale = [u * x % p for x in range(p)]
-                        s = start + j * run
-                        exp[s:s + size] = array(TABLE_TYPE, self.encode(
-                            [list(map(scale.__getitem__, col)) for col in cols]))
+                u = 1
+                for s in range(start, n, run):  # exp[s : s + size], scaled by u = a^j
+                    scale = [u * x % p for x in range(p)]
+                    exp[s:s + size] = array(TABLE_TYPE, self.encode(
+                        [list(map(scale.__getitem__, col)) for col in cols]))
+                    u = u * a % p
                 start += size
             log = array(TABLE_TYPE, [n]) * self.q2
             deque(map(log.__setitem__, exp, range(n)), maxlen=0)
@@ -478,6 +469,65 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, h={self.h}, q2={self.q2})"
+
+
+class TwoLevelLogs:
+    """Discrete logs base g on a prime field's F_{q^2} (h = 1, q = p) from
+    lists of O(q) ints, at any size.
+
+    s = g^(q+1) generates F_q^* = F_p^*, the scalars, and log_f[a] is the log
+    base s of a nonzero a.  An element is y = alpha + beta*t (its two
+    coordinates).  F_q^* has index q + 1 in F_{q^2}^*, so:
+    * beta = 0: y is a scalar and log y = (q+1)*log_f[alpha];
+    * beta != 0: y = beta*(kappa + t) with kappa = alpha/beta, and
+      log y = (q+1)*log_f[beta] + coset[key] mod n, where coset[key] is
+      log(kappa + t) and key is log_f[kappa] = log_f[alpha] - log_f[beta]
+      mod (q - 1), or the extra key q - 1 for kappa = 0.
+    The q keys are the cosets of F_q^* other than F_q^* itself, and g^1..g^q
+    lie one in each of them, each with beta != 0; so coset is filled from
+    their q coordinates: g^i = beta_i*(kappa_i + t) gives
+    coset[key_i] = i - (q+1)*log_f[beta_i] mod n.  Zero is labelled n, as in
+    the tables.  The powers g^0..g^q and the scalars s^0..s^(q-2) that build
+    them also decode a label (exp).
+    """
+
+    __slots__ = ("q", "n", "log_f", "coset", "scalars", "powers")
+
+    def __init__(self, field):
+        q = self.q = field.p
+        n = self.n = q * q - 1
+        s = (field.generator ** (q + 1)).coeffs[0]
+        self.scalars = [1]  # s^j, j < q - 1
+        for _ in range(q - 2):
+            self.scalars.append(self.scalars[-1] * s % q)
+        log_f = self.log_f = [0] * q
+        for j, x in enumerate(self.scalars):
+            log_f[x] = j
+        self.powers = [field.one.coeffs]  # g^i, i <= q
+        for _ in range(q):
+            self.powers.append(field._mul_coeffs(self.powers[-1], field.generator.coeffs))
+        self.coset = [0] * q
+        for i, (alpha, beta) in enumerate(self.powers[1:], 1):
+            self.coset[self._key(alpha, beta)] = (i - (q + 1) * log_f[beta]) % n
+
+    def _key(self, alpha, beta):
+        return (self.log_f[alpha] - self.log_f[beta]) % (self.q - 1) if alpha else self.q - 1
+
+    def log(self, alpha, beta):
+        """log y for y = alpha + beta*t; n for y = 0."""
+        if beta:
+            return ((self.q + 1) * self.log_f[beta] + self.coset[self._key(alpha, beta)]) % self.n
+        return (self.q + 1) * self.log_f[alpha] if alpha else self.n
+
+    def exp(self, label):
+        """The canonical encoding of g^label, label = i + (q+1)*j with i <= q
+        and j < q - 1: g^i scaled by s^j; 0 for the zero label n."""
+        if label == self.n:
+            return 0
+        j, i = divmod(label, self.q + 1)
+        alpha, beta = self.powers[i]
+        s = self.scalars[j]
+        return s * alpha % self.q + s * beta % self.q * self.q
 
 
 # ---------------------------------------------------------------------------

@@ -11,28 +11,37 @@ folded exponent.  When q - 1 divides every difference e_j - e_0, as it does
 for every x^r h(x^(q-1)) and every monomial, the walk splits into D = q - 1
 runs of M = n/D = q + 1 points: each e_j*M = e_0*M (mod n), so
 f(g^(t+M)) = g^(e_0*M) * f(g^t) for every t.  Only the base run t < M is
-evaluated term by term:
+evaluated.  A label is log f(g^t) (n for a zero image) where the field
+gives logs, and the canonical image otherwise:
 
-* on fields with tables (q^2 <= TABLE_LIMIT) the label is log f(g^t): term j
-  is the log lc_j + t*e_j mod n, and terms are added through the Zech table,
-  one lookup per term at every extension degree; zero is labelled n, the
-  value the tables hold for it (log[0], and zech[i] where 1 + g^i = 0);
-* above the limit the label is the canonical image: FieldSpec.power_blocks
-  sums the terms' walks c*g^(t*e) a block of consecutive t at a time, each
-  block stepped from the last by the linear map of g^(e*B), and each block
-  is Horner-encoded as the exp table is.
+* a split walk on a prime field (h = 1, any size) or on a tabled extension
+  field (q^2 <= TABLE_LIMIT) has log labels.  Then f = x^(e_0) H(x^(q-1))
+  with H = sum c_j y^(k_j), k_j = (e_j - e_0)/(q - 1), so
+  log f(g^t) = t*e_0 + LH[t] mod n, where LH[t] = log H(gamma^t) and
+  gamma = g^(q-1).  LH depends on H alone, and is cached per field under H's
+  terms (k_j, c_j), read off the folded polynomial: a sweep over r reuses
+  it, at M integer adds per r.  On h = 1, LH is the two-level logs
+  (ffcore.TwoLevelLogs) of FieldSpec.power_blocks(gamma, H, M); on a tabled
+  field it is a Zech walk over H: term j is the log lc_j + t*k_j*(q-1) mod
+  n, and terms are added through the Zech table, one lookup per term;
+* an unsplit walk on a tabled field is the same Zech walk over f itself;
+* every other walk has canonical labels: FieldSpec.power_blocks sums the
+  terms' walks c*g^(t*e) a block of consecutive t at a time, each block
+  stepped from the last by the linear map of g^(e*B), and each block is
+  Horner-encoded.
 
-Run k = 1..D-1 (t = kM..kM+M-1) is the base run shifted: with tables each
-label plus k*e_0*M mod n, the zero label n staying n; above the limit the
-previous run's columns times g^(e_0*M), one linear map per run, then
-encoded.  D is read off the folded exponents alone, never off a family.  Any
-other polynomial has D = 1: its base run is the whole walk, evaluated term
-by term and streamed.  evaluate_on_field reads the runs in t order as one
-label sequence.
+Run k = 1..D-1 (t = kM..kM+M-1) is the base run shifted: with log labels
+each label plus k*e_0*M mod n, the zero label n staying n; with canonical
+labels the previous run's columns times g^(e_0*M), one linear map per run,
+then encoded.  D is read off the folded exponents alone, never off a family.
+Any other polynomial has D = 1: its base run is the whole walk, evaluated
+term by term and streamed.  evaluate_on_field reads the runs in t order as
+one label sequence, and decodes log labels through TwoLevelLogs.exp on
+h = 1 and the exp table on tabled fields.
 
 Labels name images one to one, so the bijection test marks every one of the
 q^2 labels and stops at the first repeat.  It marks one byte per label in a
-bytearray, except for a split walk with tables.  That walk marks the label
+bytearray, except for a split walk with log labels.  That walk marks the label
 of f(0) and then the base run's labels, one at a time, as bits b < n of an
 int; it stops at a repeat, or at a zero image, which every shift fixes, so
 run 1 would repeat it.  Run k is then the n-bit set base of the base run's
@@ -50,10 +59,12 @@ least colliding pair costs one more full evaluation, paid only by a caller
 who reads it.
 """
 
+from array import array
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, NamedTuple, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 from .sparsepoly import SparsePoly
 
@@ -99,21 +110,30 @@ class _Walk(NamedTuple):
     """The walk over t = 0..n-1 as D runs of M = n/D points; run k is the
     base run t < M shifted k times.
 
-    With tables (tabled) the labels are logs, the base run is an iterator
-    over labels and the shift is the label offset e_0*M mod n; without, the
-    labels are canonical encodings, the base run is power_blocks' blocks of
-    values and the shift is the factor g^(e_0*M).
+    With log labels (logs) the base run is an iterable of labels, n for a
+    zero image, and the shift is the label offset e_0*M mod n; with canonical
+    labels the base run is power_blocks' blocks of values and the shift is
+    the factor g^(e_0*M).  Log labels come from the two-level logs and the
+    per-H cache on h = 1 fields, and from the Zech tables on tabled fields
+    (module docstring).
     """
 
     zero_label: int  # the label of f(0)
     base: object
     runs: int  # D
     shift: object
-    tabled: bool
+    logs: bool
+
+
+# each field's LH arrays, keyed by H's terms; a field's dict is emptied
+# before it grows past about LH_CACHE_LABELS labels (4 bytes each)
+LH_CACHE_LABELS = 1 << 20
+_LH_CACHE = WeakKeyDictionary()
 
 
 def _walk(field, poly):
-    """poly's walk; tables, where the field has them, decide its labels."""
+    """poly's walk.  Log labels where the field gives them: split walks on
+    h = 1 fields, and every walk on tabled fields."""
     terms = poly.reduce_mod().terms
     const = terms[0][1] if terms and terms[0][0] == 0 else field.zero
     n = field.q2 - 1
@@ -122,7 +142,12 @@ def _walk(field, poly):
     # D = q - 1 runs of M = q + 1 points when q - 1 divides every e_j - e_0
     runs = q - 1 if all((e - e0) % (q - 1) == 0 for e, _ in terms) else 1
     run_len = n // runs
-    if field.tables_supported():
+    tabled = field.tables_supported()
+    if runs > 1 and (tabled or field.h == 1):
+        lh = _h_logs(field, tuple(((e - e0) // (q - 1), c) for e, c in terms))
+        base = [label if label == n else (t * e0 + label) % n for t, label in enumerate(lh)]
+        return _Walk(_log(field, const), base, runs, e0 * run_len % n, True)
+    if tabled:
         _, log, zech = field.tables()
         base = _log_walk(n, run_len, [(log[int(c)], e) for e, c in terms], zech)
         return _Walk(log[int(const)], base, runs, e0 * run_len % n, True)
@@ -130,9 +155,39 @@ def _walk(field, poly):
     return _Walk(int(const), base, runs, field.generator ** (e0 * run_len), False)
 
 
+def _log(field, c):
+    """log c, n for c = 0, on a field with log labels."""
+    if field.h == 1:
+        return field.two_level_logs().log(*c.coeffs)
+    return field.tables()[1][int(c)]
+
+
+def _h_logs(field, h_terms):
+    """LH[t] = log H(gamma^t) for t = 0..q (n for a zero), gamma = g^(q-1),
+    H = sum c*y^k over the (k, c) in h_terms; cached per field under the
+    terms' exponents and coordinates."""
+    key = tuple((k, c.coeffs) for k, c in h_terms)
+    cache = _LH_CACHE.setdefault(field, {})
+    lh = cache.get(key)
+    if lh is None:
+        q, n = field.q, field.q2 - 1
+        if field.h == 1:
+            log = field.two_level_logs().log
+            blocks = field.power_blocks(field.generator ** (q - 1), h_terms, q + 1)
+            lh = array("i", chain.from_iterable(map(log, *cols) for cols in blocks))
+        else:
+            _, log, zech = field.tables()
+            lh = array("i", _log_walk(n, q + 1, [(log[int(c)], k * (q - 1)) for k, c in h_terms],
+                                      zech))
+        if len(cache) * (q + 1) >= LH_CACHE_LABELS:
+            cache.clear()
+        cache[key] = lh
+    return lh
+
+
 def _labels(field, walk):
     """The labels of f(g^t), t = 0..n-1, in t order."""
-    if walk.tabled:
+    if walk.logs:
         runs = _log_runs(field.q2 - 1, walk.base, walk.runs, walk.shift)
     else:
         runs = _vector_runs(field, walk.base, walk.runs, walk.shift)
@@ -141,9 +196,13 @@ def _labels(field, walk):
 
 def _log_walk(n, count, terms, zech):
     """log f(g^t) for t = 0..count-1 (n for a zero image); terms are (log c, e)."""
+    if not terms:
+        yield from repeat(n, count)
+        return
+    (lc0, e0), rest = terms[0], terms[1:]
     for t in range(count):
-        acc = n
-        for lc, e in terms:
+        acc = (lc0 + t * e0) % n
+        for lc, e in rest:
             b = (lc + t * e) % n
             if acc == n:
                 acc = b
@@ -186,14 +245,22 @@ def _vector_runs(field, base, runs, factor):
 def evaluate_on_field(field, poly):
     """Images of all q^2 elements, indexed by canonical input encoding."""
     walk = _walk(field, poly)
-    inputs = _labels(field, _walk(field, SparsePoly.monomial(field, field.one, 1)))
-    # decode[label] is the canonical image that the label names
-    decode = field.tables()[0].tolist() + [0] if walk.tabled else range(field.q2)
+    inputs = _walk(field, SparsePoly.monomial(field, field.one, 1))
     images = [0] * field.q2
-    images[0] = decode[walk.zero_label]
-    for x, y in zip(inputs, _labels(field, walk)):
-        images[decode[x]] = decode[y]
+    # the inputs' walk is split, so it has log labels wherever poly's has
+    decode_x = _log_decoder(field) if inputs.logs else int
+    decode_y = decode_x if walk.logs else int
+    images[0] = decode_y(walk.zero_label)
+    for x, y in zip(_labels(field, inputs), _labels(field, walk)):
+        images[decode_x(x)] = decode_y(y)
     return images
+
+
+def _log_decoder(field):
+    """log label -> the canonical image that it names."""
+    if field.h == 1:
+        return field.two_level_logs().exp
+    return (field.tables()[0].tolist() + [0]).__getitem__
 
 
 def distinct(size, labels):
@@ -225,7 +292,7 @@ def _least_collision(inputs, images):
 def is_permutation_of_field(field, poly):
     """Walk poly over all of F_{q^2}; bijection iff no image repeats.
 
-    Stops at the first repeated image, or with tables and a split walk, at
+    Stops at the first repeated image, or with log labels and a split walk, at
     the first doubling step whose runs repeat one.
     """
     if _collides(field, _walk(field, poly)):
@@ -240,13 +307,13 @@ def is_permutation_of_field(field, poly):
 def _collides(field, walk):
     """Does some label of the walk equal another, or the label of f(0)?
 
-    One byte per label (distinct), or with tables and a split walk, one bit
+    One byte per label (distinct), or with log labels and a split walk, one bit
     per label of an n-bit union of runs, doubled over the binary digits of D
     by rotations of itself and of the base run (module docstring).
     """
     n = field.q2 - 1
     zero_label = walk.zero_label
-    if walk.runs == 1 or not walk.tabled:
+    if walk.runs == 1 or not walk.logs:
         return not distinct(n + 1, chain((zero_label,), _labels(field, walk)))
     marks = bytearray((n >> 3) + 1)  # bit b of the little-endian int: label b < n
     if zero_label < n:

@@ -285,7 +285,7 @@ def test_c11_performance_envelope(field_q29):
     params = FamilyParams(tag="T2", field=field_q29, r=11,
                           c=field_q29.from_int(2), d=5, k=1)
     f = build_f(params)
-    is_permutation_of_field(field_q29, f)  # warm the log tables
+    is_permutation_of_field(field_q29, f)  # warm the field's logs
     best = min(
         _timed(lambda: is_permutation_of_field(field_q29, f)) for _ in range(5)
     )

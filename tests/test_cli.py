@@ -390,10 +390,10 @@ def test_compute_rows_caps_workers_at_tuple_count(monkeypatch):
 def test_pooled_rows_build_the_tables_in_the_parent(monkeypatch):
     # forked workers inherit the parent's cached field, so its tables are
     # built once, before the pool starts, not once per worker; a fresh
-    # FieldSpec starts without them
+    # FieldSpec starts without them.  Only extension fields have tables.
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
-    cached = build_field(13, 1)
-    field = FieldSpec(13, 1, cached.modulus, cached.generator.coeffs)
+    cached = build_field(5, 2)
+    field = FieldSpec(5, 2, cached.modulus, cached.generator.coeffs)
     tuples = cli.build_grid({"d": "2", "k": "1", "r": "1..70", "c": "2"}, field, "T1", True)
     assert len(tuples) > 64  # more than one chunk of the pool
     assert field._tables is None

@@ -1,12 +1,13 @@
 import gc
 import itertools
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppforge import build_field, field_from_text, field_to_text
+from ppforge import build_field, ffcore, field_from_text, field_to_text
 from ppforge.errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
 from ppforge.ffcore import FieldSpec, _poly_is_irreducible, is_prime, verify_generator
 
@@ -227,26 +228,25 @@ def test_elements_enumerates_whole_field(field_q9):
     assert len({int(x) for x in elems}) == 81
 
 
-# (p, h) -> the loop order tables() widens its base blocks in: per point
-# where p - 1 is at least the block length, per run where it is shorter
-TABLE_ORDERS = {(3, 1): "point", (5, 1): "point", (13, 1): "point", (131, 1): "point",
-                (3, 2): "run", (5, 2): "run", (3, 3): "run", (7, 2): "run", (3, 4): "run",
-                (11, 2): "run"}
+# the tabled fields: the M = n/(p - 1) base powers fill whole blocks at
+# q = 3^2 and end in a short block at the others
+TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2)]
 
 
-def test_table_orders_are_as_listed():
-    for (p, h), order in TABLE_ORDERS.items():
-        f = build_field(p, h)
-        run = (f.q2 - 1) // (p - 1)
-        block = len(next(f.power_blocks(f.generator, [(1, f.one)], run))[0])
-        assert order == ("point" if p - 1 >= block else "run"), (p, h)
+def test_tables_are_for_small_extension_fields_only(field_q5, monkeypatch):
+    assert all(build_field(p, h).tables_supported() for p, h in TABLE_FIELDS)
+    with pytest.raises(ValueError):
+        field_q5.tables()
+    assert not build_field(3, 6).tables_supported()  # q^2 = 3^12 > TABLE_LIMIT
+    with pytest.raises(SizeExceeded):
+        build_field(3, 6).tables()
+    monkeypatch.setattr(ffcore, "TABLE_LIMIT", 1 << 26)
+    assert not build_field(8161, 1).tables_supported()
 
 
-@pytest.mark.parametrize("p,h", sorted(TABLE_ORDERS))
+@pytest.mark.parametrize("p,h", TABLE_FIELDS)
 def test_tables_match_plain_powers(p, h):
-    # the M = n/(p - 1) base powers fill whole blocks at q = 3 and 3^2 and
-    # end in a short block at the others; g^i is a running product of plain
-    # Element multiplications
+    # g^i is a running product of plain Element multiplications
     f = build_field(p, h)
     exp, log, zech = f.tables()
     n, g, one = f.q2 - 1, f.generator, f.one
@@ -266,14 +266,13 @@ def test_tables_match_plain_powers(p, h):
 def test_tables_hold_no_int_objects():
     # a garbage collection visits a table's referents: its type alone, not
     # one int object per entry
-    for table in build_field(131, 1).tables():
+    for table in build_field(11, 2).tables():
         assert len(gc.get_referents(table)) <= 1
 
 
-@pytest.mark.parametrize("p,h", [(131, 1), (257, 1), (3, 5)])
+@pytest.mark.parametrize("p,h", [(13, 2), (17, 2), (3, 5)])
 def test_tables_build_without_a_field_sized_temporary(p, h):
-    # (131, 1) and (257, 1) build per point, 3^5 per run; a fresh FieldSpec,
-    # so tables() builds inside the traced window
+    # a fresh FieldSpec, so tables() builds inside the traced window
     cached = build_field(p, h)
     f = FieldSpec(p, h, cached.modulus, cached.generator.coeffs)
     tracemalloc.start()
@@ -283,3 +282,31 @@ def test_tables_build_without_a_field_sized_temporary(p, h):
     finally:
         tracemalloc.stop()
     assert peak - retained < 0.05 * retained
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 29, 131])
+def test_two_level_logs_match_plain_powers(p):
+    # the log of g^i is i, and i decodes to g^i, a running product of plain
+    # Element multiplications; 3, 5, 13 and 131 were tabled before
+    f = build_field(p, 1)
+    logs = f.two_level_logs()
+    n, g = f.q2 - 1, f.generator
+    x = f.one
+    for i in range(n):
+        assert logs.log(*x.coeffs) == i
+        assert logs.exp(i) == int(x)
+        x = x * g
+    assert x == f.one
+    assert logs.log(0, 0) == n and logs.exp(n) == 0
+
+
+def test_two_level_logs_on_the_largest_prime_field():
+    # q = 8161, a prime with q^2 just under 2^26: lists of q ints
+    f = build_field(8161, 1)
+    logs = f.two_level_logs()
+    assert len(logs.log_f) == len(logs.coset) == f.q
+    n, rng = f.q2 - 1, random.Random(0)
+    for e in [0, 1, f.q, f.q + 1, n - 1] + [rng.randrange(n) for _ in range(300)]:
+        assert logs.log(*(f.generator ** e).coeffs) == e
+    with pytest.raises(ValueError):
+        build_field(3, 2).two_level_logs()

@@ -17,7 +17,7 @@ from ppforge import (
     pointwise_equal,
 )
 from ppforge import ffcore, oracle
-from ppforge.families import FamilyParams, build_f, valid_c_values
+from ppforge.families import FamilyParams, build_f, gcd_criterion, valid_c_values
 
 
 def x_power(field, n, coeff=None):
@@ -128,8 +128,8 @@ def assert_kernel_matches_evaluate(f, polys):
         assert report.first_collision == least_pair(expected), poly
 
 
-def test_tabled_evaluation_matches_slow_path(field_q5, field_q9, field_q25):
-    for f in (field_q5, field_q9, field_q25):
+def test_tabled_evaluation_matches_slow_path(field_q9, field_q25):
+    for f in (field_q9, field_q25):
         assert f.tables_supported()
         assert_kernel_matches_evaluate(f, walk_cases(f).values())
     # at degree 8 evaluate() takes about a second per case, so only the
@@ -143,7 +143,8 @@ def test_tabled_evaluation_matches_slow_path(field_q5, field_q9, field_q25):
 
 def test_untabled_walk_matches_slow_path(field_q5, field_q9, field_q13, monkeypatch):
     # q^2 - 1 is a multiple of power_blocks' block length at q = 5 and 3^2,
-    # and not at q = 13 and 3^3, whose last blocks are partial
+    # and not at q = 13 and 3^3, whose last blocks are partial; the split
+    # walks at q = 5 and 13 take the two-level logs
     monkeypatch.setattr(ffcore, "TABLE_LIMIT", 0)
     for f in (field_q5, field_q9, field_q13, build_field(3, 3)):
         assert not f.tables_supported()
@@ -159,18 +160,23 @@ def test_agw_trinomial_permutes_on_both_paths(field_q9, field_q13, monkeypatch):
     assert agw_trinomial(build_field(5, 1)) is None
 
 
-def test_unsplit_walk_stops_at_the_first_repeat(field_q13, monkeypatch):
+def test_unsplit_walk_stops_at_the_first_repeat(field_q13, field_q25, monkeypatch):
     """x^3 + x^5 has D = 1 (q - 1 does not divide 2), so its walk streams:
-    the bijection test evaluates no block past its first repeated image."""
-    f, g = field_q13, field_q13.generator
-    poly = SparsePoly(f, [(3, f.one), (5, f.one)])
-    seen = {int(evaluate(f, poly, f.zero))}
-    for repeat in range(f.q2 - 1):  # the first t whose image f(g^t) repeats
-        y = int(evaluate(f, poly, g ** repeat))
-        if y in seen:
-            break
-        seen.add(y)
-    assert repeat == 19
+    the bijection test evaluates no point past its first repeated image in
+    a tabled field's Zech walk, and no block past it in the power walk of a
+    prime field or an untabled one."""
+    def first_repeat(f):  # the first t whose image f(g^t) repeats
+        seen = {int(evaluate(f, poly(f), f.zero))}
+        for t in range(f.q2 - 1):
+            y = int(evaluate(f, poly(f), f.generator ** t))
+            if y in seen:
+                return t
+            seen.add(y)
+
+    def poly(f):
+        return SparsePoly(f, [(3, f.one), (5, f.one)])
+
+    assert first_repeat(field_q13) == 19 and first_repeat(field_q25) == 18
 
     walked = []
     log_walk = oracle._log_walk
@@ -181,10 +187,9 @@ def test_unsplit_walk_stops_at_the_first_repeat(field_q13, monkeypatch):
             yield label
 
     monkeypatch.setattr(oracle, "_log_walk", counted_log_walk)
-    assert not is_permutation_of_field(f, poly)
-    assert len(walked) == repeat + 1
+    assert not is_permutation_of_field(field_q25, poly(field_q25))
+    assert len(walked) == 18 + 1
 
-    blocks = []
     power_blocks = ffcore.FieldSpec.power_blocks
 
     def counted_power_blocks(self, *args):
@@ -194,8 +199,10 @@ def test_unsplit_walk_stops_at_the_first_repeat(field_q13, monkeypatch):
 
     monkeypatch.setattr(ffcore, "TABLE_LIMIT", 0)
     monkeypatch.setattr(ffcore.FieldSpec, "power_blocks", counted_power_blocks)
-    assert not is_permutation_of_field(f, poly)
-    assert sum(blocks[:-1]) <= repeat < sum(blocks) < f.q2 - 1
+    for f, repeat in ((field_q13, 19), (field_q25, 18)):
+        blocks = []
+        assert not is_permutation_of_field(f, poly(f))
+        assert sum(blocks[:-1]) <= repeat < sum(blocks) < f.q2 - 1, f
 
 
 @pytest.fixture
@@ -308,13 +315,64 @@ def sparse_polys(draw):
 @given(poly=sparse_polys(), tabled=st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_oracle_matches_brute_force_on_random_polys(poly, tabled):
+    # prime fields label split walks with two-level logs at every size;
+    # extension fields are drawn with their tables and without
     f = poly.field
     expected = [int(evaluate(f, poly, x)) for x in f.elements()]
     with mock.patch.object(ffcore, "TABLE_LIMIT", ffcore.TABLE_LIMIT if tabled else 0):
-        assert f.tables_supported() == tabled
+        assert f.tables_supported() == (tabled and f.h > 1)
         report = is_permutation_of_field(f, poly)
         assert report.is_bijection == (len(set(expected)) == f.q2)
         assert report.first_collision == least_pair(expected)
+
+
+def t6_polys(f, rs):
+    return [build_f(FamilyParams(tag="T6", field=f, r=r, c=f.from_int(2), u=1, v=1))
+            for r in rs]
+
+
+def test_polys_with_one_h_share_one_cache_entry(field_q13, field_q25):
+    """T6 with u = v = 1 and c = 2 at r = 1 and r = 3: f = x^r h(x^(q-1))
+    with one h, so their walks share H, and one LH serves both."""
+    for f in (field_q13, field_q25):
+        oracle._LH_CACHE.pop(f, None)
+        walks = [oracle._walk(f, poly) for poly in t6_polys(f, (1, 3))]
+        assert all(walk.logs and walk.runs == f.q - 1 for walk in walks)
+        assert len(oracle._LH_CACHE[f]) == 1
+        assert walks[0].base != walks[1].base
+
+
+def test_verdicts_do_not_depend_on_the_cache(field_q13, field_q25, monkeypatch):
+    """T6 and T1 tuples with the cache kept, cleared before every call, and
+    bounded to one LH at a time (LH_CACHE_LABELS = 1)."""
+    for f in (field_q13, field_q25):
+        polys = t6_polys(f, range(1, 40)) + [
+            build_f(params) for params in (
+                FamilyParams(tag="T1", field=f, r=r, c=c, d=2, k=1)
+                for r in range(1, 12) for c in valid_c_values(f, "T1")[:3])]
+        kept = [is_permutation_of_field(f, poly).is_bijection for poly in polys]
+        cleared = []
+        for poly in polys:
+            oracle._LH_CACHE.clear()
+            cleared.append(is_permutation_of_field(f, poly).is_bijection)
+        monkeypatch.setattr(oracle, "LH_CACHE_LABELS", 1)
+        bounded = [is_permutation_of_field(f, poly).is_bijection for poly in polys]
+        assert len(oracle._LH_CACHE[f]) == 1
+        monkeypatch.undo()
+        assert kept == cleared == bounded
+        assert 0 < sum(kept) < len(kept), f
+
+
+def test_t6_at_the_largest_prime_field_matches_gcd_criterion():
+    """q = 8161, a prime with q^2 just under 2^26: T6 u = v = 1, c = 2.
+    r = 13 permutes; the split walk labels its base run with the two-level
+    logs and builds no q^2 table."""
+    f = build_field(8161, 1)
+    for r in (13, 15, 17, 23):
+        params = FamilyParams(tag="T6", field=f, r=r, c=f.from_int(2), u=1, v=1)
+        assert is_permutation_of_field(f, build_f(params)).is_bijection == gcd_criterion(params), r
+    assert gcd_criterion(FamilyParams(tag="T6", field=f, r=13, c=f.from_int(2), u=1, v=1))
+    assert f._tables is None
 
 
 def test_evaluate_on_field_matches_repeated_multiplication(field_q5):
