@@ -231,15 +231,14 @@ def compute_rows(field, tuples, jobs, seed, max_size, validated=False):
     unless the caller already has (validated).
 
     A pool's workers look the field up with build_field; the parent builds its
-    tables first, so a forked worker finds them built in the cached field
+    logs first, so a forked worker finds them built in the cached field
     instead of building its own copy."""
     if not validated:
         _validate_groups(field, tuples)
     workers = min(jobs, len(tuples), os.cpu_count() or 1)
     if workers < 2:
         return [compute_row(field, tup) for tup in tuples]
-    if field.tables_supported():
-        field.tables()
+    field.logs()
     worker = partial(_worker_row, (field.p, field.h, seed, max_size))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tuples, chunksize=64))

@@ -11,12 +11,19 @@ Fields are built by seeded random search (irreducible modulus, then a
 generator of the full multiplicative group), so construction is deterministic
 for a fixed seed.  FieldSpec and Element are immutable after construction and
 safe to share between threads; all operations are pure.
+
+Discrete logs base the generator come from one provider per field,
+FieldSpec.logs(): exp/log/Zech tables of about q^2 entries (ZechLogs) on
+extension fields up to q^2 = TABLE_LIMIT = 2^18, and two-level logs from
+lists of O(q) ints (TwoLevelLogs) on every other field.  Both label zero by
+n = q^2 - 1, and both label the values of a sparse polynomial along a run
+of powers of g, the oracle's one kind of walk.
 """
 
 from array import array
 from collections import deque
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice, repeat
 from math import isqrt
 import random
 
@@ -25,11 +32,11 @@ from .errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
 DEFAULT_MAX_FIELD_SIZE = 1 << 26
 DEFAULT_SEED = 0
 
-# Largest q^2 for which the exp/log/Zech tables of an extension field (h > 1)
-# are built; prime fields (h = 1) take their logs from TwoLevelLogs at any
-# size, and untabled extension fields Horner-encode FieldSpec.power_blocks.
-# The tables are three arrays of about q^2 C ints (TABLE_TYPE, 4 bytes each:
-# every entry is at most q^2 - 1 < 2^31), 1.6 MB at q = 19^2, the largest.
+# Largest q^2 for which an extension field (h > 1) takes its logs from the
+# exp/log/Zech tables (ZechLogs); every other field takes them from
+# TwoLevelLogs.  The tables are three arrays of about q^2 C ints (TABLE_TYPE,
+# 4 bytes each: every entry is at most q^2 - 1 < 2^31), 1.6 MB at q = 19^2,
+# the largest.
 TABLE_LIMIT = 1 << 18
 TABLE_TYPE = "i"
 
@@ -276,8 +283,7 @@ class FieldSpec:
         self.zero = Element(self, (0,) * self.degree)
         self.one = self.from_int(1)
         self.generator = Element(self, tuple(generator_coeffs))
-        self._tables = None
-        self._two_level_logs = None
+        self._logs = None
 
     def _build_reduce_rows(self):
         # row[i] = coefficient vector of t^(2h+i) modulo the modulus
@@ -320,12 +326,13 @@ class FieldSpec:
             col = [(x - col[-1] * m) % p for x, m in zip([0] + col[:-1], self.modulus)]
         return tuple(zip(*cols))
 
-    def _apply(self, a, block):
-        """The block of coordinate columns times the vector a, the F_p-linear
-        map v -> a*v applied a whole column at a time."""
+    def _times(self, rows, block):
+        """The matrix with the given rows over F_p times a block of
+        coordinate columns, an F_p-linear map applied a whole column at a
+        time; with the rows _mul_rows(a), the map v -> a*v."""
         p = self.p
         out = []
-        for row in self._mul_rows(a):
+        for row in rows:
             acc = [row[0] * x for x in block[0]]
             for m, col in zip(row[1:], block[1:]):
                 acc = [s + m * x for s, x in zip(acc, col)]
@@ -353,12 +360,13 @@ class FieldSpec:
         for e, c in terms or [(0, self.zero)]:
             m, block = (a ** e).coeffs, [[x] for x in c.coeffs]
             while len(block[0]) < size:
-                block = [col + ext for col, ext in zip(block, self._apply(m, block))]
+                ext = self._times(self._mul_rows(m), block)
+                block = [col + more for col, more in zip(block, ext)]
                 m = self._mul_coeffs(m, m)
             walks.append((m, block))
         for start in range(0, count, size):
             if start:
-                walks = [(m, self._apply(m, block)) for m, block in walks]
+                walks = [(m, self._times(self._mul_rows(m), block)) for m, block in walks]
             if len(walks) == 1:
                 cols = walks[0][1]
             else:
@@ -401,133 +409,239 @@ class FieldSpec:
         for n in range(self.q2):
             yield self.from_int(n)
 
-    # -- discrete logs: two-level logs (h = 1), exp/log/Zech tables (h > 1) --
+    # -- discrete logs -------------------------------------------------------
 
-    def two_level_logs(self):
-        """The field's TwoLevelLogs (h = 1 only); built once, lazily."""
-        if self._two_level_logs is None:
-            if self.h != 1:
-                raise ValueError(f"two-level logs need h = 1, got h = {self.h}")
-            self._two_level_logs = TwoLevelLogs(self)
-        return self._two_level_logs
+    def logs(self):
+        """The field's discrete logs base the generator g: ZechLogs on an
+        extension field (h > 1) with q^2 <= TABLE_LIMIT, TwoLevelLogs on
+        every other field.  Both give log(c), exp(label) and
+        labels(step, terms, count), with n = q^2 - 1 the label of zero.
+        Built once, lazily, and published by one assignment, so a concurrent
+        reader sees a whole provider or none."""
+        if self._logs is None:
+            self._logs = (ZechLogs if self.tables_supported() else TwoLevelLogs)(self)
+        return self._logs
 
+    # perfbench/child.py builds the tables in its set-up through these two
     def tables_supported(self):
+        """Does logs() give this field the Zech tables?"""
         return self.h > 1 and self.q2 <= TABLE_LIMIT
 
     def tables(self):
-        """(exp, log, zech) for the generator g; built once, lazily.
-
-        exp[i] is the canonical encoding of g^i for 0 <= i < n = q^2 - 1, log
-        is its inverse, and zech[i] = log(1 + g^i) is the Zech logarithm.
-        Zero has no logarithm, and n stands for it: log[0] is n, and zech[i]
-        is n where 1 + g^i = 0.  With them g^a + g^b is g^(a + zech[b - a]),
-        one lookup at any extension degree.  The tables are flat arrays of
-        C ints (TABLE_TYPE): they hold no int objects, so a garbage collection
-        visits only their type, never their entries.
-
-        exp follows the split n = M*(p - 1).  a = g^M generates F_p^*, and
-        F_p is the scalars, so g^(t + j*M) = a^j * g^t coordinate by
-        coordinate.  Only the M base powers g^t, t < M, come from
-        power_blocks(g, [(1, one)], M); each block of them, scaled by a^j with
-        one lookup per coordinate, is encoded into exp[t + j*M].  log is then
-        exp inverted.  Adding 1 changes only the t^0 coefficient, so
-        zech[log c] is log[c + 1] for the encodings c = 1, ..., q^2 - 2,
-        except where that coefficient is p - 1 and wraps to 0: there it is
-        log[c + 1 - p].  The build's temporaries are one block of base powers
-        and the encodings of one scaled block, never anything field-sized.
-        The three tables are published together, so a concurrent reader sees
-        all of them or none.
-        """
-        if self._tables is None:
-            if self.h == 1:
-                raise ValueError("a prime field has no tables; see two_level_logs()")
-            if not self.tables_supported():
-                raise SizeExceeded(self.q2, TABLE_LIMIT)
-            p, n = self.p, self.q2 - 1
-            run = n // (p - 1)
-            a = (self.generator ** run).coeffs[0]
-            exp = array(TABLE_TYPE, [0]) * n
-            start = 0
-            for cols in self.power_blocks(self.generator, [(1, self.one)], run):
-                size = len(cols[0])
-                u = 1
-                for s in range(start, n, run):  # exp[s : s + size], scaled by u = a^j
-                    scale = [u * x % p for x in range(p)]
-                    exp[s:s + size] = array(TABLE_TYPE, self.encode(
-                        [list(map(scale.__getitem__, col)) for col in cols]))
-                    u = u * a % p
-                start += size
-            log = array(TABLE_TYPE, [n]) * self.q2
-            deque(map(log.__setitem__, exp, range(n)), maxlen=0)
-            # zech[log c] = log[c + 1], then the c = p*k + p - 1: log[p*k]
-            zech = array(TABLE_TYPE, [0]) * n
-            deque(map(zech.__setitem__, islice(log, 1, None), islice(log, 2, None)), maxlen=0)
-            deque(map(zech.__setitem__, islice(log, p - 1, None, p), islice(log, 0, None, p)),
-                  maxlen=0)
-            self._tables = exp, log, zech
-        return self._tables
+        """The arrays (exp, log, zech) of logs(), where tables_supported()."""
+        logs = self.logs()
+        return logs.exp_table, logs.log_table, logs.zech_table
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, h={self.h}, q2={self.q2})"
 
 
-class TwoLevelLogs:
-    """Discrete logs base g on a prime field's F_{q^2} (h = 1, q = p) from
-    lists of O(q) ints, at any size.
+class ZechLogs:
+    """Discrete logs base g from exp/log/Zech tables of about q^2 entries.
 
-    s = g^(q+1) generates F_q^* = F_p^*, the scalars, and log_f[a] is the log
-    base s of a nonzero a.  An element is y = alpha + beta*t (its two
-    coordinates).  F_q^* has index q + 1 in F_{q^2}^*, so:
-    * beta = 0: y is a scalar and log y = (q+1)*log_f[alpha];
+    exp_table[i] is the canonical encoding of g^i for 0 <= i < n = q^2 - 1,
+    log_table is its inverse, and zech_table[i] = log(1 + g^i) is the Zech
+    logarithm.  Zero has no logarithm, and n stands for it: log_table[0] is
+    n, exp_table[n] is 0, and zech_table[i] is n where 1 + g^i = 0.  With
+    them g^a + g^b is g^(a + zech[b - a]), one lookup at any extension
+    degree.  The tables are flat arrays of C ints (TABLE_TYPE): they hold no
+    int objects, so a garbage collection visits only their type, never their
+    entries.
+
+    exp follows the split n = M*(p - 1).  a = g^M generates F_p^*, and F_p
+    is the scalars, so g^(t + j*M) = a^j * g^t coordinate by coordinate.
+    Only the M base powers g^t, t < M, come from
+    power_blocks(g, [(1, one)], M); each block of them, scaled by a^j with
+    one lookup per coordinate, is encoded into exp[t + j*M].  log is then
+    exp inverted.  Adding 1 changes only the t^0 coefficient, so
+    zech[log c] is log[c + 1] for the encodings c = 1, ..., q^2 - 2, except
+    where that coefficient is p - 1 and wraps to 0: there it is
+    log[c + 1 - p].  The build's temporaries are one block of base powers
+    and the encodings of one scaled block, never anything field-sized.
+    """
+
+    __slots__ = ("n", "exp_table", "log_table", "zech_table")
+
+    def __init__(self, field):
+        p, n = field.p, field.q2 - 1
+        self.n = n
+        run = n // (p - 1)
+        a = (field.generator ** run).coeffs[0]
+        exp = array(TABLE_TYPE, [0]) * (n + 1)
+        start = 0
+        for cols in field.power_blocks(field.generator, [(1, field.one)], run):
+            size = len(cols[0])
+            u = 1
+            for s in range(start, n, run):  # exp[s : s + size], scaled by u = a^j
+                scale = [u * x % p for x in range(p)]
+                exp[s:s + size] = array(TABLE_TYPE, field.encode(
+                    [list(map(scale.__getitem__, col)) for col in cols]))
+                u = u * a % p
+            start += size
+        log = array(TABLE_TYPE, [n]) * field.q2
+        deque(map(log.__setitem__, exp, range(n)), maxlen=0)
+        # zech[log c] = log[c + 1], then the c = p*k + p - 1: log[p*k]
+        zech = array(TABLE_TYPE, [0]) * n
+        deque(map(zech.__setitem__, islice(log, 1, None), islice(log, 2, None)), maxlen=0)
+        deque(map(zech.__setitem__, islice(log, p - 1, None, p), islice(log, 0, None, p)),
+              maxlen=0)
+        self.exp_table, self.log_table, self.zech_table = exp, log, zech
+
+    def log(self, c):
+        """log c for an Element c; n for c = 0."""
+        return self.log_table[int(c)]
+
+    def exp(self, label):
+        """The canonical encoding of g^label; 0 for the zero label n."""
+        return self.exp_table[label]
+
+    def labels(self, step, terms, count):
+        """log of sum c*x^e over the (e, c) in terms (nonzero Elements c) at
+        x = g^(step*t), t = 0..count-1, n for a zero value; one label at a
+        time.  Term j is the log lc_j + t*step*e_j mod n, and the terms are
+        added through the Zech table, one lookup per term."""
+        n, zech = self.n, self.zech_table
+        terms = [(self.log_table[int(c)], step * e) for e, c in terms]
+        if not terms:
+            yield from repeat(n, count)
+            return
+        (lc0, e0), rest = terms[0], terms[1:]
+        for t in range(count):
+            acc = (lc0 + t * e0) % n
+            for lc, e in rest:
+                b = (lc + t * e) % n
+                if acc == n:
+                    acc = b
+                else:
+                    z = zech[b - acc]  # a negative index wraps mod n, as wanted
+                    acc = n if z == n else (acc + z) % n
+            yield acc
+
+
+class TwoLevelLogs:
+    """Discrete logs base g on any F_{q^2} from lists of O(q) ints.
+
+    s = g^(q+1) generates F_q^*, and log_f[a] is the log base s of a nonzero
+    a in F_q.  An element is y = alpha + beta*t with alpha, beta in F_q.
+    F_q^* has index q + 1 in F_{q^2}^*, so:
+    * beta = 0: y is in F_q and log y = (q+1)*log_f[alpha];
     * beta != 0: y = beta*(kappa + t) with kappa = alpha/beta, and
       log y = (q+1)*log_f[beta] + coset[key] mod n, where coset[key] is
       log(kappa + t) and key is log_f[kappa] = log_f[alpha] - log_f[beta]
       mod (q - 1), or the extra key q - 1 for kappa = 0.
     The q keys are the cosets of F_q^* other than F_q^* itself, and g^1..g^q
     lie one in each of them, each with beta != 0; so coset is filled from
-    their q coordinates: g^i = beta_i*(kappa_i + t) gives
-    coset[key_i] = i - (q+1)*log_f[beta_i] mod n.  Zero is labelled n, as in
-    the tables.  The powers g^0..g^q and the scalars s^0..s^(q-2) that build
-    them also decode a label (exp).
+    them: g^i = beta_i*(kappa_i + t) gives
+    coset[key_i] = i - (q+1)*log_f[beta_i] mod n.  Zero is labelled n.
+
+    alpha and beta are F_p-linear in y: s^0..s^(h-1) is an F_p-basis of
+    F_q, and 1, t an F_q-basis of F_{q^2}, so they are read off y's
+    coordinates in the basis s^i, s^i*t (i < h) of F_{q^2}, one fixed
+    2h x 2h matrix over F_p applied a block of values at a time.  An element
+    of F_q is coded by its h coordinates in the basis s^i, Horner's rule
+    with the top one first, an int below q: log_f and coset are lists of q
+    ints.  On h = 1 the basis is 1, t, and the codes are y's two coordinates.
+
+    exp follows ZechLogs' split n = M*(p - 1): g^(i + j*M) = a^j * g^i
+    coordinate by coordinate, with a = g^M in F_p^*.  On h = 1, M = q + 1,
+    a = s, and the base powers g^0..g^q are those that fill coset; on
+    h > 1 the M base powers are built by the first exp.
     """
 
-    __slots__ = ("q", "n", "log_f", "coset", "scalars", "powers")
+    __slots__ = ("field", "q", "n", "log_f", "coset", "run", "scalars", "_coords", "_base")
 
     def __init__(self, field):
-        q = self.q = field.p
-        n = self.n = q * q - 1
-        s = (field.generator ** (q + 1)).coeffs[0]
-        self.scalars = [1]  # s^j, j < q - 1
-        for _ in range(q - 2):
-            self.scalars.append(self.scalars[-1] * s % q)
-        log_f = self.log_f = [0] * q
-        for j, x in enumerate(self.scalars):
-            log_f[x] = j
-        self.powers = [field.one.coeffs]  # g^i, i <= q
-        for _ in range(q):
-            self.powers.append(field._mul_coeffs(self.powers[-1], field.generator.coeffs))
+        p, q, h = field.p, field.q, field.h
+        self.field, self.q = field, q
+        n = self.n = field.q2 - 1
+        s_powers = _power_columns(field, field.generator ** (q + 1), q - 1)  # s^j, j < q - 1
+        self._coords = None  # h = 1: alpha and beta are y's two coordinates
+        if h > 1:
+            basis = list(zip(*s_powers))[:h]
+            t = (0, 1) + (0,) * (2 * h - 2)
+            self._coords = _inverse(basis + [field._mul_coeffs(b, t) for b in basis], p)
+        self.log_f = [0] * q
+        for j, code in enumerate(self._codes(s_powers)[0]):
+            self.log_f[code] = j
+        powers = _power_columns(field, field.generator, q + 1)
         self.coset = [0] * q
-        for i, (alpha, beta) in enumerate(self.powers[1:], 1):
-            self.coset[self._key(alpha, beta)] = (i - (q + 1) * log_f[beta]) % n
+        alphas, betas = self._codes(powers)
+        for i in range(1, q + 1):
+            self.coset[self._key(alphas[i], betas[i])] = (
+                i - (q + 1) * self.log_f[betas[i]]) % n
+        self.run = n // (p - 1)
+        a = (field.generator ** self.run).coeffs[0]
+        self.scalars = [1]  # a^j, j < p - 1
+        for _ in range(p - 2):
+            self.scalars.append(self.scalars[-1] * a % p)
+        self._base = powers if h == 1 else None
+
+    def _codes(self, cols):
+        """The codes of alpha and of beta for a block of coordinate columns."""
+        if self._coords is None:
+            return cols
+        field = self.field
+        coords = field._times(self._coords, cols)
+        return field.encode(coords[:field.h]), field.encode(coords[field.h:])
 
     def _key(self, alpha, beta):
         return (self.log_f[alpha] - self.log_f[beta]) % (self.q - 1) if alpha else self.q - 1
 
-    def log(self, alpha, beta):
-        """log y for y = alpha + beta*t; n for y = 0."""
+    def _log(self, alpha, beta):
+        """log y for y = alpha + beta*t, given by the codes of alpha and beta;
+        n for y = 0."""
         if beta:
             return ((self.q + 1) * self.log_f[beta] + self.coset[self._key(alpha, beta)]) % self.n
         return (self.q + 1) * self.log_f[alpha] if alpha else self.n
 
+    def log(self, c):
+        """log c for an Element c; n for c = 0."""
+        (alpha,), (beta,) = self._codes([[x] for x in c.coeffs])
+        return self._log(alpha, beta)
+
     def exp(self, label):
-        """The canonical encoding of g^label, label = i + (q+1)*j with i <= q
-        and j < q - 1: g^i scaled by s^j; 0 for the zero label n."""
+        """The canonical encoding of g^label, label = i + M*j with i < M and
+        j < p - 1: g^i scaled by a^j; 0 for the zero label n."""
         if label == self.n:
             return 0
-        j, i = divmod(label, self.q + 1)
-        alpha, beta = self.powers[i]
-        s = self.scalars[j]
-        return s * alpha % self.q + s * beta % self.q * self.q
+        if self._base is None:
+            self._base = _power_columns(self.field, self.field.generator, self.run)
+        j, i = divmod(label, self.run)
+        u, p = self.scalars[j], self.field.p
+        code = 0
+        for col in reversed(self._base):
+            code = code * p + u * col[i] % p
+        return code
+
+    def labels(self, step, terms, count):
+        """log of sum c*x^e over the (e, c) in terms at x = g^(step*t),
+        t = 0..count-1, n for a zero value: FieldSpec.power_blocks' values,
+        labelled a block at a time."""
+        blocks = self.field.power_blocks(self.field.generator ** step, terms, count)
+        return chain.from_iterable(map(self._log, *self._codes(cols)) for cols in blocks)
+
+
+def _power_columns(field, a, count):
+    """The coordinate columns of a^0, ..., a^(count-1)."""
+    blocks = field.power_blocks(a, [(1, field.one)], count)
+    return [list(chain.from_iterable(col)) for col in zip(*blocks)]
+
+
+def _inverse(cols, p):
+    """The rows of the inverse over F_p of the invertible matrix with the
+    given columns, by Gauss-Jordan elimination."""
+    size = len(cols)
+    rows = [[col[i] for col in cols] + [int(i == j) for j in range(size)] for i in range(size)]
+    for c in range(size):
+        pivot = next(r for r in range(c, size) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        rows[c] = [x * inv % p for x in rows[c]]
+        for r in range(size):
+            factor = rows[r][c]
+            if r != c and factor:
+                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[c])]
+    return [row[size:] for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ divisor d of q+1, omega = gamma^((q+1)/d) has order exactly d and the cosets
 omega^i * mu_{(q+1)/d} tile the subgroup precisely when gcd(d, (q+1)/d) = 1.
 
 Every root is gamma^i for one index i in [0, q]: MuContext.log reads i off a
-dict, MuContext.walk(e) lists x^e = (gamma^e)^i in index order and
-MuContext.evaluate(h) lists h(gamma^i) as a sum of such walks.  A branch
-A * x^n sends gamma^i to gamma^(log A + n*i), so the piecewise and
-omega-monomial maps are index maps on Z_{q+1} (Wang's cyclotomic mappings),
-their branch read off i by CosetPartition.coset: no per-root field power.
-make_mu builds one MuContext per field.
+dict, MuContext.walk(e) gathers x^e = gamma^(e*i mod (q+1)) in index order
+from the roots, and MuContext.evaluate(h) lists h(gamma^i) from the power
+walks of h's terms.  A branch A * x^n sends gamma^i to gamma^(log A + n*i),
+so the piecewise and omega-monomial maps are index maps on Z_{q+1} (Wang's
+cyclotomic mappings), their branch read off i by CosetPartition.coset: no
+per-root field power.  agw_check is an index map too, on the oracle's
+discrete logs of h at the roots (oracle.h_logs).  make_mu builds one
+MuContext per field.
 
 All decision procedures here are exact: gcd conditions are checked by integer
 arithmetic, bijectivity by marking all q+1 image indices (oracle.distinct).
@@ -25,7 +27,7 @@ from typing import Optional
 
 from .errors import NotADivisor, NotInMu, PartitionNotDisjoint
 from .ffcore import Element
-from .oracle import distinct
+from .oracle import distinct, h_logs
 
 
 class MuContext:
@@ -38,13 +40,15 @@ class MuContext:
         self.field = field
         self.gamma = gamma
         self.order = field.q + 1
-        self._elements = self.walk(1)
+        self._elements = self._values([(1, field.one)])
         self._index = {int(x): i for i, x in enumerate(self._elements)}
 
     def walk(self, e):
         """[(gamma^e)^i for i in 0..q], i.e. x^e for x = gamma^i in index
-        order; e may be negative."""
-        return self._values([(e, self.field.one)])
+        order; e may be negative.  (gamma^e)^i is the root of index e*i mod
+        (q+1), so the walk is a gather from elements()."""
+        elements, order = self._elements, self.order
+        return [elements[e * i % order] for i in range(order)]
 
     def evaluate(self, poly):
         """[poly(gamma^i) for i in 0..q]: the walks of poly's terms, summed."""
@@ -153,18 +157,19 @@ def agw_check(field, r, h):
     enumerating all q+1 images).  A vanishing h yields a False verdict with
     reason code rather than an error.
 
-    The image of x = gamma^i is gamma^(r*i + L[i]) with L[i] the index of
-    h(gamma^i)^(q-1) in mu_{q+1}, so the test is that i -> r*i + L[i] mod
-    (q+1) is injective.
+    The oracle's LH[i] = log h(gamma^i) (oracle.h_logs) gives both: h
+    vanishes at gamma^i iff LH[i] is the zero label n, and otherwise
+    h(gamma^i)^(q-1) = g^((q-1)*LH[i]) = gamma^LH[i], so the image of
+    x = gamma^i is gamma^(r*i + LH[i]) and the test is that
+    i -> r*i + LH[i] mod (q+1) is injective.
     """
     q = field.q
     if gcd(r, q - 1) != 1:
         return CheckResult(False, "gcd(r, q-1) != 1")
-    mu = make_mu(field)
-    indices = [None if hv.is_zero() else mu.log(hv ** (q - 1)) for hv in mu.evaluate(h)]
-    if None in indices:
+    lh = h_logs(field, h.terms)
+    if field.q2 - 1 in lh:
         return CheckResult(False, "h vanishes on mu_{q+1}")
-    if not distinct(mu.order, ((r * i + index) % mu.order for i, index in enumerate(indices))):
+    if not distinct(q + 1, ((r * i + label) % (q + 1) for i, label in enumerate(lh))):
         return CheckResult(False, "x^r h(x)^(q-1) is not a bijection of mu_{q+1}")
     return CheckResult(True)
 

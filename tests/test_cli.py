@@ -388,17 +388,17 @@ def test_compute_rows_caps_workers_at_tuple_count(monkeypatch):
 
 
 def test_pooled_rows_build_the_tables_in_the_parent(monkeypatch):
-    # forked workers inherit the parent's cached field, so its tables are
-    # built once, before the pool starts, not once per worker; a fresh
-    # FieldSpec starts without them.  Only extension fields have tables.
+    # forked workers inherit the parent's cached field, so its logs (here
+    # the Zech tables) are built once, before the pool starts, not once per
+    # worker; a fresh FieldSpec starts without them
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
     cached = build_field(5, 2)
     field = FieldSpec(5, 2, cached.modulus, cached.generator.coeffs)
     tuples = cli.build_grid({"d": "2", "k": "1", "r": "1..70", "c": "2"}, field, "T1", True)
     assert len(tuples) > 64  # more than one chunk of the pool
-    assert field._tables is None
+    assert field._logs is None
     pooled = cli.compute_rows(field, tuples, 2, 0, 1 << 26)
-    assert field._tables is not None
+    assert field._logs is not None
     serial = cli.compute_rows(field, tuples, 1, 0, 1 << 26)
     assert [row["oracle"] for row in pooled] == [row["oracle"] for row in serial]
 

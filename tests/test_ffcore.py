@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from ppforge import build_field, ffcore, field_from_text, field_to_text
 from ppforge.errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
-from ppforge.ffcore import FieldSpec, _poly_is_irreducible, is_prime, verify_generator
+from ppforge.ffcore import (
+    FieldSpec,
+    TwoLevelLogs,
+    ZechLogs,
+    _poly_is_irreducible,
+    is_prime,
+    verify_generator,
+)
 
 
 def test_build_field_basics(field_q5):
@@ -234,23 +241,28 @@ TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2)]
 
 
 def test_tables_are_for_small_extension_fields_only(field_q5, monkeypatch):
-    assert all(build_field(p, h).tables_supported() for p, h in TABLE_FIELDS)
-    with pytest.raises(ValueError):
-        field_q5.tables()
-    assert not build_field(3, 6).tables_supported()  # q^2 = 3^12 > TABLE_LIMIT
-    with pytest.raises(SizeExceeded):
-        build_field(3, 6).tables()
+    # logs() picks the Zech tables on an extension field up to TABLE_LIMIT,
+    # and two-level logs on every other field, once per field
+    for p, h in TABLE_FIELDS:
+        f = build_field(p, h)
+        assert f.tables_supported() and isinstance(f.logs(), ZechLogs)
+        assert f.tables() == (f.logs().exp_table, f.logs().log_table, f.logs().zech_table)
+    assert not field_q5.tables_supported() and isinstance(field_q5.logs(), TwoLevelLogs)
+    assert isinstance(build_field(3, 6).logs(), TwoLevelLogs)  # q^2 = 3^12 > TABLE_LIMIT
     monkeypatch.setattr(ffcore, "TABLE_LIMIT", 1 << 26)
-    assert not build_field(8161, 1).tables_supported()
+    cached = build_field(8161, 1)
+    fresh = FieldSpec(8161, 1, cached.modulus, cached.generator.coeffs)
+    assert isinstance(fresh.logs(), TwoLevelLogs) and fresh.logs() is fresh.logs()
 
 
 @pytest.mark.parametrize("p,h", TABLE_FIELDS)
 def test_tables_match_plain_powers(p, h):
     # g^i is a running product of plain Element multiplications
     f = build_field(p, h)
-    exp, log, zech = f.tables()
+    logs = ZechLogs(f)
+    exp, log, zech = logs.exp_table, logs.log_table, logs.zech_table
     n, g, one = f.q2 - 1, f.generator, f.one
-    assert len(exp) == len(zech) == n and len(log) == f.q2
+    assert len(exp) == len(log) == f.q2 and len(zech) == n
     x = one
     for i in range(n):
         assert exp[i] == int(x)
@@ -258,26 +270,26 @@ def test_tables_match_plain_powers(p, h):
         assert zech[i] == log[int(x + one)]
         x = x * g
     assert x == one
-    # n stands for zero: log[0], and zech at the one i with 1 + g^i = 0
-    assert log[0] == n
+    # n stands for zero: log[0], exp[n], and zech at the one i with 1 + g^i = 0
+    assert log[0] == n and exp[n] == 0
     assert [i for i, z in enumerate(zech) if z == n] == [n // 2]
+    assert logs.log(f.zero) == n and logs.exp(n) == 0
 
 
 def test_tables_hold_no_int_objects():
     # a garbage collection visits a table's referents: its type alone, not
     # one int object per entry
-    for table in build_field(11, 2).tables():
+    logs = ZechLogs(build_field(11, 2))
+    for table in (logs.exp_table, logs.log_table, logs.zech_table):
         assert len(gc.get_referents(table)) <= 1
 
 
 @pytest.mark.parametrize("p,h", [(13, 2), (17, 2), (3, 5)])
 def test_tables_build_without_a_field_sized_temporary(p, h):
-    # a fresh FieldSpec, so tables() builds inside the traced window
-    cached = build_field(p, h)
-    f = FieldSpec(p, h, cached.modulus, cached.generator.coeffs)
+    f = build_field(p, h)
     tracemalloc.start()
     try:
-        f.tables()
+        logs = ZechLogs(f)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -289,24 +301,33 @@ def test_two_level_logs_match_plain_powers(p):
     # the log of g^i is i, and i decodes to g^i, a running product of plain
     # Element multiplications; 3, 5, 13 and 131 were tabled before
     f = build_field(p, 1)
-    logs = f.two_level_logs()
+    logs = f.logs()
     n, g = f.q2 - 1, f.generator
     x = f.one
     for i in range(n):
-        assert logs.log(*x.coeffs) == i
+        assert logs.log(x) == i
         assert logs.exp(i) == int(x)
         x = x * g
     assert x == f.one
-    assert logs.log(0, 0) == n and logs.exp(n) == 0
+    assert logs.log(f.zero) == n and logs.exp(n) == 0
+
+
+@pytest.mark.parametrize("p,h", TABLE_FIELDS)
+def test_two_level_logs_match_the_zech_tables(p, h):
+    # on extension fields alpha and beta come through the inverse basis
+    # matrix: log and exp against the tables at every element and label
+    f = build_field(p, h)
+    two_level, zech = TwoLevelLogs(f), ZechLogs(f)
+    assert len(two_level.log_f) == len(two_level.coset) == f.q
+    assert all(two_level.log(x) == zech.log(x) for x in f.elements())
+    assert all(two_level.exp(i) == zech.exp(i) for i in range(f.q2))
 
 
 def test_two_level_logs_on_the_largest_prime_field():
     # q = 8161, a prime with q^2 just under 2^26: lists of q ints
     f = build_field(8161, 1)
-    logs = f.two_level_logs()
+    logs = f.logs()
     assert len(logs.log_f) == len(logs.coset) == f.q
     n, rng = f.q2 - 1, random.Random(0)
     for e in [0, 1, f.q, f.q + 1, n - 1] + [rng.randrange(n) for _ in range(300)]:
-        assert logs.log(*(f.generator ** e).coeffs) == e
-    with pytest.raises(ValueError):
-        build_field(3, 2).two_level_logs()
+        assert logs.log(f.generator ** e) == e

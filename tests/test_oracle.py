@@ -1,9 +1,9 @@
+import time
 from collections import Counter
 from math import gcd
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ppforge import (
@@ -119,52 +119,73 @@ def walk_cases(f):
     }
 
 
-def assert_kernel_matches_evaluate(f, polys):
+@pytest.fixture
+def log_providers(monkeypatch):
+    """copies(f) yields fresh copies of the field f: the first with the log
+    provider that FieldSpec.logs() picks for f, the Zech tables on an
+    extension field up to TABLE_LIMIT, the second with TABLE_LIMIT = 0,
+    where every field takes two-level logs.  logs() picks once per field,
+    hence the copies; a polynomial on f evaluates on either."""
+    def copies(f):
+        for limit in (ffcore.TABLE_LIMIT, 0):
+            copy = ffcore.FieldSpec(f.p, f.h, f.modulus, f.generator.coeffs)
+            with monkeypatch.context() as patch:
+                patch.setattr(ffcore, "TABLE_LIMIT", limit)
+                copy.logs()
+            yield copy
+    return copies
+
+
+def assert_kernel_matches_evaluate(fields, polys):
+    """The kernel on each of the fields (copies of one field) against
+    evaluate() at every element."""
     for poly in polys:
-        expected = [int(evaluate(f, poly, x)) for x in f.elements()]
-        assert evaluate_on_field(f, poly) == expected, poly
-        report = is_permutation_of_field(f, poly)
-        assert report.is_bijection == (len(set(expected)) == f.q2), poly
-        assert report.first_collision == least_pair(expected), poly
+        expected = [int(evaluate(poly.field, poly, x)) for x in poly.field.elements()]
+        bijection, pair = len(set(expected)) == len(expected), least_pair(expected)
+        for f in fields:
+            assert evaluate_on_field(f, poly) == expected, poly
+            report = is_permutation_of_field(f, poly)
+            assert report.is_bijection == bijection and report.first_collision == pair, poly
 
 
-def test_tabled_evaluation_matches_slow_path(field_q9, field_q25):
-    for f in (field_q9, field_q25):
-        assert f.tables_supported()
-        assert_kernel_matches_evaluate(f, walk_cases(f).values())
+def test_tabled_evaluation_matches_slow_path(field_q9, field_q25, log_providers):
+    # extension fields under both log providers; q^2 - 1 is a multiple of
+    # power_blocks' block length at q = 3^2, and not at q = 5^2 and 3^3,
+    # whose last blocks are partial
+    for f in (field_q9, field_q25, build_field(3, 3)):
+        copies = list(log_providers(f))
+        assert [type(copy.logs()) for copy in copies] == [ffcore.ZechLogs, ffcore.TwoLevelLogs]
+        assert_kernel_matches_evaluate(copies, walk_cases(f).values())
     # at degree 8 evaluate() takes about a second per case, so only the
     # cases that reach the zero sentinels run there
     f = build_field(3, 4)
     cases = walk_cases(f)
-    assert_kernel_matches_evaluate(f, [cases[name] for name in (
+    assert_kernel_matches_evaluate(list(log_providers(f)), [cases[name] for name in (
         "bijection", "zero", "constant", "exponent_0_mod_n",
         "constant_cancels_off_0", "zero_on_non_squares")])
 
 
-def test_untabled_walk_matches_slow_path(field_q5, field_q9, field_q13, monkeypatch):
-    # q^2 - 1 is a multiple of power_blocks' block length at q = 5 and 3^2,
-    # and not at q = 13 and 3^3, whose last blocks are partial; the split
-    # walks at q = 5 and 13 take the two-level logs
-    monkeypatch.setattr(ffcore, "TABLE_LIMIT", 0)
-    for f in (field_q5, field_q9, field_q13, build_field(3, 3)):
-        assert not f.tables_supported()
-        assert_kernel_matches_evaluate(f, walk_cases(f).values())
+def test_untabled_walk_matches_slow_path(field_q5, field_q13):
+    # prime fields take two-level logs at every size; q^2 - 1 is a multiple
+    # of power_blocks' block length at q = 5, and not at q = 13
+    for f in (field_q5, field_q13):
+        assert isinstance(f.logs(), ffcore.TwoLevelLogs)
+        assert_kernel_matches_evaluate([f], walk_cases(f).values())
 
 
-def test_agw_trinomial_permutes_on_both_paths(field_q9, field_q13, monkeypatch):
-    fields = (field_q9, field_q13, build_field(5, 2), build_field(3, 3))
-    for limit in (ffcore.TABLE_LIMIT, 0):
-        monkeypatch.setattr(ffcore, "TABLE_LIMIT", limit)
-        for f in fields:
-            assert is_permutation_of_field(f, agw_trinomial(f)).is_bijection, f
+def test_agw_trinomial_permutes_on_both_paths(field_q9, field_q13, log_providers):
+    for f in (field_q9, field_q13, build_field(5, 2), build_field(3, 3)):
+        for copy in log_providers(f):
+            assert is_permutation_of_field(copy, agw_trinomial(f)).is_bijection, copy
     assert agw_trinomial(build_field(5, 1)) is None
 
 
-def test_unsplit_walk_stops_at_the_first_repeat(field_q13, field_q25, monkeypatch):
+def test_unsplit_walk_stops_at_the_first_repeat(field_q13, field_q25, log_providers,
+                                                monkeypatch):
     """x^3 + x^5 has D = 1 (q - 1 does not divide 2), so its walk streams:
-    the bijection test evaluates no point past its first repeated image in
-    a tabled field's Zech walk, and no block past it in the power walk of a
-    prime field or an untabled one."""
+    the bijection test labels no point past its first repeated image under
+    the Zech tables, one label at a time, and no block past it under
+    two-level logs, a block of power_blocks at a time."""
     def first_repeat(f):  # the first t whose image f(g^t) repeats
         seen = {int(evaluate(f, poly(f), f.zero))}
         for t in range(f.q2 - 1):
@@ -178,31 +199,31 @@ def test_unsplit_walk_stops_at_the_first_repeat(field_q13, field_q25, monkeypatc
 
     assert first_repeat(field_q13) == 19 and first_repeat(field_q25) == 18
 
-    walked = []
-    log_walk = oracle._log_walk
+    walked, blocks = [], []
+    zech_labels = ffcore.ZechLogs.labels
+    power_blocks = ffcore.FieldSpec.power_blocks
 
-    def counted_log_walk(*args):
-        for label in log_walk(*args):
+    def counted_zech_labels(self, *args):
+        for label in zech_labels(self, *args):
             walked.append(label)
             yield label
-
-    monkeypatch.setattr(oracle, "_log_walk", counted_log_walk)
-    assert not is_permutation_of_field(field_q25, poly(field_q25))
-    assert len(walked) == 18 + 1
-
-    power_blocks = ffcore.FieldSpec.power_blocks
 
     def counted_power_blocks(self, *args):
         for cols in power_blocks(self, *args):
             blocks.append(len(cols[0]))
             yield cols
 
-    monkeypatch.setattr(ffcore, "TABLE_LIMIT", 0)
+    monkeypatch.setattr(ffcore.ZechLogs, "labels", counted_zech_labels)
     monkeypatch.setattr(ffcore.FieldSpec, "power_blocks", counted_power_blocks)
     for f, repeat in ((field_q13, 19), (field_q25, 18)):
-        blocks = []
-        assert not is_permutation_of_field(f, poly(f))
-        assert sum(blocks[:-1]) <= repeat < sum(blocks) < f.q2 - 1, f
+        for copy in log_providers(f):
+            walked.clear()
+            blocks.clear()
+            assert not is_permutation_of_field(copy, poly(f))
+            if isinstance(copy.logs(), ffcore.ZechLogs):
+                assert len(walked) == repeat + 1 and not blocks, copy
+            else:
+                assert sum(blocks[:-1]) <= repeat < sum(blocks) < f.q2 - 1, copy
 
 
 @pytest.fixture
@@ -254,7 +275,7 @@ def test_split_walk_tests_the_label_of_f0_against_every_run(field_q5):
     gets here with f(0) != 0: its constant term makes e_0 = 0, so the shift
     is 0 and the first rotation repeats the base run."""
     for zero_label, collides in ((24, False), (20, True), (3, True)):
-        walk = oracle._Walk(zero_label, range(6), 4, 6, True)
+        walk = oracle._Walk(zero_label, range(6), 4, 6)
         assert oracle._collides(field_q5, walk) == collides, zero_label
 
 
@@ -312,18 +333,19 @@ def sparse_polys(draw):
     return SparsePoly(f, [(e, f.from_int(c)) for e, c in zip(exponents, coeffs)])
 
 
-@given(poly=sparse_polys(), tabled=st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_oracle_matches_brute_force_on_random_polys(poly, tabled):
-    # prime fields label split walks with two-level logs at every size;
-    # extension fields are drawn with their tables and without
+# the fixture only hands out fresh field copies, so it may serve every example
+@given(poly=sparse_polys())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_oracle_matches_brute_force_on_random_polys(poly, log_providers):
+    # extension fields under both log providers; prime fields take
+    # two-level logs under both
     f = poly.field
     expected = [int(evaluate(f, poly, x)) for x in f.elements()]
-    with mock.patch.object(ffcore, "TABLE_LIMIT", ffcore.TABLE_LIMIT if tabled else 0):
-        assert f.tables_supported() == (tabled and f.h > 1)
-        report = is_permutation_of_field(f, poly)
-        assert report.is_bijection == (len(set(expected)) == f.q2)
-        assert report.first_collision == least_pair(expected)
+    bijection, pair = len(set(expected)) == f.q2, least_pair(expected)
+    for copy in log_providers(f):
+        report = is_permutation_of_field(copy, poly)
+        assert report.is_bijection == bijection and report.first_collision == pair
 
 
 def t6_polys(f, rs):
@@ -337,7 +359,7 @@ def test_polys_with_one_h_share_one_cache_entry(field_q13, field_q25):
     for f in (field_q13, field_q25):
         oracle._LH_CACHE.pop(f, None)
         walks = [oracle._walk(f, poly) for poly in t6_polys(f, (1, 3))]
-        assert all(walk.logs and walk.runs == f.q - 1 for walk in walks)
+        assert all(walk.runs == f.q - 1 for walk in walks)
         assert len(oracle._LH_CACHE[f]) == 1
         assert walks[0].base != walks[1].base
 
@@ -372,7 +394,27 @@ def test_t6_at_the_largest_prime_field_matches_gcd_criterion():
         params = FamilyParams(tag="T6", field=f, r=r, c=f.from_int(2), u=1, v=1)
         assert is_permutation_of_field(f, build_f(params)).is_bijection == gcd_criterion(params), r
     assert gcd_criterion(FamilyParams(tag="T6", field=f, r=13, c=f.from_int(2), u=1, v=1))
-    assert f._tables is None
+    assert isinstance(f.logs(), ffcore.TwoLevelLogs)
+
+
+@pytest.mark.parametrize("p,h", [(3, 6), (23, 2)])
+def test_t1_beyond_the_tables_matches_gcd_criterion(p, h):
+    """Extension fields above TABLE_LIMIT (q^2 = 3^12 and 23^4) take
+    two-level logs on their split walks: T1 tuples against gcd_criterion,
+    each in well under the seconds that encoding every run took."""
+    f = build_field(p, h)
+    assert isinstance(f.logs(), ffcore.TwoLevelLogs)
+    c = valid_c_values(f, "T1")[0]
+    verdicts = Counter()
+    for k in (1, 3):
+        for r in (1, 3, 5, 7):
+            params = FamilyParams(tag="T1", field=f, r=r, c=c, d=2, k=k)
+            start = time.perf_counter()
+            verdict = is_permutation_of_field(f, build_f(params)).is_bijection
+            assert time.perf_counter() - start < 1.0, params
+            assert verdict == gcd_criterion(params), params
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_evaluate_on_field_matches_repeated_multiplication(field_q5):
