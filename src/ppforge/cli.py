@@ -18,10 +18,13 @@ Every subcommand parses and size-checks each comma-separated q before it
 builds any field.  A grid's size, the product of its factors' sizes, is
 counted before any range or c=all is expanded; a grid above MAX_GRID tuples is
 a usage error.  check is a sweep whose grid must be exactly one tuple.  A
-sweep, search or check validates the family hypotheses of every requested q,
-once per (family, d, k, u, v, c) group: they do not depend on r.  Only then are
-rows computed, with the gcd criterion per r and the oracle per tuple; f is
-folded mod q^2 - 1 once, for both the oracle and the reduced_f column.
+sweep, search or check first validates the family hypotheses of every
+requested q, once per (family, d, k, u, v, c) group: they do not depend on r.
+It then builds one h per (family, d, k, u, v), so a negative exponent in h is
+also an error before any row.  Rows are then computed and written as they
+arrive: each group's h is built once, each r folds f = x^r h(x^(q-1)) mod
+q^2 - 1 in one step, for both the oracle and the reduced_f column, and the
+gcd criterion and the oracle run per tuple.
 
 Exit codes: 0 agreement/permutation (sweep: zero disagreements), 1 agreement/
 non-permutation, 2 disagreement, 64 usage error, 65 hypothesis violation
@@ -34,6 +37,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from math import gcd
@@ -42,7 +46,7 @@ from .errors import HypothesesNotSatisfied, PPForgeError, SizeExceeded
 from .families import (
     FamilyParams,
     TAGS,
-    build_f,
+    build_h,
     default_k_window,
     gcd_criterion,
     lemma_d4_identity,
@@ -62,6 +66,7 @@ from .ffcore import (
     is_prime,
 )
 from .oracle import is_permutation_of_field
+from .sparsepoly import SparsePoly
 
 EXIT_OK = 0
 EXIT_NON_PERMUTATION = 1
@@ -70,10 +75,10 @@ EXIT_USAGE = 64
 EXIT_HYPOTHESES = 65
 
 # Largest parameter grid a sweep, search or check builds, and the longest list
-# a parameter may give.  Every row of a grid is held until the grid is done; a
-# T3 q=13 sweep held about 0.65 KB per row (peak RSS 25.3 MB at 10,752 tuples,
-# 91.3 MB at 112,896), so 2^20 rows is about 0.7 GB, and about a minute at
-# 20-25k tuples/s.
+# a parameter may give.  Rows are streamed, not held, so the bound is on time:
+# 2^20 rows take about 40 s at --jobs=1 (about 26k tuples/s on F_169).  Only
+# the grid's tuples are held, about 0.1 KB each: a T3 q=13 sweep at --jobs=1
+# peaks at 19.9 MB RSS at 10,752 tuples and 30.2 MB at 112,896.
 MAX_GRID = 1 << 20
 
 ROW_FIELDS = (
@@ -184,16 +189,29 @@ def _params_from_tuple(field, tup):
                         d=d, k=k, u=u, v=v)
 
 
-def compute_row(field, tup):
-    """One ResultRow dict for (tag, d, k, u, v, r, c_canonical) whose family
-    hypotheses hold; compute_rows validates them first."""
-    start = time.perf_counter_ns()
+def _group(field, tup):
+    """The c Element of tup and the terms (e, c) of its h, which depend only
+    on tup's (tag, d, k, u, v, c) group, never on r."""
     params = _params_from_tuple(field, tup)
-    f = build_f(params).reduce_mod()  # one fold, shared by oracle and display
+    return params.c, build_h(params).terms
+
+
+def compute_row(field, tup, group):
+    """One ResultRow dict for (tag, d, k, u, v, r, c_canonical) whose family
+    hypotheses hold, given its group (_group).  f = x^r h(x^(q-1)) is built
+    folded mod n = q^2 - 1, one SparsePoly for both the oracle and the
+    reduced_f column: h's term c*x^e becomes c*x^((r + e(q-1) - 1) mod n + 1)."""
+    start = time.perf_counter_ns()
+    tag, d, k, u, v, r, _ = tup
+    c, h_terms = group
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    params = FamilyParams(tag=tag, field=field, r=r, c=c, d=d, k=k, u=u, v=v)
+    n, m = field.q2 - 1, field.q - 1
+    f = SparsePoly(field, [((r + e * m - 1) % n + 1, coeff) for e, coeff in h_terms])
     pred = gcd_criterion(params)
     report = is_permutation_of_field(field, f)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
-    tag = params.tag
     return {
         "family": tag,
         "q": field.q,
@@ -211,37 +229,69 @@ def compute_row(field, tup):
     }
 
 
-def _worker_row(field_args, tup):
-    return compute_row(build_field(*field_args), tup)
+def _rows(field, tuples):
+    """compute_row of every tuple, in order.  Each group is built on its
+    first tuple and kept while the (tag, d, k, u, v) combo lasts, so a
+    sorted grid builds every group once."""
+    groups, combo = {}, None
+    for tup in tuples:
+        if tup[:5] != combo:
+            groups, combo = {}, tup[:5]
+        group = groups.get(tup[6])
+        if group is None:
+            group = groups[tup[6]] = _group(field, tup)
+        yield compute_row(field, tup, group)
 
 
-def _validate_groups(field, tuples):
-    """Validate each distinct (tag, d, k, u, v, c) group once, in tuple order;
-    raise HypothesesNotSatisfied for the first that fails."""
-    for group in dict.fromkeys((tag, d, k, u, v, 1, c) for tag, d, k, u, v, _, c in tuples):
-        report = validate(_params_from_tuple(field, group))
-        if not report.satisfied:
-            raise HypothesesNotSatisfied(report.violations)
+def _worker_rows(field_args, tuples):
+    return list(_rows(build_field(*field_args), tuples))
+
+
+def _prepare(grids):
+    """Validate each distinct (tag, d, k, u, v, c) group of every (field,
+    tuples) grid once, in order, raising HypothesesNotSatisfied for the first
+    that fails; then build one h per (tag, d, k, u, v) combo.  h's exponents
+    depend on the combo alone, so that raises every NegativeExponent a row
+    would, after every hypothesis violation and before any row."""
+    for field, tuples in grids:
+        for group in dict.fromkeys((tag, d, k, u, v, 1, c) for tag, d, k, u, v, _, c in tuples):
+            report = validate(_params_from_tuple(field, group))
+            if not report.satisfied:
+                raise HypothesesNotSatisfied(report.violations)
+    for field, tuples in grids:
+        for tup in {tup[:5]: tup for tup in tuples}.values():
+            _group(field, tup)
+
+
+def iter_rows(field, tuples, jobs, seed, max_size, validated=False):
+    """Rows for every parameter tuple, in tuple order, as they are computed.
+    Every group is validated and every combo's h built before the first row,
+    unless the caller already has (validated).
+
+    Below two workers the rows are computed here.  Otherwise a pool of
+    min(jobs, len(tuples), cores) processes, all started at once, takes
+    contiguous slices of about len(tuples) / (8 * workers) tuples, and each
+    slice's rows are yielded, in order, once it is done.  A worker looks the
+    field up with build_field; the parent builds its logs first, so a forked
+    worker finds them built in the cached field instead of building its own
+    copy."""
+    if not validated:
+        _prepare([(field, tuples)])
+    workers = min(jobs, len(tuples), os.cpu_count() or 1)
+    if workers < 2:
+        yield from _rows(field, tuples)
+        return
+    field.logs()
+    size = -(-len(tuples) // (8 * workers))
+    worker = partial(_worker_rows, (field.p, field.h, seed, max_size))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for rows in pool.map(worker, [tuples[i:i + size] for i in range(0, len(tuples), size)]):
+            yield from rows
 
 
 def compute_rows(field, tuples, jobs, seed, max_size, validated=False):
-    """Rows for every parameter tuple, in tuple order, on at most
-    min(jobs, len(tuples), cores) processes: the pool starts all of its
-    workers at once.  Every group is validated before any row is computed,
-    unless the caller already has (validated).
-
-    A pool's workers look the field up with build_field; the parent builds its
-    logs first, so a forked worker finds them built in the cached field
-    instead of building its own copy."""
-    if not validated:
-        _validate_groups(field, tuples)
-    workers = min(jobs, len(tuples), os.cpu_count() or 1)
-    if workers < 2:
-        return [compute_row(field, tup) for tup in tuples]
-    field.logs()
-    worker = partial(_worker_row, (field.p, field.h, seed, max_size))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tuples, chunksize=64))
+    """list(iter_rows(...)): every row of the grid, in tuple order."""
+    return list(iter_rows(field, tuples, jobs, seed, max_size, validated))
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +422,9 @@ def cmd_check(ns, out, err):
 
 
 def _sweep_common(ns):
-    """Rows of the grid at every requested q, in ascending q.  check is a
-    sweep whose grid, over all q, must be exactly one tuple."""
+    """Rows of the grid at every requested q, in ascending q, streamed once
+    every q's groups are validated and h built.  check is a sweep whose grid,
+    over all q, must be exactly one tuple."""
     params = parse_kv(ns.params, FAMILY_KEYS)
     tag = params.get("family")
     if tag not in TAGS:
@@ -383,26 +434,31 @@ def _sweep_common(ns):
              for field in sorted(_fields(params, ns.max_field), key=lambda field: field.q)]
     if not for_sweep and sum(len(tuples) for _, tuples in grids) != 1:
         raise UsageError("check takes exactly one parameter tuple; use sweep for grids")
-    for field, tuples in grids:
-        _validate_groups(field, tuples)
-    return [row for field, tuples in grids
-            for row in compute_rows(field, tuples, ns.jobs, env_seed(), ns.max_field,
-                                    validated=True)]
+    _prepare(grids)
+    return (row for field, tuples in grids
+            for row in iter_rows(field, tuples, ns.jobs, env_seed(), ns.max_field,
+                                 validated=True))
+
+
+def _tally(rows, key, counts):
+    """Yield the rows, counting each row[key] value in counts."""
+    for row in rows:
+        counts[row[key]] += 1
+        yield row
 
 
 def cmd_sweep(ns, out, err):
-    rows = _sweep_common(ns)
-    emit_rows(rows, ROW_FIELDS, ns.format, out)
-    disagreements = sum(1 for row in rows if not row["agree"])
-    print(f"tuples={len(rows)} disagreements={disagreements}", file=err)
-    return EXIT_OK if disagreements == 0 else EXIT_DISAGREEMENT
+    counts = Counter()
+    emit_rows(_tally(_sweep_common(ns), "agree", counts), ROW_FIELDS, ns.format, out)
+    print(f"tuples={counts[True] + counts[False]} disagreements={counts[False]}", file=err)
+    return EXIT_OK if counts[False] == 0 else EXIT_DISAGREEMENT
 
 
 def cmd_search(ns, out, err):
-    rows = _sweep_common(ns)
-    hits = [row for row in rows if row["oracle"]]
+    counts = Counter()
+    hits = (row for row in _tally(_sweep_common(ns), "oracle", counts) if row["oracle"])
     emit_rows(hits, SEARCH_FIELDS, ns.format, out)
-    print(f"tuples={len(rows)} permutations={len(hits)}", file=err)
+    print(f"tuples={counts[True] + counts[False]} permutations={counts[True]}", file=err)
     return EXIT_OK
 
 

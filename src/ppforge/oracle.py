@@ -113,16 +113,17 @@ def _walk(field, poly):
     """poly's walk: a split walk from the cached LH of its H, or else every
     point's label, streamed."""
     terms = poly.reduce_mod().terms
-    const = terms[0][1] if terms and terms[0][0] == 0 else field.zero
     n, q = field.q2 - 1, field.q
     logs = field.logs()
+    # f(0) is the constant term; without one it is 0, the label n
+    zero_label = logs.log(terms[0][1]) if terms and terms[0][0] == 0 else n
     e0 = terms[0][0] if terms else 0
     # D = q - 1 runs of M = q + 1 points when q - 1 divides every e_j - e_0
     if all((e - e0) % (q - 1) == 0 for e, _ in terms):
         lh = h_logs(field, tuple(((e - e0) // (q - 1), c) for e, c in terms))
         base = [label if label == n else (t * e0 + label) % n for t, label in enumerate(lh)]
-        return _Walk(logs.log(const), base, q - 1, e0 * (q + 1) % n)
-    return _Walk(logs.log(const), logs.labels(1, terms, n), 1, 0)
+        return _Walk(zero_label, base, q - 1, e0 * (q + 1) % n)
+    return _Walk(zero_label, logs.labels(1, terms, n), 1, 0)
 
 
 def h_logs(field, h_terms):

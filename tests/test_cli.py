@@ -314,7 +314,7 @@ def test_sweep_hypothesis_violation():
 
 
 def test_sweep_rejects_any_violating_q_before_computing_a_row(monkeypatch):
-    def no_rows(field, tup):
+    def no_rows(field, tup, group):
         raise AssertionError(f"row computed at q={field.q} before every q was validated")
 
     monkeypatch.setattr(cli, "compute_row", no_rows)
@@ -395,12 +395,89 @@ def test_pooled_rows_build_the_tables_in_the_parent(monkeypatch):
     cached = build_field(5, 2)
     field = FieldSpec(5, 2, cached.modulus, cached.generator.coeffs)
     tuples = cli.build_grid({"d": "2", "k": "1", "r": "1..70", "c": "2"}, field, "T1", True)
-    assert len(tuples) > 64  # more than one chunk of the pool
+    assert len(tuples) > 16  # more than one slice per worker
     assert field._logs is None
     pooled = cli.compute_rows(field, tuples, 2, 0, 1 << 26)
     assert field._logs is not None
     serial = cli.compute_rows(field, tuples, 1, 0, 1 << 26)
     assert [row["oracle"] for row in pooled] == [row["oracle"] for row in serial]
+
+
+def test_pool_takes_a_few_contiguous_slices_per_worker(monkeypatch):
+    class InProcessPool:
+        def __init__(self, max_workers, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            slices.extend(iterable)
+            return map(fn, slices)
+
+    slices = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    field = build_field(13, 1)
+    tuples = cli.build_grid({"d": "2", "k": "1", "r": "1..100", "c": "all"}, field, "T1", True)
+    rows = cli.compute_rows(field, tuples, 2, 0, 1 << 26)
+    # 7 c x 100 r: ceil(700 / (8 * 2)) = 44 tuples a slice, the last one short
+    assert [len(part) for part in slices] == [44] * 15 + [40]
+    assert [tup for part in slices for tup in part] == tuples
+    assert [(row["r"], row["c"]) for row in rows] == [tup[5:] for tup in tuples]
+
+
+def test_iter_rows_streams_its_first_row(monkeypatch):
+    calls = []
+
+    def counting(field, poly):
+        calls.append(poly)
+        return is_permutation_of_field(field, poly)
+
+    monkeypatch.setattr(cli, "is_permutation_of_field", counting)
+    field = build_field(13, 1)
+    tuples = cli.build_grid({"d": "2", "k": "1,3", "r": "1..50", "c": "all"}, field, "T1", True)
+    rows = cli.iter_rows(field, tuples, 1, 0, 1 << 26)
+    assert next(rows)["r"] == 1 and len(calls) == 1
+    assert len(list(rows)) == len(tuples) - 1 == len(calls) - 1
+
+
+def test_compute_rows_returns_a_list_of_row_dicts():
+    field = build_field(13, 1)
+    tuples = cli.build_grid({"d": "2", "k": "1", "r": "1..4", "c": "2"}, field, "T1", True)
+    rows = cli.compute_rows(field, tuples, 1, 0, 1 << 26)
+    assert isinstance(rows, list) and len(rows) == 4
+    assert all(tuple(row) == cli.ROW_FIELDS for row in rows)
+    assert rows[0]["reduced_f"] == "2x + 2x^97" and rows[0]["oracle"] is False
+
+
+def test_streamed_sweep_is_the_same_at_every_jobs(monkeypatch):
+    # 16 slices at each q at --jobs=2; stdout matches but for elapsed_us
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
+    argv = ["sweep", "family=T3", "q=5,13", "d=2", "k=0,1", "r=1..40", "c=all"]
+    results = [run_cli(f"--jobs={jobs}", *argv) for jobs in (1, 2)]
+    assert results[0][0] == results[1][0] == 0
+    assert results[0][2] == results[1][2] == "tuples=15360 disagreements=0\n"
+    serial, pooled = ([line.rsplit(",", 1)[0] for line in out.splitlines()]
+                      for _, out, _ in results)
+    assert serial == pooled and len(serial) == 15361
+
+
+def test_negative_exponent_after_a_valid_group_prints_no_row(monkeypatch):
+    # u + 7v = -2 at q = 13, but u + 3v = 2 at q = 5, which sorts first: the
+    # error comes before the CSV header, as every h is built before any row
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
+    for jobs in (1, 2):
+        assert run_cli(f"--jobs={jobs}", "sweep", "family=T6", "q=5,13", "u=5", "v=-1",
+                       "r=1..4", "c=all") == (
+            64, "", "error: polynomial exponent -2 is negative\n")
+        # a hypothesis violation wins over a negative exponent that sorts first:
+        # u = 1 gives 1 - 7 = -6, and u = 2 is not odd
+        assert run_cli(f"--jobs={jobs}", "sweep", "family=T6", "q=13", "u=1,2", "v=-1",
+                       "r=1..4", "c=all") == (65, "", "violation: u is not odd\n")
 
 
 def test_negative_exponent_in_h_fails_alike_at_every_jobs(monkeypatch):

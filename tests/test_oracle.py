@@ -316,14 +316,15 @@ def sparse_polys(draw):
 
     Only multiples of q - 1 split the walk, so half the draws plant
     D = q - 1, and split bijections come up often enough to test the
-    doubling's one-run steps; the other half draw D among all divisors."""
+    doubling's one-run steps; the other half draw D among all divisors.
+    Half the draws take e_0 = 0, a nonzero constant term f(0)."""
     f = build_field(*draw(st.sampled_from(ORACLE_FIELDS)))
     n = f.q2 - 1
     if draw(st.booleans()):
         planted = f.q - 1
     else:
         planted = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
-    e0 = draw(st.integers(0, 2 * n))
+    e0 = 0 if draw(st.booleans()) else draw(st.integers(1, 2 * n))
     exponents = [e0] + [e0 + planted * j for j in draw(st.lists(
         st.integers(1, 2 * n // planted), max_size=3))]
     if planted == 1:
