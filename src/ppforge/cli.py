@@ -24,7 +24,9 @@ It then builds one h per (family, d, k, u, v), so a negative exponent in h is
 also an error before any row.  Rows are then computed and written as they
 arrive: each group's h is built once, each r folds f = x^r h(x^(q-1)) mod
 q^2 - 1 in one step, for both the oracle and the reduced_f column, and the
-gcd criterion and the oracle run per tuple.
+gcd criterion, from plain ints, and the oracle run per tuple.  A row is one
+flat Row tuple, which pool workers send to the parent as it is; emission
+reads its cells by position.
 
 Exit codes: 0 agreement/permutation (sweep: zero disagreements), 1 agreement/
 non-permutation, 2 disagreement, 64 usage error, 65 hypothesis violation
@@ -37,10 +39,11 @@ import json
 import os
 import sys
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from math import gcd
+from operator import itemgetter
 
 from .errors import HypothesesNotSatisfied, PPForgeError, SizeExceeded
 from .families import (
@@ -48,10 +51,10 @@ from .families import (
     TAGS,
     build_h,
     default_k_window,
-    gcd_criterion,
     lemma_d4_identity,
     lemma_u_identity,
     lemma_v_identity,
+    r_criterion,
     valid_c_count,
     valid_c_values,
     validate,
@@ -76,16 +79,21 @@ EXIT_HYPOTHESES = 65
 
 # Largest parameter grid a sweep, search or check builds, and the longest list
 # a parameter may give.  Rows are streamed, not held, so the bound is on time:
-# 2^20 rows take about 40 s at --jobs=1 (about 26k tuples/s on F_169).  Only
-# the grid's tuples are held, about 0.1 KB each: a T3 q=13 sweep at --jobs=1
-# peaks at 19.9 MB RSS at 10,752 tuples and 30.2 MB at 112,896.
+# 2^20 rows take about 28 s at --jobs=1 (a T3 q=13 d=2,14 sweep ran 903,168
+# tuples in 24 s, about 37k tuples/s on F_169).  Only the grid's tuples are
+# held, about 0.1 KB each: a T3 q=13 sweep at --jobs=1 peaks at 19.8 MB RSS at
+# 10,752 tuples, 30.1 MB at 112,896 and 109 MB at 903,168.
 MAX_GRID = 1 << 20
 
-ROW_FIELDS = (
+# One sweep row: k is None on T6, u and v are None elsewhere, and c is the
+# canonical integer.  Workers send Rows to the parent, pickled as flat tuples.
+Row = namedtuple("Row", (
     "family", "q", "d", "k", "u", "v", "r", "c",
     "predicate", "oracle", "agree", "reduced_f", "elapsed_us",
-)
+))
+ROW_FIELDS = Row._fields
 SEARCH_FIELDS = ("family", "q", "d", "k", "u", "v", "r", "c", "reduced_f")
+BOOL_FIELDS = ("predicate", "oracle", "agree")
 IDENTITY_FIELDS = ("q", "d", "lemma", "k", "result", "note")
 
 
@@ -190,43 +198,33 @@ def _params_from_tuple(field, tup):
 
 
 def _group(field, tup):
-    """The c Element of tup and the terms (e, c) of its h, which depend only
-    on tup's (tag, d, k, u, v, c) group, never on r."""
-    params = _params_from_tuple(field, tup)
-    return params.c, build_h(params).terms
+    """The terms (e, c) of tup's h, which depend only on tup's (tag, d, k, u,
+    v, c) group, never on r."""
+    return build_h(_params_from_tuple(field, tup)).terms
 
 
 def compute_row(field, tup, group):
-    """One ResultRow dict for (tag, d, k, u, v, r, c_canonical) whose family
-    hypotheses hold, given its group (_group).  f = x^r h(x^(q-1)) is built
+    """The Row of (tag, d, k, u, v, r, c_canonical) whose family hypotheses
+    hold, given its group's h terms (_group).  f = x^r h(x^(q-1)) is built
     folded mod n = q^2 - 1, one SparsePoly for both the oracle and the
-    reduced_f column: h's term c*x^e becomes c*x^((r + e(q-1) - 1) mod n + 1)."""
+    reduced_f column: h's term c*x^e becomes c*x^((r + e(q-1) - 1) mod n + 1).
+    d is the tuple's own, so a T5 tuple carries d = 4 and a T6 one d = 2, as
+    build_grid makes them."""
     start = time.perf_counter_ns()
-    tag, d, k, u, v, r, _ = tup
-    c, h_terms = group
+    tag, d, k, u, v, r, c = tup
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    params = FamilyParams(tag=tag, field=field, r=r, c=c, d=d, k=k, u=u, v=v)
-    n, m = field.q2 - 1, field.q - 1
-    f = SparsePoly(field, [((r + e * m - 1) % n + 1, coeff) for e, coeff in h_terms])
-    pred = gcd_criterion(params)
-    report = is_permutation_of_field(field, f)
-    elapsed_us = (time.perf_counter_ns() - start) // 1000
-    return {
-        "family": tag,
-        "q": field.q,
-        "d": params.d,
-        "k": params.k if tag != "T6" else None,
-        "u": params.u if tag == "T6" else None,
-        "v": params.v if tag == "T6" else None,
-        "r": params.r,
-        "c": int(params.c),
-        "predicate": pred,
-        "oracle": report.is_bijection,
-        "agree": pred == report.is_bijection,
-        "reduced_f": str(f),
-        "elapsed_us": elapsed_us,
-    }
+    q = field.q
+    n, m = field.q2 - 1, q - 1
+    f = SparsePoly(field, [((r + e * m - 1) % n + 1, coeff) for e, coeff in group])
+    pred = r_criterion(tag, q, d, k, u, r)
+    oracle = is_permutation_of_field(field, f).is_bijection
+    if tag == "T6":
+        k = None
+    else:
+        u = v = None
+    return Row(tag, q, d, k, u, v, r, c, pred, oracle, pred == oracle, str(f),
+               (time.perf_counter_ns() - start) // 1000)
 
 
 def _rows(field, tuples):
@@ -298,23 +296,24 @@ def compute_rows(field, tuples, jobs, seed, max_size, validated=False):
 # output
 # ---------------------------------------------------------------------------
 
-def _cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def emit_rows(rows, fields, fmt, out):
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(fields)
+    """Write rows, tuples whose cells are named by fields, in order: CSV
+    with a header line, or one JSON object per line.  In CSV a boolean cell
+    is true or false and None an empty cell; JSON writes them as true, false
+    and null."""
+    if fmt != "csv":
         for row in rows:
-            writer.writerow([_cell(row[name]) for name in fields])
-    else:
-        for row in rows:
-            out.write(json.dumps({name: row[name] for name in fields}) + "\n")
+            out.write(json.dumps(dict(zip(fields, row))) + "\n")
+        return
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fields)
+    flags = [i for i, name in enumerate(fields) if name in BOOL_FIELDS]
+    text = {True: "true", False: "false"}
+    for row in rows:
+        cells = list(row)
+        for i in flags:
+            cells[i] = text[cells[i]]
+        writer.writerow(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +415,9 @@ def cmd_field_info(ns, out, err):
 def cmd_check(ns, out, err):
     row, = _sweep_common(ns)
     emit_rows([row], ROW_FIELDS, ns.format, out)
-    if not row["agree"]:
+    if not row.agree:
         return EXIT_DISAGREEMENT
-    return EXIT_OK if row["oracle"] else EXIT_NON_PERMUTATION
+    return EXIT_OK if row.oracle else EXIT_NON_PERMUTATION
 
 
 def _sweep_common(ns):
@@ -440,10 +439,11 @@ def _sweep_common(ns):
                                  validated=True))
 
 
-def _tally(rows, key, counts):
-    """Yield the rows, counting each row[key] value in counts."""
+def _tally(rows, name, counts):
+    """Yield the Rows, counting the values of their field name in counts."""
+    i = ROW_FIELDS.index(name)
     for row in rows:
-        counts[row[key]] += 1
+        counts[row[i]] += 1
         yield row
 
 
@@ -456,7 +456,8 @@ def cmd_sweep(ns, out, err):
 
 def cmd_search(ns, out, err):
     counts = Counter()
-    hits = (row for row in _tally(_sweep_common(ns), "oracle", counts) if row["oracle"])
+    pick = itemgetter(*map(ROW_FIELDS.index, SEARCH_FIELDS))
+    hits = (pick(row) for row in _tally(_sweep_common(ns), "oracle", counts) if row.oracle)
     emit_rows(hits, SEARCH_FIELDS, ns.format, out)
     print(f"tuples={counts[True] + counts[False]} permutations={counts[True]}", file=err)
     return EXIT_OK
@@ -469,7 +470,7 @@ def cmd_identities(ns, out, err):
 
     def add(q, d, lemma, k, ok, note=None):
         result = "skipped" if ok is None else "pass" if ok else "fail"
-        rows.append(dict(zip(IDENTITY_FIELDS, (q, d, lemma, k, result, note))))
+        rows.append((q, d, lemma, k, result, note))
 
     for field in _fields(params, ns.max_field):
         q = field.q
@@ -485,7 +486,7 @@ def cmd_identities(ns, out, err):
         else:
             add(q, 4, "d4", None, None, "q != 3 (mod 8)")
     emit_rows(rows, IDENTITY_FIELDS, ns.format, out)
-    fail = any(row["result"] == "fail" for row in rows)
+    fail = any(result == "fail" for _, _, _, _, result, _ in rows)
     return EXIT_NON_PERMUTATION if fail else EXIT_OK
 
 

@@ -18,6 +18,7 @@ arithmetic; the oracle module provides the independent exhaustive check.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Tuple
 
@@ -39,8 +40,10 @@ class DerivedExponents:
     s: int
 
 
+@lru_cache(maxsize=256)
 def derived_exponents(q, d):
-    """v = (q+1)/d, v1 = (d-1)v, u = v+1, u1 = v1+1, s = v mod d in [1, d]."""
+    """v = (q+1)/d, v1 = (d-1)v, u = v+1, u1 = v1+1, s = v mod d in [1, d];
+    cached, as a sweep asks for the same (q, d) at every r."""
     v = (q + 1) // d
     v1 = (d - 1) * v
     return DerivedExponents(v=v, v1=v1, u=v + 1, u1=v1 + 1, s=v % d or d)
@@ -196,12 +199,15 @@ def gcd_criterion(params):
 
     Meaningful only where validate(params) holds, which it does not check.
     The hypotheses depend on (q, d, k, u, v, c) and not on r, so a sweep
-    validates each such group once and calls this for every r.
+    validates each such group once and calls r_criterion for every r.
     """
-    q = params.field.q
-    r, k, d = params.r, params.k, params.d
-    de = params.derived()
-    tag = params.tag
+    return r_criterion(params.tag, params.field.q, params.d, params.k, params.u, params.r)
+
+
+def r_criterion(tag, q, d, k, u, r):
+    """gcd_criterion from plain ints, with d as FamilyParams holds it (4 for
+    T5, 2 for T6); k is unused on T6 and u off it."""
+    de = derived_exponents(q, d)
     if tag == "T1":
         return (
             gcd(r - k, de.v) == 1
@@ -218,7 +224,7 @@ def gcd_criterion(params):
         return gcd(r, q * q - 1) == 1
     if tag == "T5":
         return gcd(r, (q * q - 1) // 4) == 1 and gcd(r - k - 1, (q + 1) // 4) == 1
-    return gcd(r, (q * q - 1) // 2) == 1 and gcd(r - params.u, (q + 1) // 2) == 1
+    return gcd(r, (q * q - 1) // 2) == 1 and gcd(r - u, (q + 1) // 2) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -414,8 +414,9 @@ class FieldSpec:
     def logs(self):
         """The field's discrete logs base the generator g: ZechLogs on an
         extension field (h > 1) with q^2 <= TABLE_LIMIT, TwoLevelLogs on
-        every other field.  Both give log(c), exp(label) and
-        labels(step, terms, count), with n = q^2 - 1 the label of zero.
+        every other field.  Both give log(c), exp(label), exps() (every
+        exp, in label order) and labels(step, terms, count), with n = q^2 - 1
+        the label of zero.
         Built once, lazily, and published by one assignment, so a concurrent
         reader sees a whole provider or none."""
         if self._logs is None:
@@ -495,6 +496,10 @@ class ZechLogs:
         """The canonical encoding of g^label; 0 for the zero label n."""
         return self.exp_table[label]
 
+    def exps(self):
+        """[exp(label) for label in range(n + 1)], from the table."""
+        return self.exp_table.tolist()
+
     def labels(self, step, terms, count):
         """log of sum c*x^e over the (e, c) in terms (nonzero Elements c) at
         x = g^(step*t), t = 0..count-1, n for a zero value; one label at a
@@ -545,7 +550,7 @@ class TwoLevelLogs:
     exp follows ZechLogs' split n = M*(p - 1): g^(i + j*M) = a^j * g^i
     coordinate by coordinate, with a = g^M in F_p^*.  On h = 1, M = q + 1,
     a = s, and the base powers g^0..g^q are those that fill coset; on
-    h > 1 the M base powers are built by the first exp.
+    h > 1 the M base powers are built by the first exp or exps.
     """
 
     __slots__ = ("field", "q", "n", "log_f", "coset", "run", "scalars", "_coords", "_base")
@@ -604,14 +609,28 @@ class TwoLevelLogs:
         j < p - 1: g^i scaled by a^j; 0 for the zero label n."""
         if label == self.n:
             return 0
-        if self._base is None:
-            self._base = _power_columns(self.field, self.field.generator, self.run)
         j, i = divmod(label, self.run)
         u, p = self.scalars[j], self.field.p
         code = 0
-        for col in reversed(self._base):
+        for col in reversed(self._base_columns()):
             code = code * p + u * col[i] % p
         return code
+
+    def exps(self):
+        """[exp(label) for label in range(n + 1)]: each coordinate column of
+        the M base powers scaled by a^0, a^1, ... in turn, and every label
+        encoded in one pass."""
+        p = self.field.p
+        codes = self.field.encode([[u * x % p for u in self.scalars for x in col]
+                                   for col in self._base_columns()])
+        codes.append(0)
+        return codes
+
+    def _base_columns(self):
+        """The coordinate columns of g^0..g^(M-1), built on first use."""
+        if self._base is None:
+            self._base = _power_columns(self.field, self.field.generator, self.run)
+        return self._base
 
     def labels(self, step, terms, count):
         """log of sum c*x^e over the (e, c) in terms at x = g^(step*t),

@@ -24,7 +24,7 @@ shifted: each label plus k*e_0*M mod n, the zero label n staying n.  D is
 read off the folded exponents alone, never off a family.  Any other
 polynomial has D = 1: its base run is the whole walk, the provider's
 labels(1, f, n), streamed.  evaluate_on_field reads the runs in t order as
-one label sequence and decodes each label through the provider's exp.
+one label sequence and decodes each label through the provider's exps().
 
 Labels name images one to one, so the bijection test marks every one of the
 q^2 labels and stops at the first repeat.  It marks one byte per label in a
@@ -148,7 +148,7 @@ def evaluate_on_field(field, poly):
     images alike."""
     walk = _walk(field, poly)
     n = field.q2 - 1
-    exp = list(map(field.logs().exp, range(n + 1)))  # exp[n] = 0
+    exp = field.logs().exps()  # exp[n] = 0
     images = [0] * field.q2
     images[0] = exp[walk.zero_label]
     base, t = list(walk.base), 0

@@ -349,6 +349,28 @@ def test_sweep_validates_once_per_group(monkeypatch):
     assert len(calls) == 16 == len(set(calls))  # 7 c at q=13, 9 at q=17
 
 
+def test_sweep_builds_its_constants_once_per_group(monkeypatch):
+    # FamilyParams and derived exponents are per-group work: twice the r
+    # range adds no FamilyParams and no derived_exponents cache miss
+    built = []
+    post_init = FamilyParams.__post_init__
+
+    def counting(params):
+        built.append(params)
+        post_init(params)
+
+    monkeypatch.setattr(FamilyParams, "__post_init__", counting)
+    work = []
+    for r in ("r=1..20", "r=1..40"):
+        built.clear()
+        families.derived_exponents.cache_clear()
+        code, _, err = run_cli("--jobs=1", "sweep", "family=T1", "q=13", "d=2", "k=1,3",
+                               r, "c=all")
+        assert code == 0 and " disagreements=0" in err
+        work.append((len(built), families.derived_exponents.cache_info().misses))
+    assert work[0] == work[1] and work[0][0] > 0
+
+
 def test_compute_rows_caps_workers_at_tuple_count(monkeypatch):
     class InProcessPool:
         def __init__(self, max_workers, **kwargs):
@@ -371,7 +393,7 @@ def test_compute_rows_caps_workers_at_tuple_count(monkeypatch):
     tuples = [("T1", 2, 1, 0, 0, 5, 2), ("T1", 2, 1, 0, 0, 6, 2)]
     rows = cli.compute_rows(field, tuples, 64, 0, 1 << 26)
     assert workers == [2]
-    assert [(row["r"], row["oracle"]) for row in rows] == [(5, True), (6, False)]
+    assert [(row.r, row.oracle) for row in rows] == [(5, True), (6, False)]
     with pytest.raises(HypothesesNotSatisfied):
         cli.compute_rows(field, [("T1", 2, 2, 0, 0, 5, 2)] * 2, 64, 0, 1 << 26)
     assert workers == [2]
@@ -400,7 +422,7 @@ def test_pooled_rows_build_the_tables_in_the_parent(monkeypatch):
     pooled = cli.compute_rows(field, tuples, 2, 0, 1 << 26)
     assert field._logs is not None
     serial = cli.compute_rows(field, tuples, 1, 0, 1 << 26)
-    assert [row["oracle"] for row in pooled] == [row["oracle"] for row in serial]
+    assert [row.oracle for row in pooled] == [row.oracle for row in serial]
 
 
 def test_pool_takes_a_few_contiguous_slices_per_worker(monkeypatch):
@@ -427,7 +449,7 @@ def test_pool_takes_a_few_contiguous_slices_per_worker(monkeypatch):
     # 7 c x 100 r: ceil(700 / (8 * 2)) = 44 tuples a slice, the last one short
     assert [len(part) for part in slices] == [44] * 15 + [40]
     assert [tup for part in slices for tup in part] == tuples
-    assert [(row["r"], row["c"]) for row in rows] == [tup[5:] for tup in tuples]
+    assert [(row.r, row.c) for row in rows] == [tup[5:] for tup in tuples]
 
 
 def test_iter_rows_streams_its_first_row(monkeypatch):
@@ -441,17 +463,20 @@ def test_iter_rows_streams_its_first_row(monkeypatch):
     field = build_field(13, 1)
     tuples = cli.build_grid({"d": "2", "k": "1,3", "r": "1..50", "c": "all"}, field, "T1", True)
     rows = cli.iter_rows(field, tuples, 1, 0, 1 << 26)
-    assert next(rows)["r"] == 1 and len(calls) == 1
+    assert next(rows).r == 1 and len(calls) == 1
     assert len(list(rows)) == len(tuples) - 1 == len(calls) - 1
 
 
-def test_compute_rows_returns_a_list_of_row_dicts():
+def test_compute_rows_returns_a_list_of_rows():
     field = build_field(13, 1)
     tuples = cli.build_grid({"d": "2", "k": "1", "r": "1..4", "c": "2"}, field, "T1", True)
     rows = cli.compute_rows(field, tuples, 1, 0, 1 << 26)
     assert isinstance(rows, list) and len(rows) == 4
-    assert all(tuple(row) == cli.ROW_FIELDS for row in rows)
-    assert rows[0]["reduced_f"] == "2x + 2x^97" and rows[0]["oracle"] is False
+    assert all(type(row) is cli.Row for row in rows) and cli.Row._fields == cli.ROW_FIELDS
+    assert rows[0].reduced_f == "2x + 2x^97" and rows[0].oracle is False
+    # a worker sends its Rows to the parent pickled
+    assert all(type(back) is cli.Row and back == row
+               for row, back in zip(rows, pickle.loads(pickle.dumps(rows))))
 
 
 def test_streamed_sweep_is_the_same_at_every_jobs(monkeypatch):

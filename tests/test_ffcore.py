@@ -323,6 +323,20 @@ def test_two_level_logs_match_the_zech_tables(p, h):
     assert all(two_level.exp(i) == zech.exp(i) for i in range(f.q2))
 
 
+@pytest.mark.parametrize("p,h", TABLE_FIELDS + [(13, 1), (131, 1)])
+def test_exps_decode_every_label_at_once(p, h, monkeypatch):
+    # exps() against exp one label at a time: on the field's own provider,
+    # the Zech tables where h > 1, and on a fresh copy under TABLE_LIMIT = 0,
+    # which takes two-level logs at every h
+    f = build_field(p, h)
+    expected = list(map(f.logs().exp, range(f.q2)))
+    assert isinstance(f.logs(), ZechLogs if h > 1 else TwoLevelLogs)
+    monkeypatch.setattr(ffcore, "TABLE_LIMIT", 0)
+    fresh = FieldSpec(p, h, f.modulus, f.generator.coeffs)
+    assert isinstance(fresh.logs(), TwoLevelLogs)
+    assert f.logs().exps() == fresh.logs().exps() == expected
+
+
 def test_two_level_logs_on_the_largest_prime_field():
     # q = 8161, a prime with q^2 just under 2^26: lists of q ints
     f = build_field(8161, 1)
