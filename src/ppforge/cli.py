@@ -79,8 +79,8 @@ EXIT_HYPOTHESES = 65
 
 # Largest parameter grid a sweep, search or check builds, and the longest list
 # a parameter may give.  Rows are streamed, not held, so the bound is on time:
-# 2^20 rows take about 28 s at --jobs=1 (a T3 q=13 d=2,14 sweep ran 903,168
-# tuples in 24 s, about 37k tuples/s on F_169).  Only the grid's tuples are
+# 2^20 rows take about 16 s at --jobs=1 (a T3 q=13 d=2,14 sweep ran 903,168
+# tuples in 14 s, about 64k tuples/s on F_169).  Only the grid's tuples are
 # held, about 0.1 KB each: a T3 q=13 sweep at --jobs=1 peaks at 19.8 MB RSS at
 # 10,752 tuples, 30.1 MB at 112,896 and 109 MB at 903,168.
 MAX_GRID = 1 << 20

@@ -98,11 +98,13 @@ class HypothesisReport:
 def _c_power_is_one(field, c, m):
     """(c/2)^((q+1)/m) == 1; false for c == 0.
 
-    Tested as c^e == 2^e with e = (q+1)/m: 2 lies in F_p, so 2^e is an integer
-    power mod p and no field inverse is needed.
+    Tested by discrete logs, with no field power: with e = (q+1)/m and
+    n = q^2 - 1, (c/2)^e = 1 iff e*(log c - log 2) = 0 (mod n).  The field's
+    log provider labels zero n, and 2 is nonzero in odd characteristic.
     """
-    e = (field.q + 1) // m
-    return not c.is_zero() and c ** e == field.from_int(pow(2, e, field.p))
+    logs, n = field.logs(), field.q2 - 1
+    log_c = logs.log(c)
+    return log_c != n and (field.q + 1) // m * (log_c - logs.log(field.from_int(2))) % n == 0
 
 
 def validate(params):

@@ -461,11 +461,12 @@ class ZechLogs:
     and the encodings of one scaled block, never anything field-sized.
     """
 
-    __slots__ = ("n", "exp_table", "log_table", "zech_table")
+    __slots__ = ("n", "exp_table", "log_table", "zech_table", "lh_cache")
 
     def __init__(self, field):
         p, n = field.p, field.q2 - 1
         self.n = n
+        self.lh_cache = {}  # oracle.h_logs' LH arrays
         run = n // (p - 1)
         a = (field.generator ** run).coeffs[0]
         exp = array(TABLE_TYPE, [0]) * (n + 1)
@@ -553,11 +554,13 @@ class TwoLevelLogs:
     h > 1 the M base powers are built by the first exp or exps.
     """
 
-    __slots__ = ("field", "q", "n", "log_f", "coset", "run", "scalars", "_coords", "_base")
+    __slots__ = ("field", "q", "n", "log_f", "coset", "run", "scalars", "_coords", "_base",
+                 "lh_cache")
 
     def __init__(self, field):
         p, q, h = field.p, field.q, field.h
         self.field, self.q = field, q
+        self.lh_cache = {}  # oracle.h_logs' LH arrays
         n = self.n = field.q2 - 1
         s_powers = _power_columns(field, field.generator ** (q + 1), q - 1)  # s^j, j < q - 1
         self._coords = None  # h = 1: alpha and beta are y's two coordinates

@@ -17,22 +17,27 @@ f(g^(t+M)) = g^(e_0*M) * f(g^t) for every t.  Only the base run t < M is
 evaluated.  Then f = x^(e_0) H(x^(q-1)) with H = sum c_j y^(k_j),
 k_j = (e_j - e_0)/(q - 1), so log f(g^t) = t*e_0 + LH[t] mod n, where
 LH[t] = log H(gamma^t) and gamma = g^(q-1).  LH depends on H alone, and is
-cached per field under H's terms (k_j, c_j), read off the folded polynomial:
-a sweep over r reuses it, at M integer adds per r.  LH is the provider's
-labels(q - 1, H, q + 1).  Run k = 1..D-1 (t = kM..kM+M-1) is the base run
-shifted: each label plus k*e_0*M mod n, the zero label n staying n.  D is
-read off the folded exponents alone, never off a family.  Any other
-polynomial has D = 1: its base run is the whole walk, the provider's
-labels(1, f, n), streamed.  evaluate_on_field reads the runs in t order as
-one label sequence and decodes each label through the provider's exps().
+cached in the field's log provider (lh_cache) under H's terms (k_j, c_j),
+read off the folded polynomial: a sweep over r reuses it, and the bijection
+test adds t*e_0 to each LH[t] as it marks it, M integer adds per r.  LH
+is the provider's labels(q - 1, H, q + 1).  Run k = 1..D-1
+(t = kM..kM+M-1) is the base run shifted: each label plus k*e_0*M mod n,
+the zero label n staying n.  D is read off the folded exponents alone,
+never off a family.  Any other polynomial has D = 1: its base run is the
+whole walk, the provider's labels(1, f, n), streamed.  evaluate_on_field
+reads the runs in t order as one label sequence and decodes each label
+through the provider's exps().
 
 Labels name images one to one, so the bijection test marks every one of the
 q^2 labels and stops at the first repeat.  It marks one byte per label in a
-bytearray, except for a split walk.  That walk marks the label of f(0) and
-then the base run's labels, one at a time, as bits b < n of an int; it
-stops at a repeat, or at a zero image, which every shift fixes, so run 1
-would repeat it.  Run k is then the n-bit set base of the base run's
-labels rotated by k*s, s = e_0*M mod n, so the union U_m of runs 0..m-1,
+bytearray, except for a split walk.  Run k of that walk is the base run
+shifted by k*s, s = e_0*M mod n, so run n/gcd(s, n) is the base run again;
+when that order, (q - 1)/gcd(e_0, q - 1), is below D, the walk repeats every
+base label, and the test says so before it marks any.  Otherwise the walk
+marks the label of f(0) and then the base run's labels, one at a time, as
+bits b < n of an int; it stops at a repeat, or at a zero image, which every
+shift fixes, so run 1 would repeat it.  Run k is then the n-bit set base of
+the base run's labels rotated by k*s, so the union U_m of runs 0..m-1,
 rotated by m*s, is the union of runs m..2m-1.  Rotation is a bijection, so
 runs 0..2m-1 are pairwise disjoint iff runs 0..m-1 are and U_m does not meet
 its own rotation by m*s.  The test doubles over the binary digits of D after
@@ -48,10 +53,10 @@ who reads it.
 
 from array import array
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
+from math import gcd
 from typing import Callable, NamedTuple, Optional, Tuple
-from weakref import WeakKeyDictionary
 
 
 @dataclass(frozen=True)
@@ -93,20 +98,23 @@ def evaluate(field, poly, x):
 
 class _Walk(NamedTuple):
     """The walk over t = 0..n-1 as D runs of M = n/D points; run k is the
-    base run t < M shifted k times.  The base run is an iterable of log
-    labels, n for a zero image, and the shift is the label offset
-    e_0*M mod n (module docstring)."""
+    base run t < M shifted k times.  The base run's label at t is
+    t*step + base[t] mod n, the zero label n staying n: on a split walk base
+    is LH and step is e_0, on any other walk base streams every label and
+    step is 0.  The shift is the label offset e_0*M mod n (module
+    docstring)."""
 
     zero_label: int  # the label of f(0)
     base: object
     runs: int  # D
     shift: int
+    step: int = 0
 
 
-# each field's LH arrays, keyed by H's terms; a field's dict is emptied
-# before it grows past about LH_CACHE_LABELS labels (4 bytes each)
+# LH arrays are kept per field in its log provider's lh_cache, keyed by H's
+# terms; the dict is emptied before it grows past about LH_CACHE_LABELS
+# labels (4 bytes each)
 LH_CACHE_LABELS = 1 << 20
-_LH_CACHE = WeakKeyDictionary()
 
 
 def _walk(field, poly):
@@ -115,27 +123,27 @@ def _walk(field, poly):
     terms = poly.reduce_mod().terms
     n, q = field.q2 - 1, field.q
     logs = field.logs()
-    # f(0) is the constant term; without one it is 0, the label n
-    zero_label = logs.log(terms[0][1]) if terms and terms[0][0] == 0 else n
     e0 = terms[0][0] if terms else 0
+    # f(0) is the constant term; without one it is 0, the label n
+    zero_label = logs.log(terms[0][1]) if terms and not e0 else n
     # D = q - 1 runs of M = q + 1 points when q - 1 divides every e_j - e_0
-    if all((e - e0) % (q - 1) == 0 for e, _ in terms):
-        lh = h_logs(field, tuple(((e - e0) // (q - 1), c) for e, c in terms))
-        base = [label if label == n else (t * e0 + label) % n for t, label in enumerate(lh)]
-        return _Walk(zero_label, base, q - 1, e0 * (q + 1) % n)
+    if not any([(e - e0) % (q - 1) for e, _ in terms]):
+        lh = h_logs(field, tuple([((e - e0) // (q - 1), c) for e, c in terms]))
+        return _Walk(zero_label, lh, q - 1, e0 * (q + 1) % n, e0)
     return _Walk(zero_label, logs.labels(1, terms, n), 1, 0)
 
 
 def h_logs(field, h_terms):
     """LH[t] = log H(gamma^t) for t = 0..q (n for a zero), gamma = g^(q-1),
-    H = sum c*y^k over the (k, c) in h_terms (nonzero Elements c); cached per
-    field under the terms' exponents and coordinates."""
-    key = tuple((k, c.coeffs) for k, c in h_terms)
-    cache = _LH_CACHE.setdefault(field, {})
+    H = sum c*y^k over the (k, c) in h_terms (nonzero Elements c); cached in
+    the field's log provider under the terms' exponents and coordinates."""
+    logs = field.logs()
+    key = tuple([(k, c.coeffs) for k, c in h_terms])
+    cache = logs.lh_cache
     lh = cache.get(key)
     if lh is None:
         q = field.q
-        lh = array("i", field.logs().labels(q - 1, h_terms, q + 1))
+        lh = array("i", logs.labels(q - 1, h_terms, q + 1))
         if len(cache) * (q + 1) >= LH_CACHE_LABELS:
             cache.clear()
         cache[key] = lh
@@ -151,7 +159,9 @@ def evaluate_on_field(field, poly):
     exp = field.logs().exps()  # exp[n] = 0
     images = [0] * field.q2
     images[0] = exp[walk.zero_label]
-    base, t = list(walk.base), 0
+    base = [label if label == n else (t * walk.step + label) % n
+            for t, label in enumerate(walk.base)]
+    t = 0
     for k in range(walk.runs):
         shift = k * walk.shift
         for label in base:
@@ -198,7 +208,14 @@ def is_permutation_of_field(field, poly):
             domain_size=field.q2,
             find_collision=lambda: _least_collision(range(field.q2), evaluate_on_field(field, poly)),
         )
-    return PermutationReport(is_bijection=True, domain_size=field.q2)
+    return _bijection(field.q2)
+
+
+@lru_cache(maxsize=None)
+def _bijection(domain_size):
+    """The report of a bijection on domain_size points: immutable, and its
+    first_collision is None, so one instance serves every call."""
+    return PermutationReport(is_bijection=True, domain_size=domain_size)
 
 
 def _collides(field, walk):
@@ -206,20 +223,29 @@ def _collides(field, walk):
 
     One byte per label (distinct), or on a split walk, one bit per label of
     an n-bit union of runs, doubled over the binary digits of D by rotations
-    of itself and of the base run (module docstring).  The base run's byte
+    of itself and of the base run (module docstring); a split walk whose
+    shift has order below D collides before any mark.  The base run's byte
     marks are dropped once they are one int.
     """
     n = field.q2 - 1
     zero_label = walk.zero_label
     if walk.runs == 1:
         return not distinct(n + 1, chain((zero_label,), walk.base))
+    # run k is the base run rotated by k*shift, so run n/gcd(shift, n) is the
+    # base run again: a shift of order below D repeats every base label
+    if n // gcd(walk.shift, n) < walk.runs:
+        return True
     marks = bytearray((n >> 3) + 1)  # bit b of the little-endian int: label b < n
     if zero_label < n:
         marks[zero_label >> 3] = 1 << (zero_label & 7)
-    for label in walk.base:
-        byte, bit = label >> 3, 1 << (label & 7)
+    step = walk.step
+    for t, label in enumerate(walk.base):
         # every shift fixes the zero label n, so run 1 would repeat it
-        if label == n or marks[byte] & bit:
+        if label == n:
+            return True
+        label = (t * step + label) % n
+        byte, bit = label >> 3, 1 << (label & 7)
+        if marks[byte] & bit:
             return True
         marks[byte] |= bit
     base = int.from_bytes(marks, "little")

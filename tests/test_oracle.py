@@ -1,3 +1,4 @@
+import math
 import time
 from collections import Counter
 from math import gcd
@@ -119,23 +120,6 @@ def walk_cases(f):
     }
 
 
-@pytest.fixture
-def log_providers(monkeypatch):
-    """copies(f) yields fresh copies of the field f: the first with the log
-    provider that FieldSpec.logs() picks for f, the Zech tables on an
-    extension field up to TABLE_LIMIT, the second with TABLE_LIMIT = 0,
-    where every field takes two-level logs.  logs() picks once per field,
-    hence the copies; a polynomial on f evaluates on either."""
-    def copies(f):
-        for limit in (ffcore.TABLE_LIMIT, 0):
-            copy = ffcore.FieldSpec(f.p, f.h, f.modulus, f.generator.coeffs)
-            with monkeypatch.context() as patch:
-                patch.setattr(ffcore, "TABLE_LIMIT", limit)
-                copy.logs()
-            yield copy
-    return copies
-
-
 def assert_kernel_matches_evaluate(fields, polys):
     """The kernel on each of the fields (copies of one field) against
     evaluate() at every element."""
@@ -249,12 +233,13 @@ def test_split_walk_stops_at_the_first_colliding_run(field_q13, rotations):
     and 6 of q - 2 = 11.
 
     x^2 + g x^14 has gcd(e_0, q - 1) = 2, so run 6 (t = 84) is a copy of the
-    base run.  x + g x^85 has gcd(e_0, q - 1) = 1; its run 4 first meets an
+    base run: its shift has order 6 < D, and the walk stops before the first
+    rotation.  x + g x^85 has gcd(e_0, q - 1) = 1; its run 4 first meets an
     earlier run at a label that its rotation wraps past n."""
     f, g = field_q13, field_q13.generator
     for poly, first_run, steps in ((SparsePoly(f, [(1, f.one), (25, g)]), 2, 2),
                                    (SparsePoly(f, [(1, f.one), (85, g)]), 4, 3),
-                                   (SparsePoly(f, [(2, f.one), (14, g)]), 6, 4)):
+                                   (SparsePoly(f, [(2, f.one), (14, g)]), 6, 0)):
         seen = {int(evaluate(f, poly, f.zero))}
         for repeat in range(f.q2 - 1):
             y = int(evaluate(f, poly, g ** repeat))
@@ -277,6 +262,39 @@ def test_split_walk_tests_the_label_of_f0_against_every_run(field_q5):
     for zero_label, collides in ((24, False), (20, True), (3, True)):
         walk = oracle._Walk(zero_label, range(6), 4, 6)
         assert oracle._collides(field_q5, walk) == collides, zero_label
+
+
+def test_split_walk_exits_on_its_shift_order(field_q5, field_q13, rotations):
+    """Split walks x^(e_0) H(x^(q-1)) on F_25 and F_169 for every e_0 up to
+    2(q - 1) and a few H.  The shift e_0*(q + 1) mod n has order
+    (q - 1)/gcd(e_0, q - 1), so gcd(e_0, q - 1) > 1 repeats the base run
+    within D runs: a non-bijection before any rotation.  gcd(e_0, q - 1) = 1
+    gives the shift order D exactly, and such a walk still doubles, with at
+    most 2 log2(D) rotations; the bijections among them would be lost to an
+    exit at order D.  Every verdict and least pair is evaluate()'s."""
+    verdicts = Counter()
+    for f in (field_q5, field_q13):
+        q, g = f.q, f.generator
+        hs = [[(0, f.one)], [(0, g)], [(0, f.one), (1, g)], [(0, f.one), (2, g ** 3)],
+              [(0, f.one), (1, f.from_int(2)), (2, f.one)]]
+        for e0 in range(1, 2 * (q - 1) + 1):
+            for h in hs:
+                poly = SparsePoly(f, [(e0 + k * (q - 1), c) for k, c in h])
+                expected = [int(evaluate(f, poly, x)) for x in f.elements()]
+                bijection = len(set(expected)) == f.q2
+                rotations.clear()
+                report = is_permutation_of_field(f, poly)
+                assert report.is_bijection == bijection, poly
+                assert report.first_collision == least_pair(expected), poly
+                coprime = gcd(e0, q - 1) == 1
+                if coprime:
+                    assert len(rotations) <= 2 * math.log2(q - 1), poly
+                else:
+                    assert not bijection and not rotations, poly
+                verdicts[coprime, bijection, bool(rotations)] += 1
+    assert verdicts[True, True, True] > 10 and verdicts[True, False, True] > 10
+    assert verdicts[False, False, False] > 10
+    assert sum(verdicts.values()) == 5 * 2 * (4 + 12)
 
 
 def test_split_walk_rotates_about_twice_log2_q_times(rotations):
@@ -358,11 +376,12 @@ def test_polys_with_one_h_share_one_cache_entry(field_q13, field_q25):
     """T6 with u = v = 1 and c = 2 at r = 1 and r = 3: f = x^r h(x^(q-1))
     with one h, so their walks share H, and one LH serves both."""
     for f in (field_q13, field_q25):
-        oracle._LH_CACHE.pop(f, None)
+        cache = f.logs().lh_cache
+        cache.clear()
         walks = [oracle._walk(f, poly) for poly in t6_polys(f, (1, 3))]
         assert all(walk.runs == f.q - 1 for walk in walks)
-        assert len(oracle._LH_CACHE[f]) == 1
-        assert walks[0].base != walks[1].base
+        assert len(cache) == 1 and walks[0].base is walks[1].base
+        assert walks[0].step != walks[1].step
 
 
 def test_verdicts_do_not_depend_on_the_cache(field_q13, field_q25, monkeypatch):
@@ -376,11 +395,11 @@ def test_verdicts_do_not_depend_on_the_cache(field_q13, field_q25, monkeypatch):
         kept = [is_permutation_of_field(f, poly).is_bijection for poly in polys]
         cleared = []
         for poly in polys:
-            oracle._LH_CACHE.clear()
+            f.logs().lh_cache.clear()
             cleared.append(is_permutation_of_field(f, poly).is_bijection)
         monkeypatch.setattr(oracle, "LH_CACHE_LABELS", 1)
         bounded = [is_permutation_of_field(f, poly).is_bijection for poly in polys]
-        assert len(oracle._LH_CACHE[f]) == 1
+        assert len(f.logs().lh_cache) == 1
         monkeypatch.undo()
         assert kept == cleared == bounded
         assert 0 < sum(kept) < len(kept), f
