@@ -36,6 +36,7 @@ from .oracle import (
     evaluate_on_field,
     is_permutation_of_field,
     is_permutation_of_mu,
+    permutes,
     pointwise_equal,
 )
 from .sparsepoly import SparsePoly

@@ -22,10 +22,12 @@ sweep, search or check first validates the family hypotheses of every
 requested q, once per (family, d, k, u, v, c) group: they do not depend on r.
 It then builds one h per (family, d, k, u, v), so a negative exponent in h is
 also an error before any row.  Rows are then computed and written as they
-arrive: each group's h is built once, each r folds f = x^r h(x^(q-1)) mod
-q^2 - 1 in one step, for both the oracle and the reduced_f column, and the
-gcd criterion, from plain ints, and the oracle run per tuple.  A row is one
-flat Row tuple, which pool workers send to the parent as it is; emission
+arrive.  Each group's h is built once and folded: its exponents reduced mod
+q + 1, equal ones merged, and each coefficient's text kept.  Each r then
+folds f = x^r h(x^(q-1)) mod q^2 - 1 from plain ints, at most three
+exponents, whose sorted terms go to the oracle and, joined with their texts,
+to the reduced_f column; the gcd criterion also reads plain ints.  A row is
+one flat Row tuple, which pool workers send to the parent as it is; emission
 reads its cells by position.
 
 Exit codes: 0 agreement/permutation (sweep: zero disagreements), 1 agreement/
@@ -68,8 +70,7 @@ from .ffcore import (
     factorize,
     is_prime,
 )
-from .oracle import is_permutation_of_field
-from .sparsepoly import SparsePoly
+from .oracle import permutes
 
 EXIT_OK = 0
 EXIT_NON_PERMUTATION = 1
@@ -79,10 +80,11 @@ EXIT_HYPOTHESES = 65
 
 # Largest parameter grid a sweep, search or check builds, and the longest list
 # a parameter may give.  Rows are streamed, not held, so the bound is on time:
-# 2^20 rows take about 16 s at --jobs=1 (a T3 q=13 d=2,14 sweep ran 903,168
-# tuples in 14 s, about 64k tuples/s on F_169).  Only the grid's tuples are
-# held, about 0.1 KB each: a T3 q=13 sweep at --jobs=1 peaks at 19.8 MB RSS at
-# 10,752 tuples, 30.1 MB at 112,896 and 109 MB at 903,168.
+# 2^20 rows take about 15 s at --jobs=1 (a T3 q=13 d=2,14 sweep ran 903,168
+# tuples in 12-13.5 s, about 70k tuples/s on F_169, on a shared 2-vCPU x86-64
+# host).  Only the grid's tuples are held, about 0.1 KB each: a T3 q=13 sweep
+# at --jobs=1 peaks at 20.0 MB RSS at 10,752 tuples, 30.4 MB at 112,896 and
+# 109 MB at 903,168.
 MAX_GRID = 1 << 20
 
 # One sweep row: k is None on T6, u and v are None elsewhere, and c is the
@@ -198,32 +200,46 @@ def _params_from_tuple(field, tup):
 
 
 def _group(field, tup):
-    """The terms (e, c) of tup's h, which depend only on tup's (tag, d, k, u,
-    v, c) group, never on r."""
-    return build_h(_params_from_tuple(field, tup)).terms
+    """The constants of tup's (tag, d, k, u, v, c) group, which r never
+    moves: h's terms folded as f's will be, one (o, c, text) per term of f
+    with o = e(q-1) - 1 for its exponent e mod q + 1, c its nonzero
+    coefficient and text c's canonical integer, "" for 1.  f's exponent
+    (r + e(q-1) - 1) mod n + 1, n = q^2 - 1, sees e only mod q + 1, since
+    (q+1)(q-1) = n: so h's terms with equal e mod q + 1 land on one power of
+    f at every r, and are merged here, a zero sum dropped."""
+    q = field.q
+    merged = {}
+    for e, c in build_h(_params_from_tuple(field, tup)).terms:
+        e %= q + 1
+        merged[e] = merged[e] + c if e in merged else c
+    return tuple([(e * (q - 1) - 1, c, "" if c == field.one else str(int(c)))
+                  for e, c in merged.items() if not c.is_zero()])
 
 
 def compute_row(field, tup, group):
     """The Row of (tag, d, k, u, v, r, c_canonical) whose family hypotheses
-    hold, given its group's h terms (_group).  f = x^r h(x^(q-1)) is built
-    folded mod n = q^2 - 1, one SparsePoly for both the oracle and the
-    reduced_f column: h's term c*x^e becomes c*x^((r + e(q-1) - 1) mod n + 1).
-    d is the tuple's own, so a T5 tuple carries d = 4 and a T6 one d = 2, as
+    hold, given its group's constants (_group).  f = x^r h(x^(q-1)) is folded
+    mod n = q^2 - 1 from plain ints: each of its at most three exponents is
+    (r + o) mod n + 1, and the terms, sorted by exponent, go to the oracle
+    (permutes) and are joined with their texts for the reduced_f column.  d
+    is the tuple's own, so a T5 tuple carries d = 4 and a T6 one d = 2, as
     build_grid makes them."""
     start = time.perf_counter_ns()
     tag, d, k, u, v, r, c = tup
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     q = field.q
-    n, m = field.q2 - 1, q - 1
-    f = SparsePoly(field, [((r + e * m - 1) % n + 1, coeff) for e, coeff in group])
+    n = field.q2 - 1
+    terms = sorted([((r + o) % n + 1, coeff, text) for o, coeff, text in group])
     pred = r_criterion(tag, q, d, k, u, r)
-    oracle = is_permutation_of_field(field, f).is_bijection
+    oracle = permutes(field, [(e, coeff) for e, coeff, _ in terms])
+    reduced_f = " + ".join([f"{text}x" if e == 1 else f"{text}x^{e}"
+                            for e, _, text in terms]) or "0"
     if tag == "T6":
         k = None
     else:
         u = v = None
-    return Row(tag, q, d, k, u, v, r, c, pred, oracle, pred == oracle, str(f),
+    return Row(tag, q, d, k, u, v, r, c, pred, oracle, pred == oracle, reduced_f,
                (time.perf_counter_ns() - start) // 1000)
 
 

@@ -40,6 +40,11 @@ DEFAULT_SEED = 0
 TABLE_LIMIT = 1 << 18
 TABLE_TYPE = "i"
 
+# Largest q^2 for which TwoLevelLogs keeps the decoded field, exps(), once
+# built: an array of q^2 C ints, 4 MB at the bound.  Above it every exps()
+# call decodes the field afresh.
+EXPS_CACHE_LABELS = 1 << 20
+
 
 def is_prime(n):
     if n < 2:
@@ -498,8 +503,8 @@ class ZechLogs:
         return self.exp_table[label]
 
     def exps(self):
-        """[exp(label) for label in range(n + 1)], from the table."""
-        return self.exp_table.tolist()
+        """exp(label) for label in range(n + 1): the table itself, read-only."""
+        return self.exp_table
 
     def labels(self, step, terms, count):
         """log of sum c*x^e over the (e, c) in terms (nonzero Elements c) at
@@ -555,12 +560,13 @@ class TwoLevelLogs:
     """
 
     __slots__ = ("field", "q", "n", "log_f", "coset", "run", "scalars", "_coords", "_base",
-                 "lh_cache")
+                 "_exps", "lh_cache")
 
     def __init__(self, field):
         p, q, h = field.p, field.q, field.h
         self.field, self.q = field, q
         self.lh_cache = {}  # oracle.h_logs' LH arrays
+        self._exps = None
         n = self.n = field.q2 - 1
         s_powers = _power_columns(field, field.generator ** (q + 1), q - 1)  # s^j, j < q - 1
         self._coords = None  # h = 1: alpha and beta are y's two coordinates
@@ -620,13 +626,18 @@ class TwoLevelLogs:
         return code
 
     def exps(self):
-        """[exp(label) for label in range(n + 1)]: each coordinate column of
-        the M base powers scaled by a^0, a^1, ... in turn, and every label
-        encoded in one pass."""
+        """exp(label) for label in range(n + 1), an array read-only to the
+        caller: each coordinate column of the M base powers scaled by a^0,
+        a^1, ... in turn, and every label encoded in one pass.  Kept for the
+        next call where q^2 <= EXPS_CACHE_LABELS."""
+        if self._exps is not None:
+            return self._exps
         p = self.field.p
-        codes = self.field.encode([[u * x % p for u in self.scalars for x in col]
-                                   for col in self._base_columns()])
+        codes = array(TABLE_TYPE, self.field.encode(
+            [[u * x % p for u in self.scalars for x in col] for col in self._base_columns()]))
         codes.append(0)
+        if len(codes) <= EXPS_CACHE_LABELS:
+            self._exps = codes
         return codes
 
     def _base_columns(self):

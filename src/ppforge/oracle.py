@@ -1,13 +1,16 @@
 """Ground-truth engines: exhaustive permutation testing and pointwise equality.
 
 Everything here decides by enumeration, and nothing assumes the shape of the
-polynomial: any SparsePoly is folded mod n = q^2 - 1 (SparsePoly.reduce_mod)
-and evaluated term by term.  f(0) is read from the constant term; the nonzero
-inputs are walked in generator order x = g^t, t = 0, 1, ..., n - 1, where a
-term c*x^e equals c*g^(t*e).  Every image is labelled by its discrete log
-log f(g^t), with n for a zero image, from the field's one log provider
-(FieldSpec.logs(): the Zech tables on extension fields up to q^2 = 2^18,
-two-level logs on every other field).
+polynomial.  The bijection test on the whole field, permutes(field, terms),
+takes the terms of a polynomial folded mod n = q^2 - 1, as
+SparsePoly.reduce_mod leaves them, and reads nothing else;
+is_permutation_of_field folds a SparsePoly, calls it and reports the
+verdict, and evaluate_on_field folds and evaluates term by term.  f(0) is
+read from the constant term; the nonzero inputs are walked in generator
+order x = g^t, t = 0, 1, ..., n - 1, where a term c*x^e equals c*g^(t*e).
+Every image is labelled by its discrete log log f(g^t), with n for a zero
+image, from the field's one log provider (FieldSpec.logs(): the Zech tables
+on extension fields up to q^2 = 2^18, two-level logs on every other field).
 
 The walk is a base walk and shifted copies of it.  Let e_0 be the least
 folded exponent.  When q - 1 divides every difference e_j - e_0, as it does
@@ -26,7 +29,8 @@ the zero label n staying n.  D is read off the folded exponents alone,
 never off a family.  Any other polynomial has D = 1: its base run is the
 whole walk, the provider's labels(1, f, n), streamed.  evaluate_on_field
 reads the runs in t order as one label sequence and decodes each label
-through the provider's exps().
+through the provider's exps(), the decoded field, which the provider keeps
+up to a size bound.
 
 Labels name images one to one, so the bijection test marks every one of the
 q^2 labels and stops at the first repeat.  It marks one byte per label in a
@@ -117,10 +121,10 @@ class _Walk(NamedTuple):
 LH_CACHE_LABELS = 1 << 20
 
 
-def _walk(field, poly):
-    """poly's walk: a split walk from the cached LH of its H, or else every
-    point's label, streamed."""
-    terms = poly.reduce_mod().terms
+def _walk(field, terms):
+    """The walk of the folded polynomial with these terms (permutes): a
+    split walk from the cached LH of its H, or else every point's label,
+    streamed."""
     n, q = field.q2 - 1, field.q
     logs = field.logs()
     e0 = terms[0][0] if terms else 0
@@ -128,7 +132,11 @@ def _walk(field, poly):
     zero_label = logs.log(terms[0][1]) if terms and not e0 else n
     # D = q - 1 runs of M = q + 1 points when q - 1 divides every e_j - e_0
     if not any([(e - e0) % (q - 1) for e, _ in terms]):
-        lh = h_logs(field, tuple([((e - e0) // (q - 1), c) for e, c in terms]))
+        # h_logs' key, built here so that a cache hit builds no H terms
+        key = tuple([((e - e0) // (q - 1), c.coeffs) for e, c in terms])
+        lh = logs.lh_cache.get(key)
+        if lh is None:
+            lh = h_logs(field, [((e - e0) // (q - 1), c) for e, c in terms])
         return _Walk(zero_label, lh, q - 1, e0 * (q + 1) % n, e0)
     return _Walk(zero_label, logs.labels(1, terms, n), 1, 0)
 
@@ -154,7 +162,7 @@ def evaluate_on_field(field, poly):
     """Images of all q^2 elements, indexed by canonical input encoding.  The
     input x = g^t has the label t, so one decoded list serves inputs and
     images alike."""
-    walk = _walk(field, poly)
+    walk = _walk(field, poly.reduce_mod().terms)
     n = field.q2 - 1
     exp = field.logs().exps()  # exp[n] = 0
     images = [0] * field.q2
@@ -196,19 +204,28 @@ def _least_collision(inputs, images):
     return best
 
 
-def is_permutation_of_field(field, poly):
-    """Walk poly over all of F_{q^2}; bijection iff no image repeats.
+def permutes(field, terms):
+    """Does the folded polynomial with these terms permute F_{q^2}?  terms
+    are its (e, c) pairs as SparsePoly.reduce_mod leaves them: exponents
+    ascending, none repeated, none above n = q^2 - 1, and nonzero Element
+    coefficients.  The walk reads nothing else.
 
     Stops at the first repeated image, or on a split walk, at the first
     doubling step whose runs repeat one.
     """
-    if _collides(field, _walk(field, poly)):
-        return PermutationReport(
-            is_bijection=False,
-            domain_size=field.q2,
-            find_collision=lambda: _least_collision(range(field.q2), evaluate_on_field(field, poly)),
-        )
-    return _bijection(field.q2)
+    return not _collides(field, _walk(field, terms))
+
+
+def is_permutation_of_field(field, poly):
+    """permutes(field, poly folded mod n) as a PermutationReport; a
+    non-bijection finds its least colliding pair on first read."""
+    if permutes(field, poly.reduce_mod().terms):
+        return _bijection(field.q2)
+    return PermutationReport(
+        is_bijection=False,
+        domain_size=field.q2,
+        find_collision=lambda: _least_collision(range(field.q2), evaluate_on_field(field, poly)),
+    )
 
 
 @lru_cache(maxsize=None)

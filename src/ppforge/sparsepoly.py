@@ -4,7 +4,8 @@ SparsePoly is the unit of evaluation and display.  Terms are kept normalized:
 exponents strictly increasing, coefficients nonzero, duplicates merged.  The
 one fold, reduce_mod (exponents mod q^2 - 1), agrees with the original as a
 function on all of F_{q^2} because every positive exponent stays positive;
-the oracle evaluates through it and the CLI prints it.
+the oracle evaluates through it, and its str is the text of the CLI's
+reduced_f column, which sweep rows build from plain ints.
 """
 
 from .errors import FieldMismatch, NegativeExponent

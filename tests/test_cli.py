@@ -20,11 +20,13 @@ from ppforge import (
     SizeExceeded,
     build_field,
     field_from_text,
+    SparsePoly,
     is_permutation_of_field,
+    permutes,
 )
 from ppforge import cli, errors, families
 from ppforge.cli import main, parse_int_list, parse_prime_power
-from ppforge.families import FamilyParams, build_f
+from ppforge.families import FamilyParams, build_f, validate
 from ppforge.ffcore import FieldSpec
 from ppforge.cli import UsageError
 
@@ -455,11 +457,11 @@ def test_pool_takes_a_few_contiguous_slices_per_worker(monkeypatch):
 def test_iter_rows_streams_its_first_row(monkeypatch):
     calls = []
 
-    def counting(field, poly):
-        calls.append(poly)
-        return is_permutation_of_field(field, poly)
+    def counting(field, terms):
+        calls.append(terms)
+        return permutes(field, terms)
 
-    monkeypatch.setattr(cli, "is_permutation_of_field", counting)
+    monkeypatch.setattr(cli, "permutes", counting)
     field = build_field(13, 1)
     tuples = cli.build_grid({"d": "2", "k": "1,3", "r": "1..50", "c": "all"}, field, "T1", True)
     rows = cli.iter_rows(field, tuples, 1, 0, 1 << 26)
@@ -477,6 +479,77 @@ def test_compute_rows_returns_a_list_of_rows():
     # a worker sends its Rows to the parent pickled
     assert all(type(back) is cli.Row and back == row
                for row, back in zip(rows, pickle.loads(pickle.dumps(rows))))
+
+
+def kernel_grid(field, tag):
+    """The tuples of every admissible tag group at field's q, over r = 1..n,
+    n = q^2 - 1: every d dividing q + 1 (T1-T4) with every k of its default
+    window, odd u over one period mod q + 1 with v = 1, 3 (T6), and c over
+    the family's valid set, but for c = 1 on T3 and c = -1 on T4: their f is
+    always the monomial c*x^r (h's terms x^a - x^b meet mod q + 1)."""
+    q, p = field.q, field.p
+    params = {"d": ",".join(str(d) for d in range(1, q + 2) if (q + 1) % d == 0),
+              "u": ",".join(map(str, range(1, q + 1, 2))), "v": "1,3"}
+    if tag in ("T3", "T4"):
+        params["c"] = "1" if tag == "T3" else str(p - 1)
+    satisfied = {}
+    for tup in cli.build_grid(params, field, tag, True):
+        group = tup[:5] + tup[6:]
+        if group not in satisfied:
+            satisfied[group] = validate(cli._params_from_tuple(field, tup)).satisfied
+        if satisfied[group]:
+            yield tup
+
+
+@pytest.mark.parametrize("p,h", [(5, 1), (11, 1), (13, 1), (3, 2)])
+def test_row_kernel_matches_build_f(p, h):
+    """Every row of every admissible T1-T6 grid against the independent
+    construction: reduced_f is build_f folded (SparsePoly.reduce_mod) and
+    printed, and the oracle column is is_permutation_of_field of build_f.
+    The grids hold each degenerate k, where h's terms meet mod q + 1 and f
+    collapses to a monomial, and each c that h's other terms cancel."""
+    field = build_field(p, h)
+    verdicts = {}  # the oracle's verdict per folded f: T3/T4 share c*x^r
+    for tag in families.TAGS:
+        tuples = list(kernel_grid(field, tag))
+        for tup, row in zip(tuples, cli.compute_rows(field, tuples, 1, 0, 1 << 26)):
+            f = build_f(cli._params_from_tuple(field, tup)).reduce_mod()
+            assert row.reduced_f == str(f), tup
+            if f not in verdicts:
+                verdicts[f] = is_permutation_of_field(field, f).is_bijection
+            assert row.oracle == verdicts[f], tup
+
+
+KERNEL_FIELDS = [build_field(5, 1), build_field(3, 2), build_field(13, 1)]
+
+
+@st.composite
+def colliding_h(draw):
+    """A field, an h whose exponents meet mod q + 1 (e and e + j(q+1)) with
+    coefficients that may cancel there (c and -c), and r >= 1."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    q = field.q
+    terms = []
+    for e in draw(st.lists(st.integers(0, q), min_size=1, max_size=3)):
+        c = field.from_int(draw(st.integers(1, field.q2 - 1)))
+        cancel = draw(st.booleans())
+        for j, lift in enumerate(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))):
+            terms.append((e + lift * (q + 1), -c if cancel and j == 1 else c))
+    return field, SparsePoly(field, terms), draw(st.integers(1, 2 * field.q2))
+
+
+@given(case=colliding_h())
+@settings(max_examples=300, deadline=None)
+def test_row_kernel_folds_any_h(case):
+    """compute_row of a group whose h is any polynomial: the same reduced_f
+    and oracle verdict as x^r h(x^(q-1)) folded by SparsePoly."""
+    field, h, r = case
+    tup = ("T3", 1, 0, 0, 0, r, 1)
+    with mock.patch.object(cli, "build_h", lambda params: h):
+        row = cli.compute_row(field, tup, cli._group(field, tup))
+    f = h.compose_power(r, field.q - 1).reduce_mod()
+    assert row.reduced_f == str(f)
+    assert row.oracle == is_permutation_of_field(field, f).is_bijection
 
 
 def test_streamed_sweep_is_the_same_at_every_jobs(monkeypatch):

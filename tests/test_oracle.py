@@ -378,7 +378,7 @@ def test_polys_with_one_h_share_one_cache_entry(field_q13, field_q25):
     for f in (field_q13, field_q25):
         cache = f.logs().lh_cache
         cache.clear()
-        walks = [oracle._walk(f, poly) for poly in t6_polys(f, (1, 3))]
+        walks = [oracle._walk(f, poly.reduce_mod().terms) for poly in t6_polys(f, (1, 3))]
         assert all(walk.runs == f.q - 1 for walk in walks)
         assert len(cache) == 1 and walks[0].base is walks[1].base
         assert walks[0].step != walks[1].step
@@ -403,6 +403,35 @@ def test_verdicts_do_not_depend_on_the_cache(field_q13, field_q25, monkeypatch):
         monkeypatch.undo()
         assert kept == cleared == bounded
         assert 0 < sum(kept) < len(kept), f
+
+
+def test_evaluation_does_not_depend_on_the_decoded_field_cache(field_q13, field_q25,
+                                                              log_providers, monkeypatch):
+    """evaluate_on_field with the provider's exps() kept, cleared before
+    every call, and bounded to nothing (EXPS_CACHE_LABELS = 0), on both log
+    providers; the two-level provider keeps one decoded field in the first
+    case only."""
+    for f in (field_q13, field_q25):
+        g = f.generator
+        polys = [x_power(f, 5), SparsePoly(f, [(0, g), (1, g), (f.q + 3, -g)])] + t6_polys(f, (1, 2))
+        expected = [[int(evaluate(f, poly, x)) for x in f.elements()] for poly in polys]
+        for copy in log_providers(f):
+            logs = copy.logs()
+            kept = [evaluate_on_field(copy, poly) for poly in polys]
+            two_level = isinstance(logs, ffcore.TwoLevelLogs)
+            assert (logs._exps is logs.exps()) if two_level else logs.exps() is logs.exp_table
+            cleared = []
+            for poly in polys:
+                if two_level:
+                    logs._exps = None
+                cleared.append(evaluate_on_field(copy, poly))
+            monkeypatch.setattr(ffcore, "EXPS_CACHE_LABELS", 0)
+            if two_level:
+                logs._exps = None
+            bounded = [evaluate_on_field(copy, poly) for poly in polys]
+            assert not two_level or logs._exps is None
+            monkeypatch.undo()
+            assert kept == cleared == bounded == expected
 
 
 def test_t6_at_the_largest_prime_field_matches_gcd_criterion():
