@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from ppforge import (
     HypothesesNotSatisfied,
     SizeExceeded,
+    SparsePoly,
     build_field,
     field_from_text,
-    SparsePoly,
     is_permutation_of_field,
     permutes,
 )
