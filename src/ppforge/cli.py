@@ -25,10 +25,15 @@ also an error before any row.  Rows are then computed and written as they
 arrive.  Each group's h is built once and folded: its exponents reduced mod
 q + 1, equal ones merged, and each coefficient's text kept.  Each r then
 folds f = x^r h(x^(q-1)) mod q^2 - 1 from plain ints, at most three
-exponents, whose sorted terms go to the oracle and, joined with their texts,
-to the reduced_f column; the gcd criterion also reads plain ints.  A row is
-one flat Row tuple, which pool workers send to the parent as it is; emission
-reads its cells by position.
+exponents, whose sorted terms, joined with their texts, make the reduced_f
+column; the gcd criterion also reads plain ints.  That text names the folded
+f one to one, so it keys a memo of the oracle's verdicts, kept per sweep and
+per field in each process: each distinct f is walked once there, and rows
+that repeat it, across d, k, c and r, reuse its verdict.  A row is one flat
+Row tuple; emission reads its cells by position.  A pooled sweep or search
+hands each worker a slice of the grid, and the worker writes its slice's
+output text and counts its rows; the parent writes the header, then the
+slices' text in order, and sums their counts.
 
 Exit codes: 0 agreement/permutation (sweep: zero disagreements), 1 agreement/
 non-permutation, 2 disagreement, 64 usage error, 65 hypothesis violation
@@ -37,6 +42,7 @@ non-permutation, 2 disagreement, 64 usage error, 65 hypothesis violation
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -80,15 +86,22 @@ EXIT_HYPOTHESES = 65
 
 # Largest parameter grid a sweep, search or check builds, and the longest list
 # a parameter may give.  Rows are streamed, not held, so the bound is on time:
-# 2^20 rows take about 15 s at --jobs=1 (a T3 q=13 d=2,14 sweep ran 903,168
-# tuples in 12-13.5 s, about 70k tuples/s on F_169, on a shared 2-vCPU x86-64
-# host).  Only the grid's tuples are held, about 0.1 KB each: a T3 q=13 sweep
-# at --jobs=1 peaks at 20.0 MB RSS at 10,752 tuples, 30.4 MB at 112,896 and
-# 109 MB at 903,168.
+# 2^20 rows take about 10 s at --jobs=1 and 7 s at --jobs=2 (a T3 q=13 d=2,14
+# sweep ran 903,168 tuples in 7.1-8.3 s at --jobs=1, about 115k tuples/s on
+# F_169, and in 5.8 s at --jobs=2, on a shared 2-vCPU x86-64 host).  Only the
+# grid's tuples and the verdict memo are held, about 0.1 KB each: a T3 q=13
+# sweep at --jobs=1 peaks at 20.0 MB RSS at 10,752 tuples, 30.4 MB at 112,896
+# and 111 MB at 903,168.
 MAX_GRID = 1 << 20
 
+# The oracle's verdicts are memoised per sweep, keyed by reduced_f; the memo
+# is emptied before it grows past VERDICT_MEMO_SIZE entries, as the oracle's
+# lh_cache is.
+VERDICT_MEMO_SIZE = 1 << 16
+
 # One sweep row: k is None on T6, u and v are None elsewhere, and c is the
-# canonical integer.  Workers send Rows to the parent, pickled as flat tuples.
+# canonical integer.  iter_rows' pool workers send Rows to the parent, pickled
+# as flat tuples; a sweep's or search's workers send text instead.
 Row = namedtuple("Row", (
     "family", "q", "d", "k", "u", "v", "r", "c",
     "predicate", "oracle", "agree", "reduced_f", "elapsed_us",
@@ -216,13 +229,16 @@ def _group(field, tup):
                   for e, c in merged.items() if not c.is_zero()])
 
 
-def compute_row(field, tup, group):
+def compute_row(field, tup, group, memo=None):
     """The Row of (tag, d, k, u, v, r, c_canonical) whose family hypotheses
     hold, given its group's constants (_group).  f = x^r h(x^(q-1)) is folded
     mod n = q^2 - 1 from plain ints: each of its at most three exponents is
-    (r + o) mod n + 1, and the terms, sorted by exponent, go to the oracle
-    (permutes) and are joined with their texts for the reduced_f column.  d
-    is the tuple's own, so a T5 tuple carries d = 4 and a T6 one d = 2, as
+    (r + o) mod n + 1, and the terms, sorted by exponent, are joined with their
+    texts for the reduced_f column.  The oracle's verdict is memo's entry for
+    reduced_f, which names the folded f's exponents and coefficients one to
+    one; on a miss the terms go to the oracle (permutes) and the verdict is
+    kept.  A memo must serve one field only; without one, f is always walked.
+    d is the tuple's own, so a T5 tuple carries d = 4 and a T6 one d = 2, as
     build_grid makes them."""
     start = time.perf_counter_ns()
     tag, d, k, u, v, r, c = tup
@@ -232,9 +248,15 @@ def compute_row(field, tup, group):
     n = field.q2 - 1
     terms = sorted([((r + o) % n + 1, coeff, text) for o, coeff, text in group])
     pred = r_criterion(tag, q, d, k, u, r)
-    oracle = permutes(field, [(e, coeff) for e, coeff, _ in terms])
     reduced_f = " + ".join([f"{text}x" if e == 1 else f"{text}x^{e}"
                             for e, _, text in terms]) or "0"
+    if memo is None:
+        memo = {}
+    oracle = memo.get(reduced_f)
+    if oracle is None:
+        if len(memo) >= VERDICT_MEMO_SIZE:
+            memo.clear()
+        oracle = memo[reduced_f] = permutes(field, [(e, coeff) for e, coeff, _ in terms])
     if tag == "T6":
         k = None
     else:
@@ -243,10 +265,10 @@ def compute_row(field, tup, group):
                (time.perf_counter_ns() - start) // 1000)
 
 
-def _rows(field, tuples):
-    """compute_row of every tuple, in order.  Each group is built on its
-    first tuple and kept while the (tag, d, k, u, v) combo lasts, so a
-    sorted grid builds every group once."""
+def _rows(field, tuples, memo):
+    """compute_row of every tuple, in order, with one verdict memo.  Each
+    group is built on its first tuple and kept while the (tag, d, k, u, v)
+    combo lasts, so a sorted grid builds every group once."""
     groups, combo = {}, None
     for tup in tuples:
         if tup[:5] != combo:
@@ -254,11 +276,20 @@ def _rows(field, tuples):
         group = groups.get(tup[6])
         if group is None:
             group = groups[tup[6]] = _group(field, tup)
-        yield compute_row(field, tup, group)
+        yield compute_row(field, tup, group, memo)
 
 
-def _worker_rows(field_args, tuples):
-    return list(_rows(build_field(*field_args), tuples))
+# The verdict memo of the pool this process works for, keyed by the field
+# arguments it serves.  A worker keeps it across its slices; the parent
+# empties it when the pool is done, so a pool faked in the parent's own
+# process leaves no verdict behind.
+_pool_memos = {}
+
+
+def _worker(field_args, finish, tuples):
+    """finish of one slice's rows, computed in a pool worker."""
+    memo = _pool_memos.setdefault(field_args, {})
+    return finish(_rows(build_field(*field_args), tuples, memo))
 
 
 def _prepare(grids):
@@ -277,30 +308,46 @@ def _prepare(grids):
             _group(field, tup)
 
 
+def _workers(tuples, jobs):
+    """How many pool processes a grid of tuples gets at --jobs: at most one
+    per core and one per tuple; below two it is computed in this process."""
+    return min(jobs, len(tuples), os.cpu_count() or 1)
+
+
+def _pooled(field, tuples, workers, seed, max_size, finish):
+    """finish(rows) of each slice of tuples, in order, from a pool of workers
+    processes, all started at once.  The slices are contiguous, of about
+    len(tuples) / (8 * workers) tuples each, and finish, a picklable function
+    of an iterable of Rows, runs in the worker, with the memo that worker
+    keeps for this pool.  A worker looks the field up with build_field; the
+    logs are built here first, so a forked worker finds them built in the
+    cached field instead of building its own copy."""
+    field.logs()
+    size = -(-len(tuples) // (8 * workers))
+    worker = partial(_worker, (field.p, field.h, seed, max_size), finish)
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(worker, [tuples[i:i + size] for i in range(0, len(tuples), size)])
+    finally:
+        _pool_memos.clear()
+
+
 def iter_rows(field, tuples, jobs, seed, max_size, validated=False):
     """Rows for every parameter tuple, in tuple order, as they are computed.
     Every group is validated and every combo's h built before the first row,
     unless the caller already has (validated).
 
-    Below two workers the rows are computed here.  Otherwise a pool of
-    min(jobs, len(tuples), cores) processes, all started at once, takes
-    contiguous slices of about len(tuples) / (8 * workers) tuples, and each
-    slice's rows are yielded, in order, once it is done.  A worker looks the
-    field up with build_field; the parent builds its logs first, so a forked
-    worker finds them built in the cached field instead of building its own
-    copy."""
+    Below two workers (_workers) the rows are computed here, one at a time,
+    with a verdict memo of this call's own.  Otherwise each slice's Rows come
+    back from the pool (_pooled), in order, once it is done."""
     if not validated:
         _prepare([(field, tuples)])
-    workers = min(jobs, len(tuples), os.cpu_count() or 1)
+    workers = _workers(tuples, jobs)
     if workers < 2:
-        yield from _rows(field, tuples)
+        yield from _rows(field, tuples, {})
         return
-    field.logs()
-    size = -(-len(tuples) // (8 * workers))
-    worker = partial(_worker_rows, (field.p, field.h, seed, max_size))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for rows in pool.map(worker, [tuples[i:i + size] for i in range(0, len(tuples), size)]):
-            yield from rows
+    for rows in _pooled(field, tuples, workers, seed, max_size, list):
+        yield from rows
 
 
 def compute_rows(field, tuples, jobs, seed, max_size, validated=False):
@@ -312,17 +359,18 @@ def compute_rows(field, tuples, jobs, seed, max_size, validated=False):
 # output
 # ---------------------------------------------------------------------------
 
-def emit_rows(rows, fields, fmt, out):
+def emit_rows(rows, fields, fmt, out, header=True):
     """Write rows, tuples whose cells are named by fields, in order: CSV
-    with a header line, or one JSON object per line.  In CSV a boolean cell
-    is true or false and None an empty cell; JSON writes them as true, false
-    and null."""
+    with a header line (unless header is false), or one JSON object per line.
+    In CSV a boolean cell is true or false and None an empty cell; JSON writes
+    them as true, false and null."""
     if fmt != "csv":
         for row in rows:
             out.write(json.dumps(dict(zip(fields, row))) + "\n")
         return
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(fields)
+    if header:
+        writer.writerow(fields)
     flags = [i for i, name in enumerate(fields) if name in BOOL_FIELDS]
     text = {True: "true", False: "false"}
     for row in rows:
@@ -429,15 +477,16 @@ def cmd_field_info(ns, out, err):
 
 
 def cmd_check(ns, out, err):
-    row, = _sweep_common(ns)
+    (field, (tup,)), = _grids(ns)
+    row = compute_row(field, tup, _group(field, tup))
     emit_rows([row], ROW_FIELDS, ns.format, out)
     if not row.agree:
         return EXIT_DISAGREEMENT
     return EXIT_OK if row.oracle else EXIT_NON_PERMUTATION
 
 
-def _sweep_common(ns):
-    """Rows of the grid at every requested q, in ascending q, streamed once
+def _grids(ns):
+    """(field, tuples) of the grid at every requested q, in ascending q, once
     every q's groups are validated and h built.  check is a sweep whose grid,
     over all q, must be exactly one tuple."""
     params = parse_kv(ns.params, FAMILY_KEYS)
@@ -450,9 +499,7 @@ def _sweep_common(ns):
     if not for_sweep and sum(len(tuples) for _, tuples in grids) != 1:
         raise UsageError("check takes exactly one parameter tuple; use sweep for grids")
     _prepare(grids)
-    return (row for field, tuples in grids
-            for row in iter_rows(field, tuples, ns.jobs, env_seed(), ns.max_field,
-                                 validated=True))
+    return grids
 
 
 def _tally(rows, name, counts):
@@ -463,18 +510,50 @@ def _tally(rows, name, counts):
         yield row
 
 
-def cmd_sweep(ns, out, err):
+def _render(search, fmt, rows, out=None):
+    """Write rows with emit_rows, without the CSV header, to out or else to a
+    new string: for a sweep every Row, counting its agree cells, and for a
+    search the SEARCH_FIELDS of each permuting Row, counting its oracle cells.
+    Returns the string ("" with out) and the Counter of the cells."""
     counts = Counter()
-    emit_rows(_tally(_sweep_common(ns), "agree", counts), ROW_FIELDS, ns.format, out)
+    rows = _tally(rows, "oracle" if search else "agree", counts)
+    if search:
+        pick = itemgetter(*map(ROW_FIELDS.index, SEARCH_FIELDS))
+        rows = (pick(row) for row in rows if row.oracle)
+    sink = io.StringIO() if out is None else out
+    emit_rows(rows, SEARCH_FIELDS if search else ROW_FIELDS, fmt, sink, header=False)
+    return ("" if out is not None else sink.getvalue()), counts
+
+
+def _write_rows(ns, out, search):
+    """Write a sweep's or a search's output (_render) over the grid of every
+    requested q, after one header, and return the Counter of the counted
+    cells.  A grid computed here streams its rows to out as they come; a
+    pooled one (_pooled) writes each slice's text as the worker rendered it."""
+    grids = _grids(ns)
+    emit_rows((), SEARCH_FIELDS if search else ROW_FIELDS, ns.format, out)
+    finish = partial(_render, search, ns.format)
+    counts = Counter()
+    for field, tuples in grids:
+        workers = _workers(tuples, ns.jobs)
+        if workers < 2:
+            pieces = [finish(_rows(field, tuples, {}), out)]
+        else:
+            pieces = _pooled(field, tuples, workers, env_seed(), ns.max_field, finish)
+        for text, part in pieces:
+            out.write(text)
+            counts.update(part)
+    return counts
+
+
+def cmd_sweep(ns, out, err):
+    counts = _write_rows(ns, out, search=False)
     print(f"tuples={counts[True] + counts[False]} disagreements={counts[False]}", file=err)
     return EXIT_OK if counts[False] == 0 else EXIT_DISAGREEMENT
 
 
 def cmd_search(ns, out, err):
-    counts = Counter()
-    pick = itemgetter(*map(ROW_FIELDS.index, SEARCH_FIELDS))
-    hits = (pick(row) for row in _tally(_sweep_common(ns), "oracle", counts) if row.oracle)
-    emit_rows(hits, SEARCH_FIELDS, ns.format, out)
+    counts = _write_rows(ns, out, search=True)
     print(f"tuples={counts[True] + counts[False]} permutations={counts[True]}", file=err)
     return EXIT_OK
 

@@ -236,17 +236,6 @@ class Element:
         """The q-th power map a -> a^q (conjugation over F_q)."""
         return self ** self.field.q
 
-    def multiplicative_order(self):
-        """Least e > 0 with self^e == 1; divides q^2 - 1."""
-        if self.is_zero():
-            raise DivisionByZero("order of zero")
-        e = self.field.q2 - 1
-        one = self.field.one
-        for prime, _ in self.field.factorization:
-            while e % prime == 0 and self ** (e // prime) == one:
-                e //= prime
-        return e
-
     def is_zero(self):
         return not any(self.coeffs)
 

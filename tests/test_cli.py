@@ -552,6 +552,80 @@ def test_row_kernel_folds_any_h(case):
     assert row.oracle == is_permutation_of_field(field, f).is_bijection
 
 
+@pytest.mark.parametrize("tag,q,params,walks", [
+    ("T1", 13, {"d": "2,14", "r": "1..167", "c": "all"}, 7685),
+    ("T3", 13, {"d": "2,7,14", "r": "1..167", "c": "1,2,3"}, 501),
+    ("T5", 11, {"r": "1..119", "c": "all"}, 1071),
+])
+def test_verdict_memo_walks_each_distinct_folded_f_once(monkeypatch, tag, q, params, walks):
+    """At --jobs=1 the oracle walks each distinct folded f of the grid once,
+    and every row's verdict is is_permutation_of_field of its own build_f.
+    The default k windows and the c sets repeat whole polynomials across d,
+    k, c and r: 18,704, 23,046 and 1,428 rows hold only walks distinct f."""
+    walked = []
+
+    def counting(field, terms):
+        walked.append(tuple((e, int(c)) for e, c in terms))
+        return permutes(field, terms)
+
+    monkeypatch.setattr(cli, "permutes", counting)
+    field = build_field(q, 1)
+    tuples = cli.build_grid(params, field, tag, True)
+    verdicts = {}  # per folded f, found independently of the memo's key
+    for tup, row in zip(tuples, cli.compute_rows(field, tuples, 1, 0, 1 << 26)):
+        f = build_f(cli._params_from_tuple(field, tup)).reduce_mod()
+        if f not in verdicts:
+            verdicts[f] = is_permutation_of_field(field, f).is_bijection
+        assert row.oracle == verdicts[f], tup
+    assert len(walked) == len(set(walked)) == len(verdicts) == walks
+
+
+class InProcessPool:
+    """ProcessPoolExecutor's stand-in: every slice runs in this process."""
+
+    def __init__(self, max_workers, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("pool", ["serial", "in-process", "processes"])
+def test_verdict_memo_stays_with_its_sweep_and_field(monkeypatch, pool):
+    # at q = 5 and 13 the T3 d=2 k=0 c=2 f is the monomial 2x^r, so both
+    # fields' sweeps hold the same reduced_f texts; 2x^7 permutes F_25
+    # (gcd(7, 24) = 1) but not F_169 (gcd(7, 168) = 7)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
+    if pool == "in-process":
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    jobs = "--jobs=1" if pool == "serial" else "--jobs=2"
+    code, out, err = run_cli(jobs, "sweep", "family=T3", "q=5,13", "d=2", "k=0",
+                             "r=1..23", "c=2")
+    assert (code, err) == (0, "tuples=46 disagreements=0\n")
+    assert {row["q"]: row["oracle"] for row in parse_csv(out) if row["r"] == "7"} == {
+        "5": "true", "13": "false"}
+    # and a sweep walks every f again: no verdict is kept from the last one
+    walked = []
+
+    def counting(field, terms):
+        walked.append(field.q)
+        return permutes(field, terms)
+
+    monkeypatch.setattr(cli, "permutes", counting)
+    field = build_field(5, 1)
+    tuples = cli.build_grid({"d": "2", "k": "0", "r": "1..23", "c": "2"}, field, "T3", True)
+    for _ in range(2):
+        cli.compute_rows(field, tuples, 1 if pool == "serial" else 2, 0, 1 << 26)
+    if pool != "processes":  # a worker process counts its own walks
+        assert walked == [5] * 46
+
+
 def test_streamed_sweep_is_the_same_at_every_jobs(monkeypatch):
     # 16 slices at each q at --jobs=2; stdout matches but for elapsed_us
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core

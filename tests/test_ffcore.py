@@ -167,28 +167,6 @@ def test_norm_map_lands_in_subfield(p, h):
         assert norm.frobenius() == norm
 
 
-def test_multiplicative_order(field_q13):
-    f = field_q13
-    assert f.one.multiplicative_order() == 1
-    assert (-f.one).multiplicative_order() == 2
-    assert f.generator.multiplicative_order() == f.q2 - 1
-    with pytest.raises(DivisionByZero):
-        f.zero.multiplicative_order()
-
-
-def test_multiplicative_order_matches_scan(field_q5):
-    f = field_q5
-    for a in f.elements():
-        if a.is_zero():
-            continue
-        x = a
-        scan = 1
-        while x != f.one:
-            x = x * a
-            scan += 1
-        assert a.multiplicative_order() == scan
-
-
 def test_field_mismatch(field_q5, field_q13):
     with pytest.raises(FieldMismatch):
         field_q5.one + field_q13.one

@@ -34,6 +34,10 @@ CALLS = [
     ["identities", "q=5,13"],
     ["--format=jsonl", "identities", "q=5,13"],
     ["sweep", "family=T1", "q=13", "d=2", "k=2", "r=1..5", "c=all"],
+    # rows that repeat a folded f: 552 rows with 185 distinct f, and a search
+    # whose 12 groups, all with distinct h, still repeat 357 of 1,428 f
+    ["sweep", "family=T1", "q=5", "d=2,6", "r=1..23", "c=all"],
+    ["search", "family=T5", "q=11", "r=1..119", "c=all"],
 ]
 
 
