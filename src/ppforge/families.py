@@ -17,10 +17,9 @@ instead of the derived ones.  The gcd predicates are exact integer
 arithmetic; the oracle module provides the independent exhaustive check.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import BadCongruence, HypothesesNotSatisfied
 from .ffcore import Element, FieldSpec
@@ -31,8 +30,7 @@ from .unity import make_mu, make_partition
 TAGS = ("T1", "T2", "T3", "T4", "T5", "T6")
 
 
-@dataclass(frozen=True)
-class DerivedExponents:
+class DerivedExponents(NamedTuple):
     v: int
     v1: int
     u: int
@@ -49,15 +47,7 @@ def derived_exponents(q, d):
     return DerivedExponents(v=v, v1=v1, u=v + 1, u1=v1 + 1, s=v % d or d)
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """A family tag plus everything needed to build h and f.
-
-    d is a free parameter for T1..T4, hard-wired to 4 for T5 and 2 for T6.
-    u and v are T6's odd exponents and ignored elsewhere.  Derived exponents
-    are always recomputed from (q, d), never stored.
-    """
-
+class _Params(NamedTuple):
     tag: str
     field: FieldSpec
     r: int
@@ -67,22 +57,33 @@ class FamilyParams:
     u: int = 0
     v: int = 0
 
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown family tag {self.tag!r}")
-        if self.tag == "T5":
-            object.__setattr__(self, "d", 4)
-        elif self.tag == "T6":
-            object.__setattr__(self, "d", 2)
-        elif self.d < 1:
-            raise ValueError(f"{self.tag} requires an explicit d >= 1")
+
+class FamilyParams(_Params):
+    """A family tag plus everything needed to build h and f.
+
+    d is a free parameter for T1..T4, hard-wired to 4 for T5 and 2 for T6.
+    u and v are T6's odd exponents and ignored elsewhere.  Derived exponents
+    are always recomputed from (q, d), never stored.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tag, field, r, c, d=0, k=0, u=0, v=0):
+        if tag not in TAGS:
+            raise ValueError(f"unknown family tag {tag!r}")
+        if tag == "T5":
+            d = 4
+        elif tag == "T6":
+            d = 2
+        elif d < 1:
+            raise ValueError(f"{tag} requires an explicit d >= 1")
+        return super().__new__(cls, tag, field, r, c, d, k, u, v)
 
     def derived(self):
         return derived_exponents(self.field.q, self.d)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Validation outcome: satisfied iff the violation list is empty."""
 
     violations: Tuple[str, ...]
@@ -309,15 +310,6 @@ def corollary_negative(field, u, v, c, r_range):
         if is_permutation_of_field(field, build_f(params)).is_bijection:
             return False
     return True
-
-
-def t6_even_v_is_constant_on_mu(field, u, v, c):
-    """With v even, h restricted to mu_{q+1} is the constant c, so
-    x^r h(x)^(q-1) acts there as c^(q-1) * x^r.  Checked pointwise."""
-    if v % 2 != 0:
-        raise ValueError("v must be even here")
-    h = build_h(FamilyParams(tag="T6", field=field, r=1, c=c, u=u, v=v))
-    return all(hx == c for hx in make_mu(field).evaluate(h))
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,18 @@ generator of the full multiplicative group), so construction is deterministic
 for a fixed seed.  FieldSpec and Element are immutable after construction and
 safe to share between threads; all operations are pure.
 
-Discrete logs base the generator come from one provider per field,
-FieldSpec.logs(): exp/log/Zech tables of about q^2 entries (ZechLogs) on
-extension fields up to q^2 = TABLE_LIMIT = 2^18, and two-level logs from
-lists of O(q) ints (TwoLevelLogs) on every other field.  Both label zero by
-n = q^2 - 1, and both label the values of a sparse polynomial along a run
-of powers of g, the oracle's one kind of walk.
+Discrete logs base the generator come from one provider on every field,
+FieldSpec.logs(): two-level logs and Zech logarithms from lists of O(q)
+ints (TwoLevelLogs), with zero labelled n = q^2 - 1.  It labels the values
+of a sparse polynomial along a run of powers of g, the oracle's one kind of
+walk, adding the terms by Zech logarithms.
 """
 
 from array import array
-from collections import deque
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from math import isqrt
+from operator import mul
 import random
 
 from .errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
@@ -32,13 +31,16 @@ from .errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
 DEFAULT_MAX_FIELD_SIZE = 1 << 26
 DEFAULT_SEED = 0
 
-# Largest q^2 for which an extension field (h > 1) takes its logs from the
-# exp/log/Zech tables (ZechLogs); every other field takes them from
-# TwoLevelLogs.  The tables are three arrays of about q^2 C ints (TABLE_TYPE,
-# 4 bytes each: every entry is at most q^2 - 1 < 2^31), 1.6 MB at q = 19^2,
-# the largest.
+# Largest q^2 for which an extension field (h > 1) keeps its Zech
+# logarithms as one flat array, TwoLevelLogs.zech_table; every other field
+# computes each from O(q) lists.  The array holds q^2 - 1 C ints
+# (TABLE_TYPE, 4 bytes each: every label is at most q^2 - 1 < 2^31), about
+# 0.5 MB at q = 19^2, the largest.
 TABLE_LIMIT = 1 << 18
 TABLE_TYPE = "i"
+
+# Most labels TwoLevelLogs.log keeps, by coefficient vector, on h > 1
+LOG_MEMO_SIZE = 1 << 10
 
 # Largest q^2 for which TwoLevelLogs keeps the decoded field, exps(), once
 # built: an array of q^2 C ints, 4 MB at the bound.  Above it every exps()
@@ -232,10 +234,6 @@ class Element:
             return NotImplemented
         return self * other.inverse()
 
-    def frobenius(self):
-        """The q-th power map a -> a^q (conjugation over F_q)."""
-        return self ** self.field.q
-
     def is_zero(self):
         return not any(self.coeffs)
 
@@ -406,116 +404,27 @@ class FieldSpec:
     # -- discrete logs -------------------------------------------------------
 
     def logs(self):
-        """The field's discrete logs base the generator g: ZechLogs on an
-        extension field (h > 1) with q^2 <= TABLE_LIMIT, TwoLevelLogs on
-        every other field.  Both give log(c), exp(label), exps() (every
-        exp, in label order) and labels(step, terms, count), with n = q^2 - 1
-        the label of zero.
+        """The field's discrete logs base the generator g, TwoLevelLogs: it
+        gives log(c), exp(label), exps() (every exp, in label order), zech(d)
+        and labels(step, terms, count), with n = q^2 - 1 the label of zero.
         Built once, lazily, and published by one assignment, so a concurrent
         reader sees a whole provider or none."""
         if self._logs is None:
-            self._logs = (ZechLogs if self.tables_supported() else TwoLevelLogs)(self)
+            self._logs = TwoLevelLogs(self)
         return self._logs
 
-    # perfbench/child.py builds the tables in its set-up through these two
+    # perfbench/child.py builds the flat Zech table in its set-up through
+    # these two
     def tables_supported(self):
-        """Does logs() give this field the Zech tables?"""
+        """Does logs() keep a flat Zech table for this field?"""
         return self.h > 1 and self.q2 <= TABLE_LIMIT
 
     def tables(self):
-        """The arrays (exp, log, zech) of logs(), where tables_supported()."""
-        logs = self.logs()
-        return logs.exp_table, logs.log_table, logs.zech_table
+        """(zech_table,) of logs(), where tables_supported()."""
+        return (self.logs().zech_table,)
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, h={self.h}, q2={self.q2})"
-
-
-class ZechLogs:
-    """Discrete logs base g from exp/log/Zech tables of about q^2 entries.
-
-    exp_table[i] is the canonical encoding of g^i for 0 <= i < n = q^2 - 1,
-    log_table is its inverse, and zech_table[i] = log(1 + g^i) is the Zech
-    logarithm.  Zero has no logarithm, and n stands for it: log_table[0] is
-    n, exp_table[n] is 0, and zech_table[i] is n where 1 + g^i = 0.  With
-    them g^a + g^b is g^(a + zech[b - a]), one lookup at any extension
-    degree.  The tables are flat arrays of C ints (TABLE_TYPE): they hold no
-    int objects, so a garbage collection visits only their type, never their
-    entries.
-
-    exp follows the split n = M*(p - 1).  a = g^M generates F_p^*, and F_p
-    is the scalars, so g^(t + j*M) = a^j * g^t coordinate by coordinate.
-    Only the M base powers g^t, t < M, come from
-    power_blocks(g, [(1, one)], M); each block of them, scaled by a^j with
-    one lookup per coordinate, is encoded into exp[t + j*M].  log is then
-    exp inverted.  Adding 1 changes only the t^0 coefficient, so
-    zech[log c] is log[c + 1] for the encodings c = 1, ..., q^2 - 2, except
-    where that coefficient is p - 1 and wraps to 0: there it is
-    log[c + 1 - p].  The build's temporaries are one block of base powers
-    and the encodings of one scaled block, never anything field-sized.
-    """
-
-    __slots__ = ("n", "exp_table", "log_table", "zech_table", "lh_cache")
-
-    def __init__(self, field):
-        p, n = field.p, field.q2 - 1
-        self.n = n
-        self.lh_cache = {}  # oracle.h_logs' LH arrays
-        run = n // (p - 1)
-        a = (field.generator ** run).coeffs[0]
-        exp = array(TABLE_TYPE, [0]) * (n + 1)
-        start = 0
-        for cols in field.power_blocks(field.generator, [(1, field.one)], run):
-            size = len(cols[0])
-            u = 1
-            for s in range(start, n, run):  # exp[s : s + size], scaled by u = a^j
-                scale = [u * x % p for x in range(p)]
-                exp[s:s + size] = array(TABLE_TYPE, field.encode(
-                    [list(map(scale.__getitem__, col)) for col in cols]))
-                u = u * a % p
-            start += size
-        log = array(TABLE_TYPE, [n]) * field.q2
-        deque(map(log.__setitem__, exp, range(n)), maxlen=0)
-        # zech[log c] = log[c + 1], then the c = p*k + p - 1: log[p*k]
-        zech = array(TABLE_TYPE, [0]) * n
-        deque(map(zech.__setitem__, islice(log, 1, None), islice(log, 2, None)), maxlen=0)
-        deque(map(zech.__setitem__, islice(log, p - 1, None, p), islice(log, 0, None, p)),
-              maxlen=0)
-        self.exp_table, self.log_table, self.zech_table = exp, log, zech
-
-    def log(self, c):
-        """log c for an Element c; n for c = 0."""
-        return self.log_table[int(c)]
-
-    def exp(self, label):
-        """The canonical encoding of g^label; 0 for the zero label n."""
-        return self.exp_table[label]
-
-    def exps(self):
-        """exp(label) for label in range(n + 1): the table itself, read-only."""
-        return self.exp_table
-
-    def labels(self, step, terms, count):
-        """log of sum c*x^e over the (e, c) in terms (nonzero Elements c) at
-        x = g^(step*t), t = 0..count-1, n for a zero value; one label at a
-        time.  Term j is the log lc_j + t*step*e_j mod n, and the terms are
-        added through the Zech table, one lookup per term."""
-        n, zech = self.n, self.zech_table
-        terms = [(self.log_table[int(c)], step * e) for e, c in terms]
-        if not terms:
-            yield from repeat(n, count)
-            return
-        (lc0, e0), rest = terms[0], terms[1:]
-        for t in range(count):
-            acc = (lc0 + t * e0) % n
-            for lc, e in rest:
-                b = (lc + t * e) % n
-                if acc == n:
-                    acc = b
-                else:
-                    z = zech[b - acc]  # a negative index wraps mod n, as wanted
-                    acc = n if z == n else (acc + z) % n
-            yield acc
 
 
 class TwoLevelLogs:
@@ -537,25 +446,46 @@ class TwoLevelLogs:
     alpha and beta are F_p-linear in y: s^0..s^(h-1) is an F_p-basis of
     F_q, and 1, t an F_q-basis of F_{q^2}, so they are read off y's
     coordinates in the basis s^i, s^i*t (i < h) of F_{q^2}, one fixed
-    2h x 2h matrix over F_p applied a block of values at a time.  An element
-    of F_q is coded by its h coordinates in the basis s^i, Horner's rule
-    with the top one first, an int below q: log_f and coset are lists of q
-    ints.  On h = 1 the basis is 1, t, and the codes are y's two coordinates.
+    2h x 2h matrix over F_p.  An element of F_q is coded by its h
+    coordinates in the basis s^i, Horner's rule with the top one first, an
+    int below q: log_f and coset are lists of q ints.  On h = 1 the basis is
+    1, t, and the codes are y's two coordinates.
 
-    exp follows ZechLogs' split n = M*(p - 1): g^(i + j*M) = a^j * g^i
-    coordinate by coordinate, with a = g^M in F_p^*.  On h = 1, M = q + 1,
-    a = s, and the base powers g^0..g^q are those that fill coset; on
-    h > 1 the M base powers are built by the first exp or exps.
+    Zech logarithms Z(d) = log(1 + g^d) (Huber 1990; Lidl-Niederreiter,
+    Finite Fields) come from the same lists, with no field multiplication.
+    Write d = i + (q+1)*j, 0 <= i <= q, 0 <= j < q - 1, so that
+    g^d = s^j * g^i.  The code of 1 is 1, so 1 + x has x's code plus 1,
+    the low base-p digit wrapping at p; that gives F_q's own Zech list
+    z_f[j] = log_f[1 + s^j], -1 where s^j = -1.  la[i] and lb[i] are the
+    log_f of alpha_i and beta_i, the coordinates of g^i (la[i] = -1 where
+    alpha_i = 0).  Then:
+    * i = 0: 1 + s^j is in F_q, and Z(d) = (q+1)*z_f[j], or n where
+      z_f[j] = -1;
+    * i > 0: 1 + g^d = alpha + beta*t with beta = s^j*beta_i != 0, so
+      log_f[beta] = j + lb[i] mod (q - 1), and alpha = 1 + s^j*alpha_i,
+      so log_f[alpha] = z_f[j + la[i] mod (q - 1)], or 0 where alpha_i = 0;
+      Z(d) is the log of alpha + beta*t as above.
+    On an extension field with q^2 <= TABLE_LIMIT, Z is also kept as one
+    flat array of n C ints, zech_table, filled from the same formula a
+    column at a time, the d = i mod (q+1) for one i; on every other field
+    zech_table is None and each Z is computed when asked for.
+
+    exp follows the split n = M*(p - 1), with a = g^M in F_p^*: F_p is the
+    scalars, so g^(i + j*M) = a^j * g^i coordinate by coordinate.  On
+    h = 1, M = q + 1, a = s, and the base powers g^0..g^q are those that
+    fill coset; on h > 1 the M base powers are built by the first exp or
+    exps.
     """
 
-    __slots__ = ("field", "q", "n", "log_f", "coset", "run", "scalars", "_coords", "_base",
-                 "_exps", "lh_cache")
+    __slots__ = ("field", "q", "n", "log_f", "coset", "z_f", "la", "lb", "zech_table", "run",
+                 "scalars", "_coords", "_base", "_exps", "_log_memo", "lh_cache")
 
     def __init__(self, field):
         p, q, h = field.p, field.q, field.h
         self.field, self.q = field, q
         self.lh_cache = {}  # oracle.h_logs' LH arrays
         self._exps = None
+        self._log_memo = {}
         n = self.n = field.q2 - 1
         s_powers = _power_columns(field, field.generator ** (q + 1), q - 1)  # s^j, j < q - 1
         self._coords = None  # h = 1: alpha and beta are y's two coordinates
@@ -563,21 +493,27 @@ class TwoLevelLogs:
             basis = list(zip(*s_powers))[:h]
             t = (0, 1) + (0,) * (2 * h - 2)
             self._coords = _inverse(basis + [field._mul_coeffs(b, t) for b in basis], p)
-        self.log_f = [0] * q
-        for j, code in enumerate(self._codes(s_powers)[0]):
-            self.log_f[code] = j
+        log_f = self.log_f = [0] * q
+        s_codes = self._codes(s_powers)[0]
+        for j, code in enumerate(s_codes):
+            log_f[code] = j
+        one_plus = [code + 1 - p if code % p == p - 1 else code + 1 for code in s_codes]
+        self.z_f = [log_f[code] if code else -1 for code in one_plus]
         powers = _power_columns(field, field.generator, q + 1)
         self.coset = [0] * q
         alphas, betas = self._codes(powers)
+        self.la = [log_f[alpha] if alpha else -1 for alpha in alphas]
+        self.lb = [log_f[beta] for beta in betas]
         for i in range(1, q + 1):
-            self.coset[self._key(alphas[i], betas[i])] = (
-                i - (q + 1) * self.log_f[betas[i]]) % n
+            self.coset[self._key(alphas[i], betas[i])] = (i - (q + 1) * self.lb[i]) % n
         self.run = n // (p - 1)
         a = (field.generator ** self.run).coeffs[0]
         self.scalars = [1]  # a^j, j < p - 1
         for _ in range(p - 2):
             self.scalars.append(self.scalars[-1] * a % p)
         self._base = powers if h == 1 else None
+        del s_powers, s_codes, one_plus, powers, alphas, betas  # before the table
+        self.zech_table = self._zech_columns() if field.tables_supported() else None
 
     def _codes(self, cols):
         """The codes of alpha and of beta for a block of coordinate columns."""
@@ -598,9 +534,55 @@ class TwoLevelLogs:
         return (self.q + 1) * self.log_f[alpha] if alpha else self.n
 
     def log(self, c):
-        """log c for an Element c; n for c = 0."""
-        (alpha,), (beta,) = self._codes([[x] for x in c.coeffs])
-        return self._log(alpha, beta)
+        """log c for an Element c; n for c = 0.  On h > 1 the codes are one
+        dot product of c's coordinates with each row of the basis matrix,
+        and the label is kept in a memo of up to LOG_MEMO_SIZE entries."""
+        coeffs = c.coeffs
+        if self._coords is None:
+            return self._log(*coeffs)
+        label = self._log_memo.get(coeffs)
+        if label is None:
+            p, h = self.field.p, self.field.h
+            digits = [sum(map(mul, row, coeffs)) % p for row in self._coords]
+            alpha = beta = 0
+            for k in range(h - 1, -1, -1):
+                alpha, beta = alpha * p + digits[k], beta * p + digits[h + k]
+            label = self._log(alpha, beta)
+            if len(self._log_memo) >= LOG_MEMO_SIZE:
+                self._log_memo.clear()
+            self._log_memo[coeffs] = label
+        return label
+
+    def zech(self, d):
+        """Z(d) = log(1 + g^d) for any int d, n where 1 + g^d = 0, computed
+        from the lists (class docstring)."""
+        q, n, z_f = self.q, self.n, self.z_f
+        j, i = divmod(d % n, q + 1)
+        if not i:
+            z = z_f[j]
+            return (q + 1) * z if z >= 0 else n
+        b = (j + self.lb[i]) % (q - 1)
+        la = self.la[i]
+        a = z_f[(j + la) % (q - 1)] if la >= 0 else 0
+        return ((q + 1) * b + self.coset[(a - b) % (q - 1) if a >= 0 else q - 1]) % n
+
+    __getitem__ = zech  # so labels reads Z[d] from the provider as from zech_table
+
+    def _zech_columns(self):
+        """zech(d) for d in range(n) as an array, a column d = i mod (q+1)
+        at a time: over j, log_f[beta] is j + lb[i] and log_f[alpha] is
+        z_f[j + la[i]], both lists rotated by their offset."""
+        n, z_f, coset = self.n, self.z_f, self.coset
+        m, q1 = self.q + 1, self.q - 1
+        table = array(TABLE_TYPE, [0]) * n
+        table[::m] = array(TABLE_TYPE, (m * z if z >= 0 else n for z in z_f))
+        for i in range(1, m):
+            la, lb = self.la[i], self.lb[i]
+            alogs = chain(islice(z_f, la, None), islice(z_f, la)) if la >= 0 else repeat(0)
+            table[i::m] = array(TABLE_TYPE, (
+                (m * b + coset[(a - b) % q1 if a >= 0 else q1]) % n
+                for a, b in zip(alogs, chain(range(lb, q1), range(lb)))))
+        return table
 
     def exp(self, label):
         """The canonical encoding of g^label, label = i + M*j with i < M and
@@ -636,11 +618,28 @@ class TwoLevelLogs:
         return self._base
 
     def labels(self, step, terms, count):
-        """log of sum c*x^e over the (e, c) in terms at x = g^(step*t),
-        t = 0..count-1, n for a zero value: FieldSpec.power_blocks' values,
-        labelled a block at a time."""
-        blocks = self.field.power_blocks(self.field.generator ** step, terms, count)
-        return chain.from_iterable(map(self._log, *self._codes(cols)) for cols in blocks)
+        """log of sum c*x^e over the (e, c) in terms (nonzero Elements c) at
+        x = g^(step*t), t = 0..count-1, n for a zero value; one label at a
+        time.  Term j is the log lc_j + t*step*e_j mod n, and the terms are
+        added by Zech logarithms, g^a + g^b = g^(a + Z(b - a)): one Z per
+        term, a lookup in zech_table where there is one."""
+        n = self.n
+        zech = self if self.zech_table is None else self.zech_table
+        terms = [(self.log(c), step * e) for e, c in terms]
+        if not terms:
+            yield from repeat(n, count)
+            return
+        (lc0, e0), rest = terms[0], terms[1:]
+        for t in range(count):
+            acc = (lc0 + t * e0) % n
+            for lc, e in rest:
+                b = (lc + t * e) % n
+                if acc == n:
+                    acc = b
+                else:
+                    z = zech[b - acc]  # a negative index wraps mod n, as wanted
+                    acc = n if z == n else (acc + z) % n
+            yield acc
 
 
 def _power_columns(field, a, count):

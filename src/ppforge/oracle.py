@@ -9,8 +9,8 @@ verdict, and evaluate_on_field folds and evaluates term by term.  f(0) is
 read from the constant term; the nonzero inputs are walked in generator
 order x = g^t, t = 0, 1, ..., n - 1, where a term c*x^e equals c*g^(t*e).
 Every image is labelled by its discrete log log f(g^t), with n for a zero
-image, from the field's one log provider (FieldSpec.logs(): the Zech tables
-on extension fields up to q^2 = 2^18, two-level logs on every other field).
+image, from the field's one log provider (FieldSpec.logs(): two-level logs
+from O(q) lists, which add a polynomial's terms by Zech logarithms).
 
 The walk is a base walk and shifted copies of it.  Let e_0 be the least
 folded exponent.  When q - 1 divides every difference e_j - e_0, as it does
@@ -56,29 +56,38 @@ who reads it.
 """
 
 from array import array
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class PermutationReport:
+class _Verdict(NamedTuple):
+    is_bijection: bool
+    domain_size: int
+    outside_mu: Optional[int] = None
+
+
+class PermutationReport(_Verdict):
     """Verdict of an exhaustive bijection test.
 
     first_collision is the lexicographically least pair of canonical input
     encodings with equal images (None if there is none), so diagnostics are
     reproducible run to run; find_collision computes it on first read.
     outside_mu (subgroup tests only) holds the least canonical input whose
-    image left the subgroup; it also counts as a non-bijection.
+    image left the subgroup; it also counts as a non-bijection.  Equality,
+    hashing and repr read the three verdict fields only, and no attribute
+    can be assigned.
     """
 
-    is_bijection: bool
-    domain_size: int
-    outside_mu: Optional[int] = None
-    find_collision: Callable[[], Optional[Tuple[int, int]]] = dataclass_field(
-        default=lambda: None, repr=False, compare=False)
+    def __new__(cls, is_bijection, domain_size, outside_mu=None,
+                find_collision: Callable[[], Optional[Tuple[int, int]]] = lambda: None):
+        report = super().__new__(cls, is_bijection, domain_size, outside_mu)
+        report.__dict__["find_collision"] = find_collision
+        return report
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: PermutationReport is immutable")
 
     @cached_property
     def first_collision(self):

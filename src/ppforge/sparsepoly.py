@@ -31,11 +31,6 @@ class SparsePoly:
         self.terms = tuple(sorted((e, c) for e, c in merged.items() if not c.is_zero()))
 
     @classmethod
-    def from_int_pairs(cls, field, pairs):
-        """Build from (exponent, canonical integer) pairs."""
-        return cls(field, [(e, field.from_int(c)) for e, c in pairs])
-
-    @classmethod
     def monomial(cls, field, coeff, exponent):
         return cls(field, [(exponent, coeff)])
 

@@ -20,10 +20,9 @@ All decision procedures here are exact: gcd conditions are checked by integer
 arithmetic, bijectivity by marking all q+1 image indices (oracle.distinct).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NotADivisor, NotInMu, PartitionNotDisjoint
 from .ffcore import Element
@@ -124,22 +123,14 @@ def coset_index(part, x):
     return part.coset(part.mu.log(x))
 
 
-def coset_decompose(part, x):
-    """(i, y) with x = omega^i * y and y in the index-d subgroup."""
-    i = coset_index(part, x)
-    return i, x * part.omega_pow(-i % part.d)
-
-
-@dataclass(frozen=True)
-class MonomialPiece:
+class MonomialPiece(NamedTuple):
     """One monomial branch A * x^exponent of a piecewise map on mu_{q+1}."""
 
     A: object
     exponent: int
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Boolean verdict plus a reason code for the first failed condition."""
 
     ok: bool
@@ -228,5 +219,9 @@ def induced_pieces(part, A, k, n):
 
     On the i-th coset, A * omega^(i k) * y^n with y = x * omega^(-i) equals
     A * omega^(i (k - n)) * x^n, so the piece constants carry the twist k - n.
+    This states the step that joins the paper's two criteria on mu_{q+1}:
+    a map that is a monomial in y on the cosets of a partition is
+    piecewise monomial in x itself, so omega_monomial_check and
+    piecewise_check must agree on it.
     """
     return [MonomialPiece(A * part.omega_pow(i * (k - n) % part.d), n) for i in range(part.d)]

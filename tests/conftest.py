@@ -46,10 +46,11 @@ def field_q29():
 @pytest.fixture
 def log_providers(monkeypatch):
     """copies(f) yields fresh copies of the field f: the first with the log
-    provider that FieldSpec.logs() picks for f, the Zech tables on an
-    extension field up to TABLE_LIMIT, the second with TABLE_LIMIT = 0,
-    where every field takes two-level logs.  logs() picks once per field,
-    hence the copies; a polynomial on f evaluates on either."""
+    provider that FieldSpec.logs() builds for f, with the flat Zech table
+    on an extension field up to TABLE_LIMIT, the second with
+    TABLE_LIMIT = 0, where every field computes each Zech logarithm from
+    the O(q) lists.  logs() builds once per field, hence the copies; a
+    polynomial on f evaluates on either."""
     def copies(f):
         for limit in (ffcore.TABLE_LIMIT, 0):
             copy = ffcore.FieldSpec(f.p, f.h, f.modulus, f.generator.coeffs)

@@ -355,13 +355,13 @@ def test_sweep_builds_its_constants_once_per_group(monkeypatch):
     # FamilyParams and derived exponents are per-group work: twice the r
     # range adds no FamilyParams and no derived_exponents cache miss
     built = []
-    post_init = FamilyParams.__post_init__
+    new = FamilyParams.__new__
 
-    def counting(params):
-        built.append(params)
-        post_init(params)
+    def counting(cls, *args, **kwargs):
+        built.append(new(cls, *args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(FamilyParams, "__post_init__", counting)
+    monkeypatch.setattr(FamilyParams, "__new__", counting)
     work = []
     for r in ("r=1..20", "r=1..40"):
         built.clear()
@@ -413,8 +413,8 @@ def test_compute_rows_caps_workers_at_tuple_count(monkeypatch):
 
 def test_pooled_rows_build_the_tables_in_the_parent(monkeypatch):
     # forked workers inherit the parent's cached field, so its logs (here
-    # the Zech tables) are built once, before the pool starts, not once per
-    # worker; a fresh FieldSpec starts without them
+    # with the flat Zech table) are built once, before the pool starts, not
+    # once per worker; a fresh FieldSpec starts without them
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
     cached = build_field(5, 2)
     field = FieldSpec(5, 2, cached.modulus, cached.generator.coeffs)
@@ -839,3 +839,17 @@ def test_module_entry_point():
     proc = run_module("check", "family=T1", "q=13", "d=2", "k=1", "r=5", "c=2")
     assert proc.returncode == 0
     assert "2x^5 + 2x^101" in proc.stdout
+
+
+def test_start_up_imports_no_dataclasses():
+    """import ppforge.cli, in a fresh interpreter without site, leaves
+    dataclasses (and the inspect, ast and dis it pulls in) unimported; the
+    set-up hook tables() then gives the one flat Zech table at q = 3^4."""
+    code = ("import ppforge.cli, sys; from ppforge import build_field; "
+            "print('dataclasses' in sys.modules); "
+            "table, = build_field(3, 4).tables(); print(type(table).__name__, table.typecode, len(table))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "array", "i", str(3 ** 8 - 1)]

@@ -33,9 +33,9 @@ from ppforge.families import (
     _c_power_is_one,
     _coset_identity,
     default_k_window,
-    t6_even_v_is_constant_on_mu,
     valid_c_count,
 )
+from reference import poly_from_ints, t6_even_v_is_constant_on_mu
 
 
 def make(field, tag, r=1, c=2, **kw):
@@ -210,7 +210,7 @@ def test_t3_t4_reduce_to_c_x_r(field_q5):
                     reduced = build_f(params).reduce_mod()
                     assert reduced.canonical_terms() == ((r, 3),)
                     assert pointwise_equal(
-                        f, build_f(params), SparsePoly.from_int_pairs(f, [(r, 3)])
+                        f, build_f(params), poly_from_ints(f, [(r, 3)])
                     )
 
 

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,11 @@ from ppforge.errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
 from ppforge.ffcore import (
     FieldSpec,
     TwoLevelLogs,
-    ZechLogs,
     _poly_is_irreducible,
     is_prime,
     verify_generator,
 )
+from reference import frobenius, plain_labels, plain_logs
 
 
 def test_build_field_basics(field_q5):
@@ -144,17 +145,17 @@ def test_canonical_roundtrip(n):
 
 def test_frobenius_is_an_automorphism(field_q5):
     f = field_q5
-    assert f.one.frobenius() == f.one
+    assert frobenius(f.one) == f.one
     elems = list(f.elements())
     for a in elems:
-        assert a.frobenius().frobenius() == a
+        assert frobenius(frobenius(a)) == a
     for a, b in itertools.product(elems, repeat=2):
-        assert (a * b).frobenius() == a.frobenius() * b.frobenius()
-        assert (a + b).frobenius() == a.frobenius() + b.frobenius()
+        assert frobenius(a * b) == frobenius(a) * frobenius(b)
+        assert frobenius(a + b) == frobenius(a) + frobenius(b)
 
 
 def test_frobenius_fixed_point_count(field_q13):
-    fixed = [x for x in field_q13.elements() if x.frobenius() == x]
+    fixed = [x for x in field_q13.elements() if frobenius(x) == x]
     assert len(fixed) == 13
 
 
@@ -164,7 +165,7 @@ def test_norm_map_lands_in_subfield(p, h):
     q = f.q
     for a in f.elements():
         norm = a ** (q + 1)
-        assert norm.frobenius() == norm
+        assert frobenius(norm) == norm
 
 
 def test_field_mismatch(field_q5, field_q13):
@@ -219,58 +220,52 @@ TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2)]
 
 
 def test_tables_are_for_small_extension_fields_only(field_q5, monkeypatch):
-    # logs() picks the Zech tables on an extension field up to TABLE_LIMIT,
-    # and two-level logs on every other field, once per field
+    # logs() is TwoLevelLogs on every field, once per field; it keeps the
+    # flat Zech table on an extension field up to TABLE_LIMIT only
     for p, h in TABLE_FIELDS:
         f = build_field(p, h)
-        assert f.tables_supported() and isinstance(f.logs(), ZechLogs)
-        assert f.tables() == (f.logs().exp_table, f.logs().log_table, f.logs().zech_table)
-    assert not field_q5.tables_supported() and isinstance(field_q5.logs(), TwoLevelLogs)
-    assert isinstance(build_field(3, 6).logs(), TwoLevelLogs)  # q^2 = 3^12 > TABLE_LIMIT
+        assert f.tables_supported() and isinstance(f.logs(), TwoLevelLogs)
+        assert f.tables() == (f.logs().zech_table,) and f.logs().zech_table is not None
+    assert not field_q5.tables_supported() and field_q5.logs().zech_table is None
+    assert build_field(3, 6).logs().zech_table is None  # q^2 = 3^12 > TABLE_LIMIT
     monkeypatch.setattr(ffcore, "TABLE_LIMIT", 1 << 26)
     cached = build_field(8161, 1)
     fresh = FieldSpec(8161, 1, cached.modulus, cached.generator.coeffs)
-    assert isinstance(fresh.logs(), TwoLevelLogs) and fresh.logs() is fresh.logs()
+    assert fresh.logs().zech_table is None and fresh.logs() is fresh.logs()
 
 
 @pytest.mark.parametrize("p,h", TABLE_FIELDS)
 def test_tables_match_plain_powers(p, h):
-    # g^i is a running product of plain Element multiplications
+    # the flat Zech table against Zech logs from a running product of plain
+    # Element multiplications: one array('i') of n entries
     f = build_field(p, h)
-    logs = ZechLogs(f)
-    exp, log, zech = logs.exp_table, logs.log_table, logs.zech_table
-    n, g, one = f.q2 - 1, f.generator, f.one
-    assert len(exp) == len(log) == f.q2 and len(zech) == n
-    x = one
-    for i in range(n):
-        assert exp[i] == int(x)
-        assert log[exp[i]] == i
-        assert zech[i] == log[int(x + one)]
-        x = x * g
-    assert x == one
-    # n stands for zero: log[0], exp[n], and zech at the one i with 1 + g^i = 0
-    assert log[0] == n and exp[n] == 0
-    assert [i for i, z in enumerate(zech) if z == n] == [n // 2]
-    assert logs.log(f.zero) == n and logs.exp(n) == 0
+    exp, log, zech = plain_logs(f)
+    n = f.q2 - 1
+    table, = f.tables()
+    assert isinstance(table, array) and table.typecode == "i" and len(table) == n
+    assert list(table) == zech
+    # n stands for zero: Z at the one d with 1 + g^d = 0
+    assert [d for d, z in enumerate(table) if z == n] == [n // 2]
 
 
 def test_tables_hold_no_int_objects():
     # a garbage collection visits a table's referents: its type alone, not
     # one int object per entry
-    logs = ZechLogs(build_field(11, 2))
-    for table in (logs.exp_table, logs.log_table, logs.zech_table):
-        assert len(gc.get_referents(table)) <= 1
+    table, = build_field(11, 2).tables()
+    assert len(gc.get_referents(table)) <= 1
 
 
 @pytest.mark.parametrize("p,h", [(13, 2), (17, 2), (3, 5)])
 def test_tables_build_without_a_field_sized_temporary(p, h):
+    # the flat table is filled a column of q - 1 entries at a time
     f = build_field(p, h)
     tracemalloc.start()
     try:
-        logs = ZechLogs(f)
+        logs = TwoLevelLogs(f)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert len(logs.zech_table) == f.q2 - 1
     assert peak - retained < 0.05 * retained
 
 
@@ -291,27 +286,64 @@ def test_two_level_logs_match_plain_powers(p):
 
 
 @pytest.mark.parametrize("p,h", TABLE_FIELDS)
-def test_two_level_logs_match_the_zech_tables(p, h):
-    # on extension fields alpha and beta come through the inverse basis
-    # matrix: log and exp against the tables at every element and label
+def test_two_level_logs_match_the_zech_tables(p, h, monkeypatch):
+    # the Zech logarithm computed per point from the O(q) lists, on a fresh
+    # copy under TABLE_LIMIT = 0, against the flat table at every d, d + n
+    # and d - n; and the labels of either provider are the same
     f = build_field(p, h)
-    two_level, zech = TwoLevelLogs(f), ZechLogs(f)
-    assert len(two_level.log_f) == len(two_level.coset) == f.q
-    assert all(two_level.log(x) == zech.log(x) for x in f.elements())
-    assert all(two_level.exp(i) == zech.exp(i) for i in range(f.q2))
+    table, = f.tables()
+    monkeypatch.setattr(ffcore, "TABLE_LIMIT", 0)
+    fresh = FieldSpec(p, h, f.modulus, f.generator.coeffs).logs()
+    assert fresh.zech_table is None
+    assert len(fresh.log_f) == len(fresh.coset) == len(fresh.z_f) + 1 == f.q
+    n = f.q2 - 1
+    assert all(fresh.zech(d) == z == fresh.zech(d + n) == fresh.zech(d - n)
+               for d, z in enumerate(table))
+    terms = [(0, f.generator), (1, f.one), (f.q - 1, -f.generator)]
+    assert list(fresh.labels(1, terms, n)) == list(f.logs().labels(1, terms, n))
+
+
+# the fields of the Zech reference: prime fields and both kinds of
+# extension field, every one small enough to list g^i
+ZECH_FIELDS = [(3, 1), (5, 1), (13, 1), (3, 2), (5, 2), (3, 3), (3, 4), (11, 2)]
+
+
+@pytest.mark.parametrize("p,h", ZECH_FIELDS)
+def test_zech_logs_match_plain_powers(p, h, log_providers):
+    # Z(d) at every d, log at every element, exp at every label and labels of
+    # random polynomials of 1 to 3 terms at steps 1, q - 1 and random ones,
+    # against plain powers; on each provider log_providers gives, so on an
+    # extension field both the flat table and the per-point formula
+    f = build_field(p, h)
+    exp, log, zech = plain_logs(f)
+    n, rng = f.q2 - 1, random.Random(f.q2)
+    for copy in log_providers(f):
+        logs = copy.logs()
+        assert [logs.zech(d) for d in range(n)] == zech
+        if logs.zech_table is not None:
+            assert list(logs.zech_table) == zech
+        assert [logs.log(x) for x in f.elements()] == log
+        assert [logs.exp(label) for label in range(n + 1)] == exp + [0]
+        for step in (1, f.q - 1, rng.randrange(1, n), rng.randrange(1, n)):
+            for size in (1, 2, 3, 3):
+                terms = [(rng.randrange(n + 1), f.from_int(rng.randrange(1, f.q2)))
+                         for _ in range(size)]
+                count = min(n, 3 * (f.q + 1))
+                assert (list(logs.labels(step, terms, count))
+                        == plain_labels(f, step, terms, count)), (step, terms)
+    # per provider: zech_table on the field's own copy where h > 1 only
+    assert [copy.logs().zech_table is not None for copy in log_providers(f)] == [h > 1, False]
 
 
 @pytest.mark.parametrize("p,h", TABLE_FIELDS + [(13, 1), (131, 1)])
 def test_exps_decode_every_label_at_once(p, h, monkeypatch):
-    # exps() against exp one label at a time: on the field's own provider,
-    # the Zech tables where h > 1, and on a fresh copy under TABLE_LIMIT = 0,
-    # which takes two-level logs at every h
+    # exps() against plain powers: on the field's own provider, and on a
+    # fresh copy under TABLE_LIMIT = 0, without the flat Zech table
     f = build_field(p, h)
-    expected = list(map(f.logs().exp, range(f.q2)))
-    assert isinstance(f.logs(), ZechLogs if h > 1 else TwoLevelLogs)
+    expected = plain_logs(f)[0] + [0]
     monkeypatch.setattr(ffcore, "TABLE_LIMIT", 0)
     fresh = FieldSpec(p, h, f.modulus, f.generator.coeffs)
-    assert isinstance(fresh.logs(), TwoLevelLogs)
+    assert fresh.logs().zech_table is None
     assert list(f.logs().exps()) == list(fresh.logs().exps()) == expected
 
 

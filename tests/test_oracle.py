@@ -19,6 +19,7 @@ from ppforge import (
 )
 from ppforge import ffcore, oracle
 from ppforge.families import FamilyParams, build_f, gcd_criterion, valid_c_values
+from reference import poly_from_ints
 
 
 def x_power(field, n, coeff=None):
@@ -47,7 +48,7 @@ def test_evaluate_basics(field_q13):
     assert evaluate(f, c, f.generator) == f.from_int(7)
     g = f.generator
     assert evaluate(f, x_power(f, 5), g) == g ** 5
-    h = SparsePoly.from_int_pairs(f, [(0, 2), (8, 1), (92, 1)])
+    h = poly_from_ints(f, [(0, 2), (8, 1), (92, 1)])
     assert evaluate(f, h, f.one) == f.from_int(4)
 
 
@@ -133,12 +134,10 @@ def assert_kernel_matches_evaluate(fields, polys):
 
 
 def test_tabled_evaluation_matches_slow_path(field_q9, field_q25, log_providers):
-    # extension fields under both log providers; q^2 - 1 is a multiple of
-    # power_blocks' block length at q = 3^2, and not at q = 5^2 and 3^3,
-    # whose last blocks are partial
+    # extension fields with the flat Zech table and without it
     for f in (field_q9, field_q25, build_field(3, 3)):
         copies = list(log_providers(f))
-        assert [type(copy.logs()) for copy in copies] == [ffcore.ZechLogs, ffcore.TwoLevelLogs]
+        assert [copy.logs().zech_table is not None for copy in copies] == [True, False]
         assert_kernel_matches_evaluate(copies, walk_cases(f).values())
     # at degree 8 evaluate() takes about a second per case, so only the
     # cases that reach the zero sentinels run there
@@ -150,10 +149,9 @@ def test_tabled_evaluation_matches_slow_path(field_q9, field_q25, log_providers)
 
 
 def test_untabled_walk_matches_slow_path(field_q5, field_q13):
-    # prime fields take two-level logs at every size; q^2 - 1 is a multiple
-    # of power_blocks' block length at q = 5, and not at q = 13
+    # prime fields keep no flat Zech table at any size
     for f in (field_q5, field_q13):
-        assert isinstance(f.logs(), ffcore.TwoLevelLogs)
+        assert f.logs().zech_table is None
         assert_kernel_matches_evaluate([f], walk_cases(f).values())
 
 
@@ -167,9 +165,9 @@ def test_agw_trinomial_permutes_on_both_paths(field_q9, field_q13, log_providers
 def test_unsplit_walk_stops_at_the_first_repeat(field_q13, field_q25, log_providers,
                                                 monkeypatch):
     """x^3 + x^5 has D = 1 (q - 1 does not divide 2), so its walk streams:
-    the bijection test labels no point past its first repeated image under
-    the Zech tables, one label at a time, and no block past it under
-    two-level logs, a block of power_blocks at a time."""
+    the bijection test labels no point past its first repeated image, one
+    label at a time, with the flat Zech table and without it, and the walk
+    calls no power_blocks."""
     def first_repeat(f):  # the first t whose image f(g^t) repeats
         seen = {int(evaluate(f, poly(f), f.zero))}
         for t in range(f.q2 - 1):
@@ -184,11 +182,11 @@ def test_unsplit_walk_stops_at_the_first_repeat(field_q13, field_q25, log_provid
     assert first_repeat(field_q13) == 19 and first_repeat(field_q25) == 18
 
     walked, blocks = [], []
-    zech_labels = ffcore.ZechLogs.labels
+    labels = ffcore.TwoLevelLogs.labels
     power_blocks = ffcore.FieldSpec.power_blocks
 
-    def counted_zech_labels(self, *args):
-        for label in zech_labels(self, *args):
+    def counted_labels(self, *args):
+        for label in labels(self, *args):
             walked.append(label)
             yield label
 
@@ -197,17 +195,14 @@ def test_unsplit_walk_stops_at_the_first_repeat(field_q13, field_q25, log_provid
             blocks.append(len(cols[0]))
             yield cols
 
-    monkeypatch.setattr(ffcore.ZechLogs, "labels", counted_zech_labels)
+    monkeypatch.setattr(ffcore.TwoLevelLogs, "labels", counted_labels)
     monkeypatch.setattr(ffcore.FieldSpec, "power_blocks", counted_power_blocks)
     for f, repeat in ((field_q13, 19), (field_q25, 18)):
         for copy in log_providers(f):
             walked.clear()
             blocks.clear()
             assert not is_permutation_of_field(copy, poly(f))
-            if isinstance(copy.logs(), ffcore.ZechLogs):
-                assert len(walked) == repeat + 1 and not blocks, copy
-            else:
-                assert sum(blocks[:-1]) <= repeat < sum(blocks) < f.q2 - 1, copy
+            assert len(walked) == repeat + 1 and not blocks, copy
 
 
 @pytest.fixture
@@ -408,9 +403,9 @@ def test_verdicts_do_not_depend_on_the_cache(field_q13, field_q25, monkeypatch):
 def test_evaluation_does_not_depend_on_the_decoded_field_cache(field_q13, field_q25,
                                                               log_providers, monkeypatch):
     """evaluate_on_field with the provider's exps() kept, cleared before
-    every call, and bounded to nothing (EXPS_CACHE_LABELS = 0), on both log
-    providers; the two-level provider keeps one decoded field in the first
-    case only."""
+    every call, and bounded to nothing (EXPS_CACHE_LABELS = 0), with the
+    flat Zech table and without it; the provider keeps one decoded field in
+    the first case only."""
     for f in (field_q13, field_q25):
         g = f.generator
         polys = [x_power(f, 5), SparsePoly(f, [(0, g), (1, g), (f.q + 3, -g)])] + t6_polys(f, (1, 2))
@@ -418,41 +413,39 @@ def test_evaluation_does_not_depend_on_the_decoded_field_cache(field_q13, field_
         for copy in log_providers(f):
             logs = copy.logs()
             kept = [evaluate_on_field(copy, poly) for poly in polys]
-            two_level = isinstance(logs, ffcore.TwoLevelLogs)
-            assert (logs._exps is logs.exps()) if two_level else logs.exps() is logs.exp_table
+            assert logs._exps is logs.exps()
             cleared = []
             for poly in polys:
-                if two_level:
-                    logs._exps = None
+                logs._exps = None
                 cleared.append(evaluate_on_field(copy, poly))
             monkeypatch.setattr(ffcore, "EXPS_CACHE_LABELS", 0)
-            if two_level:
-                logs._exps = None
+            logs._exps = None
             bounded = [evaluate_on_field(copy, poly) for poly in polys]
-            assert not two_level or logs._exps is None
+            assert logs._exps is None
             monkeypatch.undo()
             assert kept == cleared == bounded == expected
 
 
 def test_t6_at_the_largest_prime_field_matches_gcd_criterion():
     """q = 8161, a prime with q^2 just under 2^26: T6 u = v = 1, c = 2.
-    r = 13 permutes; the split walk labels its base run with the two-level
-    logs and builds no q^2 table."""
+    r = 13 permutes; the split walk labels its base run with Zech logarithms
+    computed per point from the O(q) lists, and builds no q^2 table."""
     f = build_field(8161, 1)
     for r in (13, 15, 17, 23):
         params = FamilyParams(tag="T6", field=f, r=r, c=f.from_int(2), u=1, v=1)
         assert is_permutation_of_field(f, build_f(params)).is_bijection == gcd_criterion(params), r
     assert gcd_criterion(FamilyParams(tag="T6", field=f, r=13, c=f.from_int(2), u=1, v=1))
-    assert isinstance(f.logs(), ffcore.TwoLevelLogs)
+    assert f.logs().zech_table is None
 
 
 @pytest.mark.parametrize("p,h", [(3, 6), (23, 2)])
 def test_t1_beyond_the_tables_matches_gcd_criterion(p, h):
-    """Extension fields above TABLE_LIMIT (q^2 = 3^12 and 23^4) take
-    two-level logs on their split walks: T1 tuples against gcd_criterion,
-    each in well under the seconds that encoding every run took."""
+    """Extension fields above TABLE_LIMIT (q^2 = 3^12 and 23^4) compute
+    each Zech logarithm of their split walks from the O(q) lists: T1 tuples
+    against gcd_criterion, each in well under the seconds that encoding
+    every run took."""
     f = build_field(p, h)
-    assert isinstance(f.logs(), ffcore.TwoLevelLogs)
+    assert f.logs().zech_table is None
     c = valid_c_values(f, "T1")[0]
     verdicts = Counter()
     for k in (1, 3):
@@ -521,7 +514,7 @@ def test_mu_identity_and_square(field_q5):
 def test_mu_agw_map_bijective(field_q13):
     f = field_q13
     mu = make_mu(f)
-    h = SparsePoly.from_int_pairs(f, [(0, 2), (8, 1), (92, 1)])
+    h = poly_from_ints(f, [(0, 2), (8, 1), (92, 1)])
     report = is_permutation_of_mu(
         mu, lambda x: x ** 5 * evaluate(f, h, x) ** (f.q - 1)
     )
@@ -618,7 +611,7 @@ def test_concurrent_readers_share_a_field():
 
     _build_field_cached.cache_clear()
     f = build_field(13, 1)
-    poly = SparsePoly.from_int_pairs(f, [(0, 2), (8, 1), (92, 1)])
+    poly = poly_from_ints(f, [(0, 2), (8, 1), (92, 1)])
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda _: evaluate_on_field(f, poly), range(16)))
     expected = [int(evaluate(f, poly, x)) for x in f.elements()]
