@@ -4,7 +4,6 @@ import pytest
 
 from ppforge import (
     FamilyParams,
-    SparsePoly,
     build_f,
     build_field,
     build_h,
