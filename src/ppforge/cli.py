@@ -20,20 +20,23 @@ counted before any range or c=all is expanded; a grid above MAX_GRID tuples is
 a usage error.  check is a sweep whose grid must be exactly one tuple.  A
 sweep, search or check first validates the family hypotheses of every
 requested q, once per (family, d, k, u, v, c) group: they do not depend on r.
-It then builds one h per (family, d, k, u, v), so a negative exponent in h is
-also an error before any row.  Rows are then computed and written as they
-arrive.  Each group's h is built once and folded: its exponents reduced mod
-q + 1, equal ones merged, and each coefficient's text kept.  Each r then
-folds f = x^r h(x^(q-1)) mod q^2 - 1 from plain ints, at most three
-exponents, whose sorted terms, joined with their texts, make the reduced_f
-column; the gcd criterion also reads plain ints.  That text names the folded
-f one to one, so it keys a memo of the oracle's verdicts, kept per sweep and
-per field in each process: each distinct f is walked once there, and rows
-that repeat it, across d, k, c and r, reuse its verdict.  A row is one flat
-Row tuple; emission reads its cells by position.  A pooled sweep or search
-hands each worker a slice of the grid, and the worker writes its slice's
-output text and counts its rows; the parent writes the header, then the
-slices' text in order, and sums their counts.
+It then builds one h per (family, d, k, u, v) combo, so a negative exponent in
+h is also an error before any row.
+
+Rows are then made by one kernel and written as they are made.  It walks the
+sorted grid combo by combo, formats the combo's constant cells once, and
+builds each group's h once, folded: its exponents reduced mod q + 1, equal
+ones merged, and each coefficient's text kept.  Each r then folds f = x^r
+h(x^(q-1)) mod q^2 - 1 from plain ints, at most three exponents, whose sorted
+terms, joined with their texts, make the reduced_f column; the gcd criterion
+also reads plain ints.  That text names the folded f one to one, so it keys a
+memo of the oracle's verdicts, kept per sweep and per field in each process:
+each distinct f is walked once there, and rows that repeat it, across d, k, c
+and r, reuse its verdict.  A sweep's or search's CSV line is one formatted
+string; JSON lines, check, iter_rows and compute_rows get Row tuples from the
+same kernel.  A pooled sweep or search hands each worker a slice of the grid,
+and the worker writes its slice's output text and counts its rows; the parent
+writes the header, then the slices' text in order, and sums their counts.
 
 Exit codes: 0 agreement/permutation (sweep: zero disagreements), 1 agreement/
 non-permutation, 2 disagreement, 64 usage error, 65 hypothesis violation
@@ -50,6 +53,7 @@ import time
 from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from itertools import groupby
 from math import gcd
 from operator import itemgetter
 
@@ -86,12 +90,12 @@ EXIT_HYPOTHESES = 65
 
 # Largest parameter grid a sweep, search or check builds, and the longest list
 # a parameter may give.  Rows are streamed, not held, so the bound is on time:
-# 2^20 rows take about 10 s at --jobs=1 and 7 s at --jobs=2 (a T3 q=13 d=2,14
-# sweep ran 903,168 tuples in 7.1-8.3 s at --jobs=1, about 115k tuples/s on
-# F_169, and in 5.8 s at --jobs=2, on a shared 2-vCPU x86-64 host).  Only the
-# grid's tuples and the verdict memo are held, about 0.1 KB each: a T3 q=13
-# sweep at --jobs=1 peaks at 20.0 MB RSS at 10,752 tuples, 30.4 MB at 112,896
-# and 111 MB at 903,168.
+# 2^20 rows take about 6-8 s at --jobs=1 and 5 s at --jobs=2 (a T3 q=13
+# d=2,14 sweep ran 903,168 tuples in 5.0-6.8 s at --jobs=1, 133-181k tuples/s
+# on F_169, and in 4.0-4.7 s at --jobs=2, on a shared 2-vCPU x86-64 host).
+# Only the grid's tuples and the verdict memo are held, about 0.1 KB each: a
+# T3 q=13 sweep at --jobs=1 peaks at 20.0 MB RSS at 10,752 tuples, 30.4 MB at
+# 112,896 and 110 MB at 903,168.
 MAX_GRID = 1 << 20
 
 # The oracle's verdicts are memoised per sweep, keyed by reduced_f; the memo
@@ -99,9 +103,10 @@ MAX_GRID = 1 << 20
 # lh_cache is.
 VERDICT_MEMO_SIZE = 1 << 16
 
-# One sweep row: k is None on T6, u and v are None elsewhere, and c is the
-# canonical integer.  iter_rows' pool workers send Rows to the parent, pickled
-# as flat tuples; a sweep's or search's workers send text instead.
+# One row of check, iter_rows and JSON lines: k is None on T6, u and v are None
+# elsewhere, and c is the canonical integer.  iter_rows' pool workers send Rows
+# to the parent, pickled as flat tuples; a sweep's or search's workers send
+# text instead, and its CSV lines are formatted without a Row.
 Row = namedtuple("Row", (
     "family", "q", "d", "k", "u", "v", "r", "c",
     "predicate", "oracle", "agree", "reduced_f", "elapsed_us",
@@ -229,54 +234,70 @@ def _group(field, tup):
                   for e, c in merged.items() if not c.is_zero()])
 
 
-def compute_row(field, tup, group, memo=None):
-    """The Row of (tag, d, k, u, v, r, c_canonical) whose family hypotheses
-    hold, given its group's constants (_group).  f = x^r h(x^(q-1)) is folded
-    mod n = q^2 - 1 from plain ints: each of its at most three exponents is
-    (r + o) mod n + 1, and the terms, sorted by exponent, are joined with their
-    texts for the reduced_f column.  The oracle's verdict is memo's entry for
-    reduced_f, which names the folded f's exponents and coefficients one to
-    one; on a miss the terms go to the oracle (permutes) and the verdict is
-    kept.  A memo must serve one field only; without one, f is always walked.
-    d is the tuple's own, so a T5 tuple carries d = 4 and a T6 one d = 2, as
+_COMBO = itemgetter(0, 1, 2, 3, 4)  # a tuple's (tag, d, k, u, v)
+
+
+def _rows(field, tuples, memo, make, tally=None):
+    """The row kernel: one made row per (tag, d, k, u, v, r, c_canonical)
+    tuple whose family hypotheses hold, in order.  Per (tag, d, k, u, v)
+    combo of the sorted tuples, make(tag, q, d, k, u, v) gets its constant
+    cells (k None on T6, u and v None elsewhere) and returns the function of
+    (r, c, predicate, oracle, agree, reduced_f, elapsed_us) that makes a row;
+    each (combo, c) group's constants (_group) are built on its first tuple.
+    Per r, f = x^r h(x^(q-1)) is folded mod n = q^2 - 1 from plain ints:
+    each of its at most three exponents is (r + o) mod n + 1, and the terms,
+    sorted by exponent, are joined with their texts for reduced_f.  The
+    oracle's verdict is memo's entry for reduced_f, which names the folded
+    f's exponents and coefficients one to one; on a miss the terms go to the
+    oracle (permutes) and the verdict is kept, so a memo must serve one field
+    only.  After the last row, tally (a Counter) gains the counts of tuples,
+    disagreements and permutations."""
+    q, n = field.q, field.q2 - 1
+    clock = time.perf_counter_ns
+    count = bad = perms = 0
+    for (tag, d, k, u, v), run in groupby(tuples, _COMBO):
+        row = make(tag, q, d, None, u, v) if tag == "T6" else make(tag, q, d, k, None, None)
+        groups = {}
+        for tup in run:
+            r, c = tup[5], tup[6]
+            if r < 1:
+                raise ValueError(f"r must be >= 1, got {r}")
+            group = groups.get(c)
+            if group is None:
+                group = groups[c] = _group(field, tup)
+            start = clock()
+            terms = sorted([((r + o) % n + 1, coeff, text) for o, coeff, text in group])
+            pred = r_criterion(tag, q, d, k, u, r)
+            reduced_f = " + ".join([f"{text}x" if e == 1 else f"{text}x^{e}"
+                                    for e, _, text in terms]) or "0"
+            oracle = memo.get(reduced_f)
+            if oracle is None:
+                if len(memo) >= VERDICT_MEMO_SIZE:
+                    memo.clear()
+                oracle = memo[reduced_f] = permutes(field, [(e, coeff) for e, coeff, _ in terms])
+            count += 1
+            bad += pred != oracle
+            perms += oracle
+            yield row(r, c, pred, oracle, pred == oracle, reduced_f, (clock() - start) // 1000)
+    if tally is not None:
+        tally.update(tuples=count, disagreements=bad, permutations=perms)
+
+
+def _row_maker(*combo):
+    """make for Rows (_rows)."""
+    return partial(Row, *combo)
+
+
+def _row_list(field, tuples, memo):
+    return list(_rows(field, tuples, memo, _row_maker))
+
+
+def compute_row(field, tup, memo=None):
+    """The Row of one tuple (_rows); without a memo f is always walked.  d is
+    the tuple's own, so a T5 tuple carries d = 4 and a T6 one d = 2, as
     build_grid makes them."""
-    start = time.perf_counter_ns()
-    tag, d, k, u, v, r, c = tup
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    q = field.q
-    n = field.q2 - 1
-    terms = sorted([((r + o) % n + 1, coeff, text) for o, coeff, text in group])
-    pred = r_criterion(tag, q, d, k, u, r)
-    reduced_f = " + ".join([f"{text}x" if e == 1 else f"{text}x^{e}"
-                            for e, _, text in terms]) or "0"
-    if memo is None:
-        memo = {}
-    oracle = memo.get(reduced_f)
-    if oracle is None:
-        if len(memo) >= VERDICT_MEMO_SIZE:
-            memo.clear()
-        oracle = memo[reduced_f] = permutes(field, [(e, coeff) for e, coeff, _ in terms])
-    if tag == "T6":
-        k = None
-    else:
-        u = v = None
-    return Row(tag, q, d, k, u, v, r, c, pred, oracle, pred == oracle, reduced_f,
-               (time.perf_counter_ns() - start) // 1000)
-
-
-def _rows(field, tuples, memo):
-    """compute_row of every tuple, in order, with one verdict memo.  Each
-    group is built on its first tuple and kept while the (tag, d, k, u, v)
-    combo lasts, so a sorted grid builds every group once."""
-    groups, combo = {}, None
-    for tup in tuples:
-        if tup[:5] != combo:
-            groups, combo = {}, tup[:5]
-        group = groups.get(tup[6])
-        if group is None:
-            group = groups[tup[6]] = _group(field, tup)
-        yield compute_row(field, tup, group, memo)
+    row, = _rows(field, (tup,), {} if memo is None else memo, _row_maker)
+    return row
 
 
 # The verdict memo of the pool this process works for, keyed by the field
@@ -287,25 +308,28 @@ _pool_memos = {}
 
 
 def _worker(field_args, finish, tuples):
-    """finish of one slice's rows, computed in a pool worker."""
+    """finish(field, tuples, memo) of one slice, in a pool worker."""
     memo = _pool_memos.setdefault(field_args, {})
-    return finish(_rows(build_field(*field_args), tuples, memo))
+    return finish(build_field(*field_args), tuples, memo)
 
 
 def _prepare(grids):
     """Validate each distinct (tag, d, k, u, v, c) group of every (field,
     tuples) grid once, in order, raising HypothesesNotSatisfied for the first
-    that fails; then build one h per (tag, d, k, u, v) combo.  h's exponents
-    depend on the combo alone, so that raises every NegativeExponent a row
-    would, after every hypothesis violation and before any row."""
+    that fails: one pass over each combo collects its distinct c.  Then build
+    one h per (tag, d, k, u, v) combo.  h's exponents depend on the combo
+    alone, so that raises every NegativeExponent a row would, after every
+    hypothesis violation and before any row."""
+    combos = []
     for field, tuples in grids:
-        for group in dict.fromkeys((tag, d, k, u, v, 1, c) for tag, d, k, u, v, _, c in tuples):
-            report = validate(_params_from_tuple(field, group))
-            if not report.satisfied:
-                raise HypothesesNotSatisfied(report.violations)
-    for field, tuples in grids:
-        for tup in {tup[:5]: tup for tup in tuples}.values():
-            _group(field, tup)
+        for combo, run in groupby(tuples, _COMBO):
+            for c in dict.fromkeys(map(itemgetter(6), run)):
+                report = validate(_params_from_tuple(field, (*combo, 1, c)))
+                if not report.satisfied:
+                    raise HypothesesNotSatisfied(report.violations)
+            combos.append((field, (*combo, 1, c)))
+    for field, tup in combos:
+        _group(field, tup)
 
 
 def _workers(tuples, jobs):
@@ -315,13 +339,13 @@ def _workers(tuples, jobs):
 
 
 def _pooled(field, tuples, workers, seed, max_size, finish):
-    """finish(rows) of each slice of tuples, in order, from a pool of workers
-    processes, all started at once.  The slices are contiguous, of about
-    len(tuples) / (8 * workers) tuples each, and finish, a picklable function
-    of an iterable of Rows, runs in the worker, with the memo that worker
-    keeps for this pool.  A worker looks the field up with build_field; the
-    logs are built here first, so a forked worker finds them built in the
-    cached field instead of building its own copy."""
+    """finish(field, tuples, memo) of each slice of tuples, in order, from a
+    pool of workers processes, all started at once.  The slices are
+    contiguous, of about len(tuples) / (8 * workers) tuples each, and finish,
+    a picklable function, runs in the worker, with the memo that worker keeps
+    for this pool.  A worker looks the field up with build_field; the logs
+    are built here first, so a forked worker finds them built in the cached
+    field instead of building its own copy."""
     field.logs()
     size = -(-len(tuples) // (8 * workers))
     worker = partial(_worker, (field.p, field.h, seed, max_size), finish)
@@ -344,9 +368,9 @@ def iter_rows(field, tuples, jobs, seed, max_size, validated=False):
         _prepare([(field, tuples)])
     workers = _workers(tuples, jobs)
     if workers < 2:
-        yield from _rows(field, tuples, {})
+        yield from _rows(field, tuples, {}, _row_maker)
         return
-    for rows in _pooled(field, tuples, workers, seed, max_size, list):
+    for rows in _pooled(field, tuples, workers, seed, max_size, _row_list):
         yield from rows
 
 
@@ -478,7 +502,7 @@ def cmd_field_info(ns, out, err):
 
 def cmd_check(ns, out, err):
     (field, (tup,)), = _grids(ns)
-    row = compute_row(field, tup, _group(field, tup))
+    row = compute_row(field, tup)
     emit_rows([row], ROW_FIELDS, ns.format, out)
     if not row.agree:
         return EXIT_DISAGREEMENT
@@ -502,34 +526,55 @@ def _grids(ns):
     return grids
 
 
-def _tally(rows, name, counts):
-    """Yield the Rows, counting the values of their field name in counts."""
-    i = ROW_FIELDS.index(name)
-    for row in rows:
-        counts[row[i]] += 1
-        yield row
+def _cells(*combo):
+    """A combo's constant CSV cells, None empty, and the comma after them."""
+    return "".join(f"{'' if cell is None else cell}," for cell in combo)
 
 
-def _render(search, fmt, rows, out=None):
-    """Write rows with emit_rows, without the CSV header, to out or else to a
-    new string: for a sweep every Row, counting its agree cells, and for a
-    search the SEARCH_FIELDS of each permuting Row, counting its oracle cells.
-    Returns the string ("" with out) and the Counter of the cells."""
-    counts = Counter()
-    rows = _tally(rows, "oracle" if search else "agree", counts)
-    if search:
-        pick = itemgetter(*map(ROW_FIELDS.index, SEARCH_FIELDS))
-        rows = (pick(row) for row in rows if row.oracle)
+_BOOL = ("false", "true")
+
+
+def _sweep_line(*combo):
+    """make for a sweep's CSV lines (_rows): every ROW_FIELDS cell."""
+    head = _cells(*combo)
+    return lambda r, c, pred, oracle, agree, reduced_f, us: (
+        f"{head}{r},{c},{_BOOL[pred]},{_BOOL[oracle]},{_BOOL[agree]},{reduced_f},{us}\n")
+
+
+def _search_line(*combo):
+    """make for a search's CSV lines (_rows): the SEARCH_FIELDS cells of a
+    permuting row, and "" for any other."""
+    head = _cells(*combo)
+    return lambda r, c, pred, oracle, agree, reduced_f, us: (
+        f"{head}{r},{c},{reduced_f}\n" if oracle else "")
+
+
+def _render(search, fmt, field, tuples, memo, out=None):
+    """Write the rows of tuples (_rows), without the CSV header, to out or
+    else to a new string: for a sweep every row, and for a search the
+    SEARCH_FIELDS of each permuting one.  A CSV line holds exactly the bytes
+    emit_rows writes for its cells: no cell holds a comma, quote or line
+    break, so csv.writer would quote none.  Returns the string ("" with out)
+    and the Counter of tuples, disagreements and permutations."""
     sink = io.StringIO() if out is None else out
-    emit_rows(rows, SEARCH_FIELDS if search else ROW_FIELDS, fmt, sink, header=False)
+    counts = Counter()
+    if fmt == "csv":
+        sink.writelines(_rows(field, tuples, memo, _search_line if search else _sweep_line, counts))
+    else:
+        rows = _rows(field, tuples, memo, _row_maker, counts)
+        if search:
+            pick = itemgetter(*map(ROW_FIELDS.index, SEARCH_FIELDS))
+            rows = (pick(row) for row in rows if row.oracle)
+        emit_rows(rows, SEARCH_FIELDS if search else ROW_FIELDS, fmt, sink, header=False)
     return ("" if out is not None else sink.getvalue()), counts
 
 
 def _write_rows(ns, out, search):
     """Write a sweep's or a search's output (_render) over the grid of every
-    requested q, after one header, and return the Counter of the counted
-    cells.  A grid computed here streams its rows to out as they come; a
-    pooled one (_pooled) writes each slice's text as the worker rendered it."""
+    requested q, after one header, and return the Counter of tuples,
+    disagreements and permutations.  A grid computed here writes each line
+    to out as it is made; a pooled one (_pooled) writes each slice's text as
+    the worker rendered it."""
     grids = _grids(ns)
     emit_rows((), SEARCH_FIELDS if search else ROW_FIELDS, ns.format, out)
     finish = partial(_render, search, ns.format)
@@ -537,7 +582,7 @@ def _write_rows(ns, out, search):
     for field, tuples in grids:
         workers = _workers(tuples, ns.jobs)
         if workers < 2:
-            pieces = [finish(_rows(field, tuples, {}), out)]
+            pieces = [finish(field, tuples, {}, out)]
         else:
             pieces = _pooled(field, tuples, workers, env_seed(), ns.max_field, finish)
         for text, part in pieces:
@@ -548,13 +593,13 @@ def _write_rows(ns, out, search):
 
 def cmd_sweep(ns, out, err):
     counts = _write_rows(ns, out, search=False)
-    print(f"tuples={counts[True] + counts[False]} disagreements={counts[False]}", file=err)
-    return EXIT_OK if counts[False] == 0 else EXIT_DISAGREEMENT
+    print(f"tuples={counts['tuples']} disagreements={counts['disagreements']}", file=err)
+    return EXIT_OK if counts["disagreements"] == 0 else EXIT_DISAGREEMENT
 
 
 def cmd_search(ns, out, err):
     counts = _write_rows(ns, out, search=True)
-    print(f"tuples={counts[True] + counts[False]} permutations={counts[True]}", file=err)
+    print(f"tuples={counts['tuples']} permutations={counts['permutations']}", file=err)
     return EXIT_OK
 
 

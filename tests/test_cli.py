@@ -1,8 +1,11 @@
 import csv
+import functools
 import io
 import json
+import operator
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -316,10 +319,12 @@ def test_sweep_hypothesis_violation():
 
 
 def test_sweep_rejects_any_violating_q_before_computing_a_row(monkeypatch):
-    def no_rows(field, tup, group):
-        raise AssertionError(f"row computed at q={field.q} before every q was validated")
+    def no_rows(*args):
+        raise AssertionError("row computed before every q was validated")
 
-    monkeypatch.setattr(cli, "compute_row", no_rows)
+    # the row kernel calls both for every row it makes
+    monkeypatch.setattr(cli, "r_criterion", no_rows)
+    monkeypatch.setattr(cli, "permutes", no_rows)
     # 7 sorts before 13; 19 sorts after it, so it is caught only by validating up front
     for q in ("q=13,7", "q=13,19"):
         code, out, err = run_cli("--jobs=1", "sweep", "family=T1", q, "d=2", "k=1",
@@ -546,7 +551,7 @@ def test_row_kernel_folds_any_h(case):
     field, h, r = case
     tup = ("T3", 1, 0, 0, 0, r, 1)
     with mock.patch.object(cli, "build_h", lambda params: h):
-        row = cli.compute_row(field, tup, cli._group(field, tup))
+        row = cli.compute_row(field, tup)
     f = h.compose_power(r, field.q - 1).reduce_mod()
     assert row.reduced_f == str(f)
     assert row.oracle == is_permutation_of_field(field, f).is_bijection
@@ -578,6 +583,101 @@ def test_verdict_memo_walks_each_distinct_folded_f_once(monkeypatch, tag, q, par
             verdicts[f] = is_permutation_of_field(field, f).is_bijection
         assert row.oracle == verdicts[f], tup
     assert len(walked) == len(set(walked)) == len(verdicts) == walks
+
+
+@functools.lru_cache(maxsize=None)
+def admissible_groups(p, h, tag):
+    """Every (tag, d, k, u, v, c) group of kernel_grid at q = p^h."""
+    return sorted({tup[:5] + tup[6:] for tup in kernel_grid(build_field(p, h), tag)})
+
+
+def reference_csv(field, tuples, search):
+    """The CSV rows of a sweep or search over tuples, as emit_rows (csv.writer)
+    writes compute_rows' Rows, without the header, elapsed_us set to 0."""
+    rows = [row._replace(elapsed_us=0) for row in cli.compute_rows(field, tuples, 1, 0, 1 << 26)]
+    for row in rows:
+        assert not any(set(str(cell)) & set(',"\r\n') for cell in row), row
+    if search:
+        pick = operator.itemgetter(*map(cli.ROW_FIELDS.index, cli.SEARCH_FIELDS))
+        rows = [pick(row) for row in rows if row.oracle]
+    out = io.StringIO()
+    cli.emit_rows(rows, cli.SEARCH_FIELDS if search else cli.ROW_FIELDS, "csv", out, header=False)
+    return out.getvalue()
+
+
+def kernel_csv(monkeypatch, field, tuples, search, jobs):
+    """The CLI's CSV body for a sweep or search over exactly tuples, each
+    elapsed_us set to 0, and its stderr."""
+    monkeypatch.setattr(cli, "_grids", lambda ns: [(field, tuples)])
+    code, out, err = run_cli(f"--jobs={jobs}", "search" if search else "sweep", "family=T1")
+    assert code == 0, err
+    header, _, body = out.partition("\n")
+    assert header == ",".join(cli.SEARCH_FIELDS if search else cli.ROW_FIELDS)
+    return body if search else re.sub(r",\d+$", ",0", body, flags=re.M), err
+
+
+# (p, h, family) with admissible groups at q = 5, 13, 3^2 and 11: T1 and T2
+# need q = 1 (mod 4), and T5 q = 3 (mod 8), which of these holds at 11 only
+CSV_GRIDS = [(p, h, tag) for p, h in [(5, 1), (13, 1), (3, 2)]
+             for tag in ("T1", "T2", "T3", "T4", "T6")] + [
+    (11, 1, tag) for tag in ("T3", "T4", "T5", "T6")]
+
+
+def test_csv_grids_hold_every_family():
+    assert {tag for _, _, tag in CSV_GRIDS} == set(families.TAGS)
+    assert all(admissible_groups(*grid) for grid in CSV_GRIDS)
+
+
+@pytest.mark.parametrize("p,h,tag", CSV_GRIDS)
+def test_csv_lines_match_the_csv_writer(monkeypatch, p, h, tag):
+    """A sweep's and a search's CSV lines, formatted whole by the row kernel,
+    are the bytes csv.writer writes for compute_rows' Rows, at --jobs=1 and
+    2, over every admissible group with r = 1..2(q + 1): every residue of r
+    mod q + 1, and r = 1, where a constant term of h lands on x."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
+    field = build_field(p, h)
+    tuples = sorted((*group[:5], r, group[5]) for group in admissible_groups(p, h, tag)
+                    for r in range(1, 2 * field.q + 3))
+    for search in (False, True):
+        expected = reference_csv(field, tuples, search)
+        for jobs in (1, 2):
+            body, err = kernel_csv(monkeypatch, field, tuples, search, jobs)
+            assert body == expected, (search, jobs)
+            assert err.startswith(f"tuples={len(tuples)} ")
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_csv_lines_match_the_csv_writer_on_random_grids(data):
+    """The same, at --jobs=1, on random sorted samples of admissible tuples."""
+    p, h, tag = data.draw(st.sampled_from(CSV_GRIDS))
+    field = build_field(p, h)
+    groups = admissible_groups(p, h, tag)
+    tuples = sorted({(*group[:5], r, group[5])
+                     for group, r in data.draw(st.lists(st.tuples(
+                         st.sampled_from(groups), st.integers(1, field.q2)), min_size=1, max_size=40))})
+    search = data.draw(st.booleans())
+    with pytest.MonkeyPatch.context() as patch:
+        body, _ = kernel_csv(patch, field, tuples, search, 1)
+    assert body == reference_csv(field, tuples, search)
+
+
+def test_serial_sweep_writes_no_more_than_a_combo_at_once():
+    # the row kernel streams: no single write holds more than one (d, k)
+    # combo's lines, so a grid is never held whole as text
+    class Writes(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    sizes = []
+    out, err = Writes(), io.StringIO()
+    argv = ["--jobs=1", "sweep", "family=T1", "q=13", "d=2", "k=1,3,5", "r=1..30", "c=all"]
+    assert main(argv, out=out, err=err) == 0 and err.getvalue() == "tuples=630 disagreements=0\n"
+    combos = Counter()
+    for line in out.getvalue().splitlines(keepends=True)[1:]:
+        combos[line.split(",")[3]] += len(line)
+    assert len(combos) == 3 and max(sizes) <= min(combos.values())
 
 
 class InProcessPool:
@@ -653,8 +753,8 @@ def test_negative_exponent_after_a_valid_group_prints_no_row(monkeypatch):
 
 
 def test_negative_exponent_in_h_fails_alike_at_every_jobs(monkeypatch):
-    # at --jobs=2 the error is raised in a worker and pickled back to this
-    # process; it must print exactly as the in-process raise does
+    # every h is built in this process before any row, at every --jobs, so
+    # the error is raised before a pool starts and prints alike
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
     for argv, exponent in ((("family=T4", "q=5", "d=3", "k=-9"), -4),
                            (("family=T6", "q=13", "u=-1", "v=1"), -1)):
