@@ -32,11 +32,12 @@ terms, joined with their texts, make the reduced_f column; the gcd criterion
 also reads plain ints.  That text names the folded f one to one, so it keys a
 memo of the oracle's verdicts, kept per sweep and per field in each process:
 each distinct f is walked once there, and rows that repeat it, across d, k, c
-and r, reuse its verdict.  A sweep's or search's CSV line is one formatted
-string; JSON lines, check, iter_rows and compute_rows get Row tuples from the
-same kernel.  A pooled sweep or search hands each worker a slice of the grid,
-and the worker writes its slice's output text and counts its rows; the parent
-writes the header, then the slices' text in order, and sums their counts.
+and r, reuse its verdict.  Every row that check, sweep and search write, CSV
+or JSON lines, is one string from a line maker of the kernel; compute_rows
+gets Row tuples from the same kernel.  A pooled sweep or search hands each
+worker a slice of the grid, and the worker writes its slice's output text and
+counts its rows; the parent writes the header, then the slices' text in
+order, and sums their counts.  check's one tuple is never pooled.
 
 Exit codes: 0 agreement/permutation (sweep: zero disagreements), 1 agreement/
 non-permutation, 2 disagreement, 64 usage error, 65 hypothesis violation
@@ -103,17 +104,15 @@ MAX_GRID = 1 << 20
 # lh_cache is.
 VERDICT_MEMO_SIZE = 1 << 16
 
-# One row of check, iter_rows and JSON lines: k is None on T6, u and v are None
-# elsewhere, and c is the canonical integer.  iter_rows' pool workers send Rows
-# to the parent, pickled as flat tuples; a sweep's or search's workers send
-# text instead, and its CSV lines are formatted without a Row.
+# One row of compute_rows: k is None on T6, u and v are None elsewhere, and c
+# is the canonical integer.  Its pool workers send Rows to the parent, pickled
+# as flat tuples; the CLI's workers send text instead, made without a Row.
 Row = namedtuple("Row", (
     "family", "q", "d", "k", "u", "v", "r", "c",
     "predicate", "oracle", "agree", "reduced_f", "elapsed_us",
 ))
 ROW_FIELDS = Row._fields
 SEARCH_FIELDS = ("family", "q", "d", "k", "u", "v", "r", "c", "reduced_f")
-BOOL_FIELDS = ("predicate", "oracle", "agree")
 IDENTITY_FIELDS = ("q", "d", "lemma", "k", "result", "note")
 
 
@@ -283,21 +282,9 @@ def _rows(field, tuples, memo, make, tally=None):
         tally.update(tuples=count, disagreements=bad, permutations=perms)
 
 
-def _row_maker(*combo):
-    """make for Rows (_rows)."""
-    return partial(Row, *combo)
-
-
 def _row_list(field, tuples, memo):
-    return list(_rows(field, tuples, memo, _row_maker))
-
-
-def compute_row(field, tup, memo=None):
-    """The Row of one tuple (_rows); without a memo f is always walked.  d is
-    the tuple's own, so a T5 tuple carries d = 4 and a T6 one d = 2, as
-    build_grid makes them."""
-    row, = _rows(field, (tup,), {} if memo is None else memo, _row_maker)
-    return row
+    """The Rows of tuples (_rows): make(*combo) is partial(Row, *combo)."""
+    return list(_rows(field, tuples, memo, partial(partial, Row)))
 
 
 # The verdict memo of the pool this process works for, keyed by the field
@@ -356,52 +343,34 @@ def _pooled(field, tuples, workers, seed, max_size, finish):
         _pool_memos.clear()
 
 
-def iter_rows(field, tuples, jobs, seed, max_size, validated=False):
-    """Rows for every parameter tuple, in tuple order, as they are computed.
-    Every group is validated and every combo's h built before the first row,
-    unless the caller already has (validated).
-
-    Below two workers (_workers) the rows are computed here, one at a time,
-    with a verdict memo of this call's own.  Otherwise each slice's Rows come
-    back from the pool (_pooled), in order, once it is done."""
-    if not validated:
-        _prepare([(field, tuples)])
+def compute_rows(field, tuples, jobs, seed, max_size):
+    """Every Row of the grid, in tuple order.  Every group is validated and
+    every combo's h built first (_prepare).  Below two workers (_workers)
+    the rows are computed here, with a verdict memo of this call's own;
+    otherwise each slice's Rows come back from the pool (_pooled)."""
+    _prepare([(field, tuples)])
     workers = _workers(tuples, jobs)
     if workers < 2:
-        yield from _rows(field, tuples, {}, _row_maker)
-        return
-    for rows in _pooled(field, tuples, workers, seed, max_size, _row_list):
-        yield from rows
-
-
-def compute_rows(field, tuples, jobs, seed, max_size, validated=False):
-    """list(iter_rows(...)): every row of the grid, in tuple order."""
-    return list(iter_rows(field, tuples, jobs, seed, max_size, validated))
+        return _row_list(field, tuples, {})
+    return [row for rows in _pooled(field, tuples, workers, seed, max_size, _row_list)
+            for row in rows]
 
 
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
 
-def emit_rows(rows, fields, fmt, out, header=True):
+def emit_rows(rows, fields, fmt, out):
     """Write rows, tuples whose cells are named by fields, in order: CSV
-    with a header line (unless header is false), or one JSON object per line.
-    In CSV a boolean cell is true or false and None an empty cell; JSON writes
-    them as true, false and null."""
+    with a header line, None an empty cell, or one JSON object per line,
+    None null.  A sweep, search or check writes only its header here."""
     if fmt != "csv":
         for row in rows:
             out.write(json.dumps(dict(zip(fields, row))) + "\n")
         return
     writer = csv.writer(out, lineterminator="\n")
-    if header:
-        writer.writerow(fields)
-    flags = [i for i, name in enumerate(fields) if name in BOOL_FIELDS]
-    text = {True: "true", False: "false"}
-    for row in rows:
-        cells = list(row)
-        for i in flags:
-            cells[i] = text[cells[i]]
-        writer.writerow(cells)
+    writer.writerow(fields)
+    writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +470,10 @@ def cmd_field_info(ns, out, err):
 
 
 def cmd_check(ns, out, err):
-    (field, (tup,)), = _grids(ns)
-    row = compute_row(field, tup)
-    emit_rows([row], ROW_FIELDS, ns.format, out)
-    if not row.agree:
+    counts = _write_rows(ns, out, search=False)  # one tuple, so never pooled
+    if counts["disagreements"]:
         return EXIT_DISAGREEMENT
-    return EXIT_OK if row.oracle else EXIT_NON_PERMUTATION
+    return EXIT_OK if counts["permutations"] else EXIT_NON_PERMUTATION
 
 
 def _grids(ns):
@@ -549,32 +516,43 @@ def _search_line(*combo):
         f"{head}{r},{c},{reduced_f}\n" if oracle else "")
 
 
+def _json_line(*combo):
+    """make for JSON lines (_rows): one object of every ROW_FIELDS cell."""
+    return lambda *cells: json.dumps(dict(zip(ROW_FIELDS, combo + cells))) + "\n"
+
+
+def _json_search_line(*combo):
+    """make for a search's JSON lines (_rows): one object of the
+    SEARCH_FIELDS cells of a permuting row, and "" for any other."""
+    return lambda r, c, pred, oracle, agree, reduced_f, us: (
+        json.dumps(dict(zip(SEARCH_FIELDS, (*combo, r, c, reduced_f)))) + "\n"
+        if oracle else "")
+
+
+# the line maker of each (format, search)
+_MAKERS = {("csv", False): _sweep_line, ("csv", True): _search_line,
+           ("jsonl", False): _json_line, ("jsonl", True): _json_search_line}
+
+
 def _render(search, fmt, field, tuples, memo, out=None):
-    """Write the rows of tuples (_rows), without the CSV header, to out or
-    else to a new string: for a sweep every row, and for a search the
-    SEARCH_FIELDS of each permuting one.  A CSV line holds exactly the bytes
-    emit_rows writes for its cells: no cell holds a comma, quote or line
-    break, so csv.writer would quote none.  Returns the string ("" with out)
-    and the Counter of tuples, disagreements and permutations."""
+    """Write the lines of tuples (_rows), without the CSV header, to out or
+    else to a new string: for a sweep or check every row, and for a search
+    the SEARCH_FIELDS of each permuting one.  A CSV line holds exactly the
+    bytes csv.writer writes for its cells: no cell holds a comma, quote or
+    line break, so csv.writer would quote none.  Returns the string ("" with
+    out) and the Counter of tuples, disagreements and permutations."""
     sink = io.StringIO() if out is None else out
     counts = Counter()
-    if fmt == "csv":
-        sink.writelines(_rows(field, tuples, memo, _search_line if search else _sweep_line, counts))
-    else:
-        rows = _rows(field, tuples, memo, _row_maker, counts)
-        if search:
-            pick = itemgetter(*map(ROW_FIELDS.index, SEARCH_FIELDS))
-            rows = (pick(row) for row in rows if row.oracle)
-        emit_rows(rows, SEARCH_FIELDS if search else ROW_FIELDS, fmt, sink, header=False)
+    sink.writelines(_rows(field, tuples, memo, _MAKERS[fmt, search], counts))
     return ("" if out is not None else sink.getvalue()), counts
 
 
 def _write_rows(ns, out, search):
-    """Write a sweep's or a search's output (_render) over the grid of every
-    requested q, after one header, and return the Counter of tuples,
-    disagreements and permutations.  A grid computed here writes each line
-    to out as it is made; a pooled one (_pooled) writes each slice's text as
-    the worker rendered it."""
+    """Write a sweep's, a search's or a check's output (_render) over the
+    grid of every requested q, after one header, and return the Counter of
+    tuples, disagreements and permutations.  A grid computed here writes
+    each line to out as it is made; a pooled one (_pooled) writes each
+    slice's text as the worker rendered it."""
     grids = _grids(ns)
     emit_rows((), SEARCH_FIELDS if search else ROW_FIELDS, ns.format, out)
     finish = partial(_render, search, ns.format)

@@ -22,7 +22,6 @@ walk, adding the terms by Zech logarithms.
 from array import array
 from functools import lru_cache
 from itertools import chain, islice, repeat
-from math import isqrt
 from operator import mul
 import random
 
@@ -331,40 +330,19 @@ class FieldSpec:
             out.append([s % p for s in acc])
         return out
 
-    def power_blocks(self, a, terms, count):
-        """The values of sum c*x^e over the (e, c) in terms (Elements c) at
-        x = a^0, ..., a^(count-1) (count >= 1, a a nonzero Element), as
-        consecutive blocks of coordinate columns.
-
-        A block is a list of 2h lists; column j holds the t^j coefficients of
-        the values at one run of consecutive powers.  Every block but the last
-        has B values, B the least power of two >= sqrt(count).  Each term has
-        its own walk.  Its first block c, c*a^e, ..., c*a^(e(B-1)) is built
-        by doubling: the block so far is extended by itself times a^(e*len),
-        and that multiplier is squared, which leaves (a^e)^B.  Each later
-        block is the previous one times (a^e)^B.  The terms' blocks are summed
-        coordinate by coordinate mod p; a lone term's block is yielded as is,
-        and no terms at all is the zero polynomial.
-        """
-        p = self.p
-        size = 1 << isqrt(count - 1).bit_length()
-        walks = []
-        for e, c in terms or [(0, self.zero)]:
-            m, block = (a ** e).coeffs, [[x] for x in c.coeffs]
-            while len(block[0]) < size:
-                ext = self._times(self._mul_rows(m), block)
-                block = [col + more for col, more in zip(block, ext)]
-                m = self._mul_coeffs(m, m)
-            walks.append((m, block))
-        for start in range(0, count, size):
-            if start:
-                walks = [(m, self._times(self._mul_rows(m), block)) for m, block in walks]
-            if len(walks) == 1:
-                cols = walks[0][1]
-            else:
-                cols = [[sum(xs) % p for xs in zip(*col)]
-                        for col in zip(*[block for _, block in walks])]
-            yield cols if count - start >= size else [col[:count - start] for col in cols]
+    def power_columns(self, a, count):
+        """The coordinate columns of a^0, ..., a^(count-1) (count >= 1, a a
+        nonzero Element): column j holds their t^j coefficients.  Built by
+        doubling: the columns so far, a^0..a^(len-1), are extended by
+        themselves times a^len, and that multiplier is squared; the last
+        step is cut to count."""
+        m, cols = a.coeffs, [[x] for x in self.one.coeffs]
+        while len(cols[0]) < count:
+            size = count - len(cols[0])
+            for col, more in zip(cols, self._times(self._mul_rows(m), [col[:size] for col in cols])):
+                col.extend(more)
+            m = self._mul_coeffs(m, m)
+        return cols
 
     def encode(self, cols):
         """Canonical encodings of the values in a block of coordinate columns,
@@ -405,7 +383,7 @@ class FieldSpec:
 
     def logs(self):
         """The field's discrete logs base the generator g, TwoLevelLogs: it
-        gives log(c), exp(label), exps() (every exp, in label order), zech(d)
+        gives log(c), exps() (the code of g^label at every label), zech(d)
         and labels(step, terms, count), with n = q^2 - 1 the label of zero.
         Built once, lazily, and published by one assignment, so a concurrent
         reader sees a whole provider or none."""
@@ -470,11 +448,11 @@ class TwoLevelLogs:
     column at a time, the d = i mod (q+1) for one i; on every other field
     zech_table is None and each Z is computed when asked for.
 
-    exp follows the split n = M*(p - 1), with a = g^M in F_p^*: F_p is the
-    scalars, so g^(i + j*M) = a^j * g^i coordinate by coordinate.  On
-    h = 1, M = q + 1, a = s, and the base powers g^0..g^q are those that
-    fill coset; on h > 1 the M base powers are built by the first exp or
-    exps.
+    exps, the decoder, follows the split n = M*(p - 1), with a = g^M in
+    F_p^*: F_p is the scalars, so g^(i + j*M) = a^j * g^i coordinate by
+    coordinate.  On h = 1, M = q + 1, a = s, and the base powers g^0..g^q
+    are those that fill coset; on h > 1 the M base powers are built by the
+    first exps.
     """
 
     __slots__ = ("field", "q", "n", "log_f", "coset", "z_f", "la", "lb", "zech_table", "run",
@@ -487,7 +465,7 @@ class TwoLevelLogs:
         self._exps = None
         self._log_memo = {}
         n = self.n = field.q2 - 1
-        s_powers = _power_columns(field, field.generator ** (q + 1), q - 1)  # s^j, j < q - 1
+        s_powers = field.power_columns(field.generator ** (q + 1), q - 1)  # s^j, j < q - 1
         self._coords = None  # h = 1: alpha and beta are y's two coordinates
         if h > 1:
             basis = list(zip(*s_powers))[:h]
@@ -499,7 +477,7 @@ class TwoLevelLogs:
             log_f[code] = j
         one_plus = [code + 1 - p if code % p == p - 1 else code + 1 for code in s_codes]
         self.z_f = [log_f[code] if code else -1 for code in one_plus]
-        powers = _power_columns(field, field.generator, q + 1)
+        powers = field.power_columns(field.generator, q + 1)
         self.coset = [0] * q
         alphas, betas = self._codes(powers)
         self.la = [log_f[alpha] if alpha else -1 for alpha in alphas]
@@ -584,38 +562,23 @@ class TwoLevelLogs:
                 for a, b in zip(alogs, chain(range(lb, q1), range(lb)))))
         return table
 
-    def exp(self, label):
-        """The canonical encoding of g^label, label = i + M*j with i < M and
-        j < p - 1: g^i scaled by a^j; 0 for the zero label n."""
-        if label == self.n:
-            return 0
-        j, i = divmod(label, self.run)
-        u, p = self.scalars[j], self.field.p
-        code = 0
-        for col in reversed(self._base_columns()):
-            code = code * p + u * col[i] % p
-        return code
-
     def exps(self):
-        """exp(label) for label in range(n + 1), an array read-only to the
-        caller: each coordinate column of the M base powers scaled by a^0,
-        a^1, ... in turn, and every label encoded in one pass.  Kept for the
-        next call where q^2 <= EXPS_CACHE_LABELS."""
+        """The canonical encoding of g^label for label in range(n + 1), 0
+        for the zero label n, an array read-only to the caller: each
+        coordinate column of the M base powers scaled by a^0, a^1, ... in
+        turn, and every label encoded in one pass.  Kept for the next call
+        where q^2 <= EXPS_CACHE_LABELS."""
         if self._exps is not None:
             return self._exps
-        p = self.field.p
-        codes = array(TABLE_TYPE, self.field.encode(
-            [[u * x % p for u in self.scalars for x in col] for col in self._base_columns()]))
+        field, p = self.field, self.field.p
+        if self._base is None:
+            self._base = field.power_columns(field.generator, self.run)
+        codes = array(TABLE_TYPE, field.encode(
+            [[u * x % p for u in self.scalars for x in col] for col in self._base]))
         codes.append(0)
         if len(codes) <= EXPS_CACHE_LABELS:
             self._exps = codes
         return codes
-
-    def _base_columns(self):
-        """The coordinate columns of g^0..g^(M-1), built on first use."""
-        if self._base is None:
-            self._base = _power_columns(self.field, self.field.generator, self.run)
-        return self._base
 
     def labels(self, step, terms, count):
         """log of sum c*x^e over the (e, c) in terms (nonzero Elements c) at
@@ -640,12 +603,6 @@ class TwoLevelLogs:
                     z = zech[b - acc]  # a negative index wraps mod n, as wanted
                     acc = n if z == n else (acc + z) % n
             yield acc
-
-
-def _power_columns(field, a, count):
-    """The coordinate columns of a^0, ..., a^(count-1)."""
-    blocks = field.power_blocks(a, [(1, field.one)], count)
-    return [list(chain.from_iterable(col)) for col in zip(*blocks)]
 
 
 def _inverse(cols, p):

@@ -8,13 +8,12 @@ omega^i * mu_{(q+1)/d} tile the subgroup precisely when gcd(d, (q+1)/d) = 1.
 
 Every root is gamma^i for one index i in [0, q]: MuContext.log reads i off a
 dict, MuContext.walk(e) gathers x^e = gamma^(e*i mod (q+1)) in index order
-from the roots, and MuContext.evaluate(h) lists h(gamma^i) from the power
-walks of h's terms.  A branch A * x^n sends gamma^i to gamma^(log A + n*i),
-so the piecewise and omega-monomial maps are index maps on Z_{q+1} (Wang's
-cyclotomic mappings), their branch read off i by CosetPartition.coset: no
-per-root field power.  agw_check is an index map too, on the oracle's
-discrete logs of h at the roots (oracle.h_logs).  make_mu builds one
-MuContext per field.
+from the roots, listed once by the field's power walk (power_columns).  A
+branch A * x^n sends gamma^i to gamma^(log A + n*i), so the piecewise and
+omega-monomial maps are index maps on Z_{q+1} (Wang's cyclotomic mappings),
+their branch read off i by CosetPartition.coset: no per-root field power.
+agw_check is an index map too, on the oracle's discrete logs of h at the
+roots (oracle.h_logs).  make_mu builds one MuContext per field.
 
 All decision procedures here are exact: gcd conditions are checked by integer
 arithmetic, bijectivity by marking all q+1 image indices (oracle.distinct).
@@ -31,7 +30,7 @@ from .oracle import distinct, h_logs
 
 class MuContext:
     """The (q+1)-th roots of unity gamma^0, ..., gamma^q, listed once by
-    walk(1) and indexed by the dict {int(gamma^i): i}."""
+    FieldSpec.power_columns and indexed by the dict {int(gamma^i): i}."""
 
     __slots__ = ("field", "gamma", "order", "_elements", "_index")
 
@@ -39,7 +38,8 @@ class MuContext:
         self.field = field
         self.gamma = gamma
         self.order = field.q + 1
-        self._elements = self._values([(1, field.one)])
+        self._elements = [Element(field, coeffs)
+                          for coeffs in zip(*field.power_columns(gamma, self.order))]
         self._index = {int(x): i for i, x in enumerate(self._elements)}
 
     def walk(self, e):
@@ -48,16 +48,6 @@ class MuContext:
         (q+1), so the walk is a gather from elements()."""
         elements, order = self._elements, self.order
         return [elements[e * i % order] for i in range(order)]
-
-    def evaluate(self, poly):
-        """[poly(gamma^i) for i in 0..q]: the walks of poly's terms, summed."""
-        return self._values(poly.terms)
-
-    def _values(self, terms):
-        field = self.field
-        return [Element(field, coeffs)
-                for cols in field.power_blocks(self.gamma, terms, self.order)
-                for coeffs in zip(*cols)]
 
     def elements(self):
         """All q+1 roots, as powers gamma^0, gamma^1, ..., gamma^q."""

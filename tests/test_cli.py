@@ -207,6 +207,23 @@ def test_check_jsonl():
     assert row["predicate"] is True and row["c"] == 2 and row["u"] is None
 
 
+def test_disagreement_exits_2(monkeypatch):
+    # a predicate negated on every r disagrees with the oracle on every row
+    criterion = cli.r_criterion
+    monkeypatch.setattr(cli, "r_criterion", lambda *args: not criterion(*args))
+    code, out, err = run_cli("check", *T1_TUPLE)
+    row, = parse_csv(out)
+    assert (code, err) == (2, "")
+    assert (row["predicate"], row["oracle"], row["agree"]) == ("false", "true", "false")
+    code, out, err = run_cli("--format=jsonl", "check", *T1_TUPLE)
+    assert (code, err) == (2, "") and json.loads(out)["agree"] is False
+    code, out, err = run_cli("--jobs=1", "sweep", "family=T1", "q=13", "d=2", "k=1", "r=1..20",
+                             "c=all")
+    rows = parse_csv(out)
+    assert code == 2 and err == f"tuples={len(rows)} disagreements={len(rows)}\n"
+    assert rows and all(row["agree"] == "false" for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -459,21 +476,6 @@ def test_pool_takes_a_few_contiguous_slices_per_worker(monkeypatch):
     assert [(row.r, row.c) for row in rows] == [tup[5:] for tup in tuples]
 
 
-def test_iter_rows_streams_its_first_row(monkeypatch):
-    calls = []
-
-    def counting(field, terms):
-        calls.append(terms)
-        return permutes(field, terms)
-
-    monkeypatch.setattr(cli, "permutes", counting)
-    field = build_field(13, 1)
-    tuples = cli.build_grid({"d": "2", "k": "1,3", "r": "1..50", "c": "all"}, field, "T1", True)
-    rows = cli.iter_rows(field, tuples, 1, 0, 1 << 26)
-    assert next(rows).r == 1 and len(calls) == 1
-    assert len(list(rows)) == len(tuples) - 1 == len(calls) - 1
-
-
 def test_compute_rows_returns_a_list_of_rows():
     field = build_field(13, 1)
     tuples = cli.build_grid({"d": "2", "k": "1", "r": "1..4", "c": "2"}, field, "T1", True)
@@ -546,12 +548,12 @@ def colliding_h(draw):
 @given(case=colliding_h())
 @settings(max_examples=300, deadline=None)
 def test_row_kernel_folds_any_h(case):
-    """compute_row of a group whose h is any polynomial: the same reduced_f
-    and oracle verdict as x^r h(x^(q-1)) folded by SparsePoly."""
+    """The row of a group whose h is any polynomial: the same reduced_f and
+    oracle verdict as x^r h(x^(q-1)) folded by SparsePoly."""
     field, h, r = case
     tup = ("T3", 1, 0, 0, 0, r, 1)
     with mock.patch.object(cli, "build_h", lambda params: h):
-        row = cli.compute_row(field, tup)
+        row, = cli.compute_rows(field, [tup], 1, 0, 1 << 26)
     f = h.compose_power(r, field.q - 1).reduce_mod()
     assert row.reduced_f == str(f)
     assert row.oracle == is_permutation_of_field(field, f).is_bijection
@@ -592,16 +594,20 @@ def admissible_groups(p, h, tag):
 
 
 def reference_csv(field, tuples, search):
-    """The CSV rows of a sweep or search over tuples, as emit_rows (csv.writer)
-    writes compute_rows' Rows, without the header, elapsed_us set to 0."""
-    rows = [row._replace(elapsed_us=0) for row in cli.compute_rows(field, tuples, 1, 0, 1 << 26)]
+    """The CSV rows of a sweep or search over tuples, as csv.writer writes
+    compute_rows' Rows with each verdict as true or false, without the
+    header, elapsed_us set to 0."""
+    flag = {True: "true", False: "false"}
+    rows = [row._replace(predicate=flag[row.predicate], oracle=flag[row.oracle],
+                         agree=flag[row.agree], elapsed_us=0)
+            for row in cli.compute_rows(field, tuples, 1, 0, 1 << 26)]
     for row in rows:
         assert not any(set(str(cell)) & set(',"\r\n') for cell in row), row
     if search:
         pick = operator.itemgetter(*map(cli.ROW_FIELDS.index, cli.SEARCH_FIELDS))
-        rows = [pick(row) for row in rows if row.oracle]
+        rows = [pick(row) for row in rows if row.oracle == "true"]
     out = io.StringIO()
-    cli.emit_rows(rows, cli.SEARCH_FIELDS if search else cli.ROW_FIELDS, "csv", out, header=False)
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 
@@ -953,3 +959,24 @@ def test_start_up_imports_no_dataclasses():
                           env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "array", "i", str(3 ** 8 - 1)]
+
+
+def test_benchmark_child_traces_a_pooled_sweep(tmp_path):
+    """perfbench/child.py, run as the benchmark runs it, in trace mode on a
+    small pooled q=5 sweep: it wraps the ppforge names it reads (build_field,
+    compute_rows, tables_supported, the layers' public calls), so a name it
+    needs that is gone fails here rather than in a benchmark run."""
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    sweep = ["sweep", "family=T1", "q=5", "d=2", "k=1", "r=1..24", "c=all"]
+    spec = {"mode": "trace", "field": [5, 1], "calls": [["--jobs=1", *sweep]],
+            "pooled": [["--jobs=2", *sweep]], "spans_path": str(tmp_path / "spans.jsonl.gz"),
+            "workload": "t1-q5"}
+    proc = subprocess.run([sys.executable, "-B", str(child), json.dumps(spec)],
+                          capture_output=True, text=True, cwd=child.parents[1],
+                          env=dict(os.environ, PPFORGE_SEED="0"), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    call, = result["calls"]
+    assert call["rc"] == 0 and call["tuples"] == 24 * 3 and call["disagreements"] == 0
+    assert result["pooled"][0]["jobs"] == 2 and "cli.build_grid" in result["layers"]
+    assert (tmp_path / "spans.jsonl.gz").is_file()

@@ -275,14 +275,15 @@ def test_two_level_logs_match_plain_powers(p):
     # Element multiplications; 3, 5, 13 and 131 were tabled before
     f = build_field(p, 1)
     logs = f.logs()
+    exps = logs.exps()
     n, g = f.q2 - 1, f.generator
     x = f.one
     for i in range(n):
         assert logs.log(x) == i
-        assert logs.exp(i) == int(x)
+        assert exps[i] == int(x)
         x = x * g
     assert x == f.one
-    assert logs.log(f.zero) == n and logs.exp(n) == 0
+    assert logs.log(f.zero) == n and exps[n] == 0
 
 
 @pytest.mark.parametrize("p,h", TABLE_FIELDS)
@@ -323,7 +324,7 @@ def test_zech_logs_match_plain_powers(p, h, log_providers):
         if logs.zech_table is not None:
             assert list(logs.zech_table) == zech
         assert [logs.log(x) for x in f.elements()] == log
-        assert [logs.exp(label) for label in range(n + 1)] == exp + [0]
+        assert list(logs.exps()) == exp + [0]
         for step in (1, f.q - 1, rng.randrange(1, n), rng.randrange(1, n)):
             for size in (1, 2, 3, 3):
                 terms = [(rng.randrange(n + 1), f.from_int(rng.randrange(1, f.q2)))
@@ -345,6 +346,19 @@ def test_exps_decode_every_label_at_once(p, h, monkeypatch):
     fresh = FieldSpec(p, h, f.modulus, f.generator.coeffs)
     assert fresh.logs().zech_table is None
     assert list(f.logs().exps()) == list(fresh.logs().exps()) == expected
+
+
+@pytest.mark.parametrize("p,h", [(5, 1), (13, 1), (3, 2), (3, 4)])
+def test_power_columns_match_plain_powers(p, h):
+    # a^0..a^(count-1) against a ** i: counts that end a doubling exactly
+    # (1, 2) and that cut its last step short (3, 5, 17, 33 and q + 1)
+    f = build_field(p, h)
+    rng = random.Random(f.q2)
+    for a in (f.generator, f.generator ** (f.q - 1), f.from_int(rng.randrange(1, f.q2))):
+        for count in (1, 2, 3, 5, 17, 33, f.q + 1):
+            cols = f.power_columns(a, count)
+            assert len(cols) == 2 * h and all(len(col) == count for col in cols)
+            assert list(zip(*cols)) == [tuple((a ** i).coeffs) for i in range(count)], (a, count)
 
 
 def test_two_level_logs_on_the_largest_prime_field():

@@ -2,8 +2,9 @@
 
 tests/golden_cli.json holds, for each call below, the exit code, stdout and
 stderr the CLI gave, with every elapsed_us cell set to 0: a timing is the one
-cell that may differ between runs.  Sweeps and searches are also run at
---jobs=2, which must print the same bytes.
+cell that may differ between runs.  Sweeps, searches and checks are also
+run at --jobs=2, which must print the same bytes, and a check, one tuple,
+at --jobs=4 with no process pool to start.
 """
 
 import io
@@ -70,6 +71,14 @@ def test_golden_covers_every_call():
 def test_output_bytes_are_pinned(argv, monkeypatch):
     expected = golden()[tuple(argv)]
     assert run(["--jobs=1", *argv]) == dict(expected, argv=["--jobs=1", *argv])
-    if "sweep" in argv or "search" in argv:
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
-        assert run(["--jobs=2", *argv]) == dict(expected, argv=["--jobs=2", *argv])
+    if "identities" in argv:
+        return
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # a pool even on one core
+    assert run(["--jobs=2", *argv]) == dict(expected, argv=["--jobs=2", *argv])
+    if "check" in argv:
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a check started a process pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        for jobs in ("--jobs=2", "--jobs=4"):
+            assert run([jobs, *argv]) == dict(expected, argv=[jobs, *argv])

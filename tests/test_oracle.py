@@ -167,7 +167,7 @@ def test_unsplit_walk_stops_at_the_first_repeat(field_q13, field_q25, log_provid
     """x^3 + x^5 has D = 1 (q - 1 does not divide 2), so its walk streams:
     the bijection test labels no point past its first repeated image, one
     label at a time, with the flat Zech table and without it, and the walk
-    calls no power_blocks."""
+    calls no power walk (power_columns)."""
     def first_repeat(f):  # the first t whose image f(g^t) repeats
         seen = {int(evaluate(f, poly(f), f.zero))}
         for t in range(f.q2 - 1):
@@ -181,28 +181,27 @@ def test_unsplit_walk_stops_at_the_first_repeat(field_q13, field_q25, log_provid
 
     assert first_repeat(field_q13) == 19 and first_repeat(field_q25) == 18
 
-    walked, blocks = [], []
+    walked, powers = [], []
     labels = ffcore.TwoLevelLogs.labels
-    power_blocks = ffcore.FieldSpec.power_blocks
+    power_columns = ffcore.FieldSpec.power_columns
 
     def counted_labels(self, *args):
         for label in labels(self, *args):
             walked.append(label)
             yield label
 
-    def counted_power_blocks(self, *args):
-        for cols in power_blocks(self, *args):
-            blocks.append(len(cols[0]))
-            yield cols
+    def counted_power_columns(self, *args):
+        powers.append(args)
+        return power_columns(self, *args)
 
     monkeypatch.setattr(ffcore.TwoLevelLogs, "labels", counted_labels)
-    monkeypatch.setattr(ffcore.FieldSpec, "power_blocks", counted_power_blocks)
+    monkeypatch.setattr(ffcore.FieldSpec, "power_columns", counted_power_columns)
     for f, repeat in ((field_q13, 19), (field_q25, 18)):
         for copy in log_providers(f):
             walked.clear()
-            blocks.clear()
+            powers.clear()
             assert not is_permutation_of_field(copy, poly(f))
-            assert len(walked) == repeat + 1 and not blocks, copy
+            assert len(walked) == repeat + 1 and not powers, copy
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ from ppforge import (
     agw_check,
     build_field,
     coset_index,
-    evaluate,
     is_permutation_of_field,
     is_permutation_of_mu,
     make_mu,
@@ -25,26 +24,6 @@ from ppforge.cli import main
 from ppforge.errors import NotADivisor, NotInMu, PartitionNotDisjoint
 from ppforge.unity import MuContext, induced_pieces
 from reference import coset_decompose, poly_from_ints
-
-
-@pytest.mark.parametrize("p,h", [(5, 1), (13, 1), (3, 2), (3, 4)])
-def test_mu_evaluate_matches_evaluate(p, h):
-    f = build_field(p, h)
-    q, g = f.q, f.generator
-    mu = make_mu(f)
-    polys = [
-        SparsePoly(f, []),
-        SparsePoly(f, [(0, g)]),
-        SparsePoly(f, [(0, f.from_int(2)), (q + 1, g), (3 * q + 7, -f.one)]),
-        # exponents 1, q+2 and 2q+3 clash mod q+1
-        SparsePoly(f, [(1, f.one), (q + 2, g), (2 * q + 3, -g ** 3)]),
-        # the three terms cancel at every root
-        SparsePoly(f, [(2, g), (q + 3, f.one), (2 * q + 4, -g - f.one)]),
-        SparsePoly(f, [(0, f.from_int(p - 1)), (q, f.from_int(p - 1)), (f.q2 + 5, g)]),
-    ]
-    for poly in polys:
-        assert mu.evaluate(poly) == [evaluate(f, poly, x) for x in mu.elements()], poly
-    assert mu.evaluate(polys[4]) == [f.zero] * (q + 1)
 
 
 def test_make_mu_builds_one_context_per_field(field_q13, monkeypatch):
