@@ -59,6 +59,10 @@ def run(argv):
             "stderr": err.getvalue()}
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
 def golden():
     return {tuple(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
 
@@ -74,11 +78,9 @@ def test_output_bytes_are_pinned(argv, monkeypatch):
     if "identities" in argv:
         return
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # a pool even on one core
-    assert run(["--jobs=2", *argv]) == dict(expected, argv=["--jobs=2", *argv])
-    if "check" in argv:
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a check started a process pool")
-
+    flags = ["--jobs=2"]
+    if "check" in argv:  # one tuple: no pool at any --jobs
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        for jobs in ("--jobs=2", "--jobs=4"):
-            assert run([jobs, *argv]) == dict(expected, argv=[jobs, *argv])
+        flags.append("--jobs=4")
+    for jobs in flags:
+        assert run([jobs, *argv]) == dict(expected, argv=[jobs, *argv])
