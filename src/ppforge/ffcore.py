@@ -33,8 +33,11 @@ DEFAULT_SEED = 0
 # Largest q^2 for which an extension field (h > 1) keeps its Zech
 # logarithms as one flat array, TwoLevelLogs.zech_table; every other field
 # computes each from O(q) lists.  The array holds q^2 - 1 C ints
-# (TABLE_TYPE, 4 bytes each: every label is at most q^2 - 1 < 2^31), about
-# 0.5 MB at q = 19^2, the largest.
+# (TABLE_TYPE, 4 bytes each), about 0.5 MB at q = 19^2, the largest.  A
+# TABLE_TYPE int holds values below 2^31 only: enough for this table's
+# labels, below TABLE_LIMIT, and for exps()' encodings, below q^2 (2^26 by
+# default), but not for the labels of a field past q = 46,341, so
+# oracle.h_logs keeps LH as 8-byte ints.
 TABLE_LIMIT = 1 << 18
 TABLE_TYPE = "i"
 

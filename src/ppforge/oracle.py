@@ -32,27 +32,24 @@ reads the runs in t order as one label sequence and decodes each label
 through the provider's exps(), the decoded field, which the provider keeps
 up to a size bound.
 
-Labels name images one to one, so the bijection test marks every one of the
-q^2 labels and stops at the first repeat.  It marks one byte per label in a
-bytearray, except for a split walk.  Run k of that walk is the base run
-shifted by k*s, s = e_0*M mod n, so run n/gcd(s, n) is the base run again;
-when that order, (q - 1)/gcd(e_0, q - 1), is below D, the walk repeats every
-base label, and the test says so before it marks any.  Otherwise the walk
-marks the label of f(0) and then the base run's labels, one at a time, as
-bits b < n of an int; it stops at a repeat, or at a zero image, which every
-shift fixes, so run 1 would repeat it.  Run k is then the n-bit set base of
-the base run's labels rotated by k*s, so the union U_m of runs 0..m-1,
-rotated by m*s, is the union of runs m..2m-1.  Rotation is a bijection, so
-runs 0..2m-1 are pairwise disjoint iff runs 0..m-1 are and U_m does not meet
-its own rotation by m*s.  The test doubles over the binary digits of D after
-the leading one: each digit turns U_m into U_2m, and a digit 1 then adds
-run 2m, base rotated by 2m*s.  Each step is one n-bit rotation (two big-int
-shifts, an or and a mask), tested against the union with one big-int and
-and merged with one or: at most 2*log2(D) steps in place of D - 1.  U_D
-holds every label of the walk, and must not hold the label of f(0).  A
-non-bijection stops at the first step whose rotation meets the union; its
-least colliding pair costs one more full evaluation, paid only by a caller
-who reads it.
+Labels name images one to one, so the bijection test asks whether the q^2
+labels are pairwise distinct, and stops at the first repeat it finds.  An
+unsplit walk marks one byte per label in a bytearray.  A split walk needs
+only its base run.  Run k is the base run shifted by k*s, s = e_0*M mod n,
+so run n/gcd(s, n) is the base run again; when that order,
+(q - 1)/gcd(e_0, q - 1), is below D, the walk repeats every base label, and
+the test says so before it reads one.  Otherwise the order is exactly D, so
+the D shifts k*s are the one subgroup of Z_n of that order, the multiples
+of M.  A zero label n in the base run is fixed by every shift, so run 1
+repeats it.  Without one, the labels of the walk are B_t + j*M mod n for
+t < M and j < D, with B_t = t*e_0 + LH[t], and two of them are equal iff
+their B_t are equal mod M.  So the walk's n labels are pairwise distinct
+iff no LH[t] is n and the M residues B_t mod M are distinct: one byte mark
+per base point, the test of Akbary, Ghioca and Wang (FFA 17, 2011) that
+x^(e_0) H(x)^(q-1) permutes mu_{q+1}, in index form.  The labels then
+cover all of Z_n, so the label of f(0) must be n.  The test reads the folded
+exponents and LH alone, never a family.  A non-bijection's least colliding
+pair costs one more full evaluation, paid only by a caller who reads it.
 """
 
 from array import array
@@ -126,7 +123,7 @@ class _Walk(NamedTuple):
 
 # LH arrays are kept per field in its log provider's lh_cache, keyed by H's
 # terms; the dict is emptied before it grows past about LH_CACHE_LABELS
-# labels (4 bytes each)
+# labels (8 bytes each)
 LH_CACHE_LABELS = 1 << 20
 
 
@@ -160,7 +157,7 @@ def h_logs(field, h_terms):
     lh = cache.get(key)
     if lh is None:
         q = field.q
-        lh = array("i", logs.labels(q - 1, h_terms, q + 1))
+        lh = array("q", logs.labels(q - 1, h_terms, q + 1))
         if len(cache) * (q + 1) >= LH_CACHE_LABELS:
             cache.clear()
         cache[key] = lh
@@ -219,8 +216,8 @@ def permutes(field, terms):
     ascending, none repeated, none above n = q^2 - 1, and nonzero Element
     coefficients.  The walk reads nothing else.
 
-    Stops at the first repeated image, or on a split walk, at the first
-    doubling step whose runs repeat one.
+    Stops at the first repeated image; a split walk decides from its base
+    run's labels mod q + 1.
     """
     return not _collides(field, _walk(field, terms))
 
@@ -247,60 +244,24 @@ def _bijection(domain_size):
 def _collides(field, walk):
     """Does some label of the walk equal another, or the label of f(0)?
 
-    One byte per label (distinct), or on a split walk, one bit per label of
-    an n-bit union of runs, doubled over the binary digits of D by rotations
-    of itself and of the base run (module docstring); a split walk whose
-    shift has order below D collides before any mark.  The base run's byte
-    marks are dropped once they are one int.
+    One byte per label (distinct), or on a split walk, one byte per base
+    run label mod M = n/D (module docstring); a split walk whose shift has
+    order below D collides before any mark.
     """
     n = field.q2 - 1
     zero_label = walk.zero_label
     if walk.runs == 1:
         return not distinct(n + 1, chain((zero_label,), walk.base))
-    # run k is the base run rotated by k*shift, so run n/gcd(shift, n) is the
+    # run k is the base run shifted by k*shift, so run n/gcd(shift, n) is the
     # base run again: a shift of order below D repeats every base label
     if n // gcd(walk.shift, n) < walk.runs:
         return True
-    marks = bytearray((n >> 3) + 1)  # bit b of the little-endian int: label b < n
-    if zero_label < n:
-        marks[zero_label >> 3] = 1 << (zero_label & 7)
-    step = walk.step
-    for t, label in enumerate(walk.base):
-        # every shift fixes the zero label n, so run 1 would repeat it
-        if label == n:
-            return True
-        label = (t * step + label) % n
-        byte, bit = label >> 3, 1 << (label & 7)
-        if marks[byte] & bit:
-            return True
-        marks[byte] |= bit
-    base = int.from_bytes(marks, "little")
-    del marks
-    if zero_label < n:
-        base ^= 1 << zero_label
-    full = (1 << n) - 1
-    union, m = base, 1  # the labels of runs 0..m-1
-    for bit in bin(walk.runs)[3:]:
-        # runs m..2m-1 are runs 0..m-1 rotated by m*shift
-        run = _rotate(union, m * walk.shift, n, full)
-        if union & run:
-            return True
-        union |= run
-        m *= 2
-        if bit == "1":  # run m is the base run rotated by m*shift
-            run = _rotate(base, m * walk.shift, n, full)
-            if union & run:
-                return True
-            union |= run
-            m += 1
-    return zero_label < n and union >> zero_label & 1 == 1
-
-
-def _rotate(bits, t, n, full):
-    """The n-bit set bits rotated by t mod n: bit b moves to (b + t) mod n;
-    full is the mask of the n bits."""
-    t %= n
-    return (bits << t) & full | bits >> (n - t)
+    # the D shifts are the multiples of M, so the runs' labels are distinct
+    # iff the base run's are distinct mod M and none is the zero label n,
+    # and they then cover every label below n
+    m, step = n // walk.runs, walk.step
+    return (zero_label < n or n in walk.base
+            or not distinct(m, ((t * step + label) % m for t, label in enumerate(walk.base))))
 
 
 def is_permutation_of_mu(mu, fn: Callable):

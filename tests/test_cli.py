@@ -144,6 +144,20 @@ def test_check_non_permutation_instance():
     assert row["k"] == "" and row["u"] == "1" and row["v"] == "1"
 
 
+def test_check_past_q_46341_labels_above_2_to_the_31():
+    """q = 46,349, the least prime with n = q^2 - 1 >= 2^31, under a raised
+    --max-field: the labels of LH no longer fit a 4-byte C int.  r = 17
+    permutes and r = 1 does not; each check exits as r_criterion says."""
+    for r, code in ((17, 0), (1, 1)):
+        assert families.r_criterion("T6", 46349, 2, None, 1, r) == (code == 0)
+        proc = run_module("--max-field", str(46349 ** 2), "check", "family=T6", "q=46349",
+                          "u=1", "v=1", f"r={r}", "c=2")
+        assert (proc.returncode, proc.stderr) == (code, ""), proc.stderr
+        row, = parse_csv(proc.stdout)
+        assert row["predicate"] == row["oracle"] == ("true" if code == 0 else "false")
+        assert row["agree"] == "true"
+
+
 def test_check_hypothesis_violation():
     code, out, err = run_cli("check", "family=T1", "q=7", "d=2", "k=1", "r=5", "c=2")
     assert code == 65

@@ -1,5 +1,7 @@
-import math
+import csv
+import io
 import time
+import tracemalloc
 from collections import Counter
 from math import gcd
 
@@ -17,7 +19,7 @@ from ppforge import (
     make_mu,
     pointwise_equal,
 )
-from ppforge import ffcore, oracle
+from ppforge import cli, ffcore, oracle
 from ppforge.families import FamilyParams, build_f, gcd_criterion, valid_c_values
 from reference import poly_from_ints
 
@@ -205,67 +207,46 @@ def test_unsplit_walk_stops_at_the_first_repeat(field_q13, field_q25, log_provid
 
 
 @pytest.fixture
-def rotations(monkeypatch):
-    """The bit sets that oracle._rotate returns, in call order."""
-    rotated = []
-    rotate = oracle._rotate
+def distinct_sizes(monkeypatch):
+    """The size of every oracle.distinct call, in call order."""
+    sizes = []
+    distinct = oracle.distinct
 
-    def counted_rotate(*args):
-        rotated.append(rotate(*args))
-        return rotated[-1]
+    def counted_distinct(size, labels):
+        sizes.append(size)
+        return distinct(size, labels)
 
-    monkeypatch.setattr(oracle, "_rotate", counted_rotate)
-    return rotated
-
-
-def test_split_walk_stops_at_the_first_colliding_run(field_q13, rotations):
-    """Split walks on F_169 (D = q - 1 = 12 runs of q + 1 = 14 points) whose
-    first repeated image is in run 2, 4 or 6.  D = 0b1100, so the doubling's
-    unions hold runs 0..1, 0..2, 0..5 and 0..11 after its 1st to 4th
-    rotation: run 2, the one-run step, is tested at the 2nd, run 4 at the
-    3rd and run 6 at the 4th, where one rotation per run would take 2, 4
-    and 6 of q - 2 = 11.
-
-    x^2 + g x^14 has gcd(e_0, q - 1) = 2, so run 6 (t = 84) is a copy of the
-    base run: its shift has order 6 < D, and the walk stops before the first
-    rotation.  x + g x^85 has gcd(e_0, q - 1) = 1; its run 4 first meets an
-    earlier run at a label that its rotation wraps past n."""
-    f, g = field_q13, field_q13.generator
-    for poly, first_run, steps in ((SparsePoly(f, [(1, f.one), (25, g)]), 2, 2),
-                                   (SparsePoly(f, [(1, f.one), (85, g)]), 4, 3),
-                                   (SparsePoly(f, [(2, f.one), (14, g)]), 6, 0)):
-        seen = {int(evaluate(f, poly, f.zero))}
-        for repeat in range(f.q2 - 1):
-            y = int(evaluate(f, poly, g ** repeat))
-            if y in seen:
-                break
-            seen.add(y)
-        assert repeat // (f.q + 1) == first_run, poly
-        rotations.clear()
-        assert not is_permutation_of_field(f, poly)
-        assert len(rotations) == steps, poly
-        assert all(run < 1 << f.q2 - 1 for run in rotations)
+    monkeypatch.setattr(oracle, "distinct", counted_distinct)
+    return sizes
 
 
 def test_split_walk_tests_the_label_of_f0_against_every_run(field_q5):
-    """Hand-made walks on F_25 (n = 24): D = 4 runs of 6 labels, the base
-    run 0..5 and shift 6, so the runs cover every label below n once.  The
-    label of f(0) repeats one iff it is below n.  A polynomial's walk never
-    gets here with f(0) != 0: its constant term makes e_0 = 0, so the shift
-    is 0 and the first rotation repeats the base run."""
-    for zero_label, collides in ((24, False), (20, True), (3, True)):
-        walk = oracle._Walk(zero_label, range(6), 4, 6)
-        assert oracle._collides(field_q5, walk) == collides, zero_label
+    """Hand-made walks on F_25 (n = 24, q + 1 = 6): D = 4 runs of 6 labels,
+    step 1 and shift 6, each verdict against the 24 labels listed run by run
+    and the label of f(0).  The base [0]*6 gives labels 0..5, so the runs
+    cover every label below n once, and the label of f(0) repeats one iff it
+    is below n.  A base label 5 at t = 1 is 6, run 1's label at t = 0; 6 is
+    12, which no other point has; n is the zero label, which every run has.
+    A polynomial's walk never has f(0) != 0 here: its constant term makes
+    e_0 = 0, so the shift is 0, of order 1 < D."""
+    n = 24
+    for zero_label, base in ((24, [0] * 6), (20, [0] * 6), (3, [0] * 6),
+                             (24, [0, 5, 0, 0, 0, 0]), (24, [0, 6, 0, 0, 0, 0]),
+                             (24, [0, 24, 0, 0, 0, 0]), (24, [7, 0, 13, 0, 0, 0])):
+        labels = [zero_label] + [label if label == n else (t + label + 6 * k) % n
+                                 for k in range(4) for t, label in enumerate(base)]
+        walk = oracle._Walk(zero_label, base, 4, 6, 1)
+        assert oracle._collides(field_q5, walk) == (len(set(labels)) < n + 1), (zero_label, base)
 
 
-def test_split_walk_exits_on_its_shift_order(field_q5, field_q13, rotations):
+def test_split_walk_exits_on_its_shift_order(field_q5, field_q13, distinct_sizes):
     """Split walks x^(e_0) H(x^(q-1)) on F_25 and F_169 for every e_0 up to
     2(q - 1) and a few H.  The shift e_0*(q + 1) mod n has order
     (q - 1)/gcd(e_0, q - 1), so gcd(e_0, q - 1) > 1 repeats the base run
-    within D runs: a non-bijection before any rotation.  gcd(e_0, q - 1) = 1
-    gives the shift order D exactly, and such a walk still doubles, with at
-    most 2 log2(D) rotations; the bijections among them would be lost to an
-    exit at order D.  Every verdict and least pair is evaluate()'s."""
+    within D runs: a non-bijection that reads no label.  gcd(e_0, q - 1) = 1
+    gives the shift order D exactly, and the walk then marks its base run's
+    labels mod q + 1, one oracle.distinct call of size q + 1 at most.  Every
+    verdict and least pair is evaluate()'s."""
     verdicts = Counter()
     for f in (field_q5, field_q13):
         q, g = f.q, f.generator
@@ -276,34 +257,40 @@ def test_split_walk_exits_on_its_shift_order(field_q5, field_q13, rotations):
                 poly = SparsePoly(f, [(e0 + k * (q - 1), c) for k, c in h])
                 expected = [int(evaluate(f, poly, x)) for x in f.elements()]
                 bijection = len(set(expected)) == f.q2
-                rotations.clear()
+                distinct_sizes.clear()
                 report = is_permutation_of_field(f, poly)
                 assert report.is_bijection == bijection, poly
                 assert report.first_collision == least_pair(expected), poly
                 coprime = gcd(e0, q - 1) == 1
                 if coprime:
-                    assert len(rotations) <= 2 * math.log2(q - 1), poly
+                    assert distinct_sizes in ([], [q + 1]), poly
                 else:
-                    assert not bijection and not rotations, poly
-                verdicts[coprime, bijection, bool(rotations)] += 1
-    assert verdicts[True, True, True] > 10 and verdicts[True, False, True] > 10
-    assert verdicts[False, False, False] > 10
+                    assert not bijection and not distinct_sizes, poly
+                verdicts[coprime, bijection] += 1
+    assert verdicts[True, True] > 10 and verdicts[True, False] > 10
+    assert verdicts[False, False] > 10
     assert sum(verdicts.values()) == 5 * 2 * (4 + 12)
 
 
-def test_split_walk_rotates_about_twice_log2_q_times(rotations):
-    """The permuting T6 tuple u = v = 1, r = 23, c = 2 at q = 509: D = 508 =
-    0b111111100, so 8 doublings and 6 one-run extensions, where one rotation
-    per run would take q - 2 = 507."""
-    f = build_field(509, 1)
-    poly = build_f(FamilyParams(tag="T6", field=f, r=23, c=f.from_int(2), u=1, v=1))
-    assert is_permutation_of_field(f, poly).is_bijection
-    assert len(rotations) == 14 <= 2 * (f.q - 1).bit_length()
+def test_split_walk_keeps_no_field_sized_state():
+    """The permuting T6 tuple u = v = 1, r = 13, c = 2 at q = 8161, with its
+    LH cached: the bijection test allocates O(q) bytes, not the q^2 labels of
+    the walk (0.3 MB, against 57.7 MB when it marked all n of them)."""
+    f = build_field(8161, 1)
+    terms = t6_polys(f, (13,))[0].reduce_mod().terms
+    assert oracle.permutes(f, terms)
+    tracemalloc.start()
+    try:
+        assert oracle.permutes(f, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def test_ring_verdicts_match_the_label_stream():
     """On the degree-8 field, where evaluate() is too slow to take every
-    case, the bitset verdict of every walk case and of T1 trinomials against
+    case, the oracle's verdict of every walk case and of T1 trinomials against
     the images that evaluate_on_field expands run by run."""
     f = build_field(3, 4)
     params = [FamilyParams(tag="T1", field=f, r=r, c=c, d=2, k=k)
@@ -316,8 +303,7 @@ def test_ring_verdicts_match_the_label_stream():
     assert verdicts[True] > 10 and verdicts[False] > 10
 
 
-# (11, 1) and (5, 2): D = q - 1 = 0b1010 and 0b11000, digit patterns of the
-# doubling that D = 2, 4, 6, 8 and 12 lack
+# fields of degree 1 and 2 with D = q - 1 = 2, 4, 6, 8, 10, 12 and 24
 ORACLE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2)]
 
 
@@ -328,7 +314,7 @@ def sparse_polys(draw):
 
     Only multiples of q - 1 split the walk, so half the draws plant
     D = q - 1, and split bijections come up often enough to test the
-    doubling's one-run steps; the other half draw D among all divisors.
+    residue test mod q + 1; the other half draw D among all divisors.
     Half the draws take e_0 = 0, a nonzero constant term f(0)."""
     f = build_field(*draw(st.sampled_from(ORACLE_FIELDS)))
     n = f.q2 - 1
@@ -426,9 +412,17 @@ def test_evaluation_does_not_depend_on_the_decoded_field_cache(field_q13, field_
 
 
 def test_t6_at_the_largest_prime_field_matches_gcd_criterion():
-    """q = 8161, a prime with q^2 just under 2^26: T6 u = v = 1, c = 2.
-    r = 13 permutes; the split walk labels its base run with Zech logarithms
-    computed per point from the O(q) lists, and builds no q^2 table."""
+    """q = 8161, a prime with q^2 just under 2^26: the sweep of T6 u = v = 1,
+    c = 2 over r = 1..59 through the CLI, serially, and four tuples
+    in-process.  r = 13 permutes; the split walk labels its base run with
+    Zech logarithms computed per point from the O(q) lists, and builds no
+    q^2 table."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["--jobs=1", "sweep", "family=T6", "q=8161", "u=1", "v=1", "r=1..59", "c=2"]
+    assert cli.main(argv, out=out, err=err) == 0
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    assert err.getvalue() == "tuples=59 disagreements=0\n"
+    assert len(rows) == 59 and sum(row["oracle"] == "true" for row in rows) == 7
     f = build_field(8161, 1)
     for r in (13, 15, 17, 23):
         params = FamilyParams(tag="T6", field=f, r=r, c=f.from_int(2), u=1, v=1)
