@@ -23,21 +23,22 @@ requested q, once per (family, d, k, u, v, c) group: they do not depend on r.
 It then builds one h per (family, d, k, u, v) combo, so a negative exponent in
 h is also an error before any row.
 
-Rows are then made by one kernel and written as they are made.  It walks the
-sorted grid combo by combo, formats the combo's constant cells once, and
+Rows are then made by one kernel and written as they are made.  A grid is
+held as its factors (grid.Grid): per (family, d, k, u, v) combo, its sorted
+r and c lists.  The kernel formats each combo's constant cells once and
 builds each group's h once, folded: its exponents reduced mod q + 1, equal
-ones merged, and each coefficient's text kept.  Each r then folds f = x^r
-h(x^(q-1)) mod q^2 - 1 from plain ints, at most three exponents, whose sorted
-terms, joined with their texts, make the reduced_f column; the gcd criterion
-also reads plain ints.  That text names the folded f one to one, so it keys a
-memo of the oracle's verdicts, kept per sweep and per field in each process:
-each distinct f is walked once there, and rows that repeat it, across d, k, c
-and r, reuse its verdict.  Every row that check, sweep and search write, CSV
-or JSON lines, is one string from a line maker of the kernel; compute_rows
-gets Row tuples from the same kernel.  A pooled sweep or search hands each
-worker a slice of the grid, and the worker writes its slice's output text and
-counts its rows; the parent writes the header, then the slices' text in
-order, and sums their counts.  check's one tuple is never pooled.
+ones merged, and each coefficient's text kept.  Each r reads the gcd
+criterion once, and each (r, c) folds f = x^r h(x^(q-1)) mod q^2 - 1 from
+plain ints, whose sorted terms, joined with their texts, make the reduced_f
+column.  That text names the folded f one to one, so it keys a memo of the
+oracle's verdicts, kept per sweep and per field in each process: each
+distinct f is walked once there.  Every row that check, sweep and search
+write, CSV or JSON lines, is one string from a line maker of the kernel;
+compute_rows gets Row tuples from the same kernel.  A pooled sweep or
+search hands its workers contiguous slices of the grid, each pickled as a
+few blocks; a worker writes its slice's text and counts its rows, and the
+parent writes the header, then the slices' text in order.  check's one
+tuple is never pooled.
 
 Exit codes: 0 agreement/permutation (sweep: zero disagreements), 1 agreement/
 non-permutation, 2 disagreement, 64 usage error, 65 hypothesis violation
@@ -81,6 +82,7 @@ from .ffcore import (
     factorize,
     is_prime,
 )
+from .grid import Grid
 from .oracle import permutes
 
 EXIT_OK = 0
@@ -90,13 +92,12 @@ EXIT_USAGE = 64
 EXIT_HYPOTHESES = 65
 
 # Largest parameter grid a sweep, search or check builds, and the longest list
-# a parameter may give.  Rows are streamed, not held, so the bound is on time:
-# 2^20 rows take about 6-8 s at --jobs=1 and 5 s at --jobs=2 (a T3 q=13
-# d=2,14 sweep ran 903,168 tuples in 5.0-6.8 s at --jobs=1, 133-181k tuples/s
-# on F_169, and in 4.0-4.7 s at --jobs=2, on a shared 2-vCPU x86-64 host).
-# Only the grid's tuples and the verdict memo are held, about 0.1 KB each: a
-# T3 q=13 sweep at --jobs=1 peaks at 20.0 MB RSS at 10,752 tuples, 30.4 MB at
-# 112,896 and 110 MB at 903,168.
+# a parameter may give.  A grid is held as its factors and rows are streamed,
+# so the bound is on time: a T3 q=13 d=2,14 sweep, 903,168 tuples on F_169,
+# took 1.8-1.9 s at --jobs=1 and 1.2 s at --jobs=2 to a null sink, on a shared
+# 2-vCPU x86-64 host with Python 3.11.7.  What is held is the verdict memo: at
+# --jobs=1 such sweeps peak at 17.8 MB RSS at 10,752 tuples, 20.2 MB at
+# 112,896 and 20.5 MB at 903,168.
 MAX_GRID = 1 << 20
 
 # The oracle's verdicts are memoised per sweep, keyed by reduced_f; the memo
@@ -216,75 +217,75 @@ def _params_from_tuple(field, tup):
                         d=d, k=k, u=u, v=v)
 
 
-def _group(field, tup):
-    """The constants of tup's (tag, d, k, u, v, c) group, which r never
-    moves: h's terms folded as f's will be, one (o, c, text) per term of f
-    with o = e(q-1) - 1 for its exponent e mod q + 1, c its nonzero
+def _group(field, combo, c):
+    """The constants of the (tag, d, k, u, v) combo's group at c, which r
+    never moves: h's terms folded as f's will be, one (o, c, text) per term
+    of f with o = e(q-1) - 1 for its exponent e mod q + 1, c its nonzero
     coefficient and text c's canonical integer, "" for 1.  f's exponent
     (r + e(q-1) - 1) mod n + 1, n = q^2 - 1, sees e only mod q + 1, since
     (q+1)(q-1) = n: so h's terms with equal e mod q + 1 land on one power of
     f at every r, and are merged here, a zero sum dropped."""
     q = field.q
     merged = {}
-    for e, c in build_h(_params_from_tuple(field, tup)).terms:
+    for e, c in build_h(_params_from_tuple(field, (*combo, 1, c))).terms:
         e %= q + 1
         merged[e] = merged[e] + c if e in merged else c
     return tuple([(e * (q - 1) - 1, c, "" if c == field.one else str(int(c)))
                   for e, c in merged.items() if not c.is_zero()])
 
 
-_COMBO = itemgetter(0, 1, 2, 3, 4)  # a tuple's (tag, d, k, u, v)
-
-
-def _rows(field, tuples, memo, make, tally=None):
+def _rows(field, grid, memo, make, tally=None):
     """The row kernel: one made row per (tag, d, k, u, v, r, c_canonical)
-    tuple whose family hypotheses hold, in order.  Per (tag, d, k, u, v)
-    combo of the sorted tuples, make(tag, q, d, k, u, v) gets its constant
-    cells (k None on T6, u and v None elsewhere) and returns the function of
-    (r, c, predicate, oracle, agree, reduced_f, elapsed_us) that makes a row;
-    each (combo, c) group's constants (_group) are built on its first tuple.
-    Per r, f = x^r h(x^(q-1)) is folded mod n = q^2 - 1 from plain ints:
+    tuple of the Grid, in order, its family hypotheses held.  Per combo,
+    make(tag, q, d, k, u, v) gets the constant cells (k None on T6, u and v
+    None elsewhere) and returns the function of (r, c, predicate, oracle,
+    agree, reduced_f, elapsed_us) that makes a row; each (combo, c) group's
+    constants (_group) are built on its first row.  Per r the gcd criterion
+    is read once, and per c f = x^r h(x^(q-1)) is folded mod n = q^2 - 1:
     each of its at most three exponents is (r + o) mod n + 1, and the terms,
     sorted by exponent, are joined with their texts for reduced_f.  The
-    oracle's verdict is memo's entry for reduced_f, which names the folded
-    f's exponents and coefficients one to one; on a miss the terms go to the
-    oracle (permutes) and the verdict is kept, so a memo must serve one field
-    only.  After the last row, tally (a Counter) gains the counts of tuples,
-    disagreements and permutations."""
+    oracle's verdict is memo's entry for reduced_f, which names the folded f
+    one to one; on a miss the terms go to the oracle (permutes) and the
+    verdict is kept, so a memo serves one field only.  After the last row,
+    tally (a Counter) gains the counts of tuples, disagreements and
+    permutations."""
     q, n = field.q, field.q2 - 1
     clock = time.perf_counter_ns
     count = bad = perms = 0
-    for (tag, d, k, u, v), run in groupby(tuples, _COMBO):
+    for (tag, d, k, u, v), blocks in groupby(grid.blocks, itemgetter(0)):
         row = make(tag, q, d, None, u, v) if tag == "T6" else make(tag, q, d, k, None, None)
         groups = {}
-        for tup in run:
-            r, c = tup[5], tup[6]
-            if r < 1:
-                raise ValueError(f"r must be >= 1, got {r}")
-            group = groups.get(c)
-            if group is None:
-                group = groups[c] = _group(field, tup)
-            start = clock()
-            terms = sorted([((r + o) % n + 1, coeff, text) for o, coeff, text in group])
-            pred = r_criterion(tag, q, d, k, u, r)
-            reduced_f = " + ".join([f"{text}x" if e == 1 else f"{text}x^{e}"
-                                    for e, _, text in terms]) or "0"
-            oracle = memo.get(reduced_f)
-            if oracle is None:
-                if len(memo) >= VERDICT_MEMO_SIZE:
-                    memo.clear()
-                oracle = memo[reduced_f] = permutes(field, [(e, coeff) for e, coeff, _ in terms])
-            count += 1
-            bad += pred != oracle
-            perms += oracle
-            yield row(r, c, pred, oracle, pred == oracle, reduced_f, (clock() - start) // 1000)
+        for combo, rs, cs in blocks:
+            if rs[0] < 1:
+                raise ValueError(f"r must be >= 1, got {rs[0]}")
+            for r in rs:
+                pred = r_criterion(tag, q, d, k, u, r)
+                for c in cs:
+                    group = groups.get(c)
+                    if group is None:
+                        group = groups[c] = _group(field, combo, c)
+                    start = clock()
+                    terms = sorted([((r + o) % n + 1, coeff, text) for o, coeff, text in group])
+                    reduced_f = " + ".join([f"{text}x" if e == 1 else f"{text}x^{e}"
+                                            for e, _, text in terms]) or "0"
+                    oracle = memo.get(reduced_f)
+                    if oracle is None:
+                        if len(memo) >= VERDICT_MEMO_SIZE:
+                            memo.clear()
+                        oracle = memo[reduced_f] = permutes(
+                            field, [(e, coeff) for e, coeff, _ in terms])
+                    count += 1
+                    bad += pred != oracle
+                    perms += oracle
+                    yield row(r, c, pred, oracle, pred == oracle, reduced_f,
+                              (clock() - start) // 1000)
     if tally is not None:
         tally.update(tuples=count, disagreements=bad, permutations=perms)
 
 
-def _row_list(field, tuples, memo):
-    """The Rows of tuples (_rows): make(*combo) is partial(Row, *combo)."""
-    return list(_rows(field, tuples, memo, partial(partial, Row)))
+def _row_list(field, grid, memo):
+    """The Rows of a Grid (_rows): make(*combo) is partial(Row, *combo)."""
+    return list(_rows(field, grid, memo, partial(partial, Row)))
 
 
 # The verdict memo of the pool this process works for, keyed by the field
@@ -294,65 +295,66 @@ def _row_list(field, tuples, memo):
 _pool_memos = {}
 
 
-def _worker(field_args, finish, tuples):
-    """finish(field, tuples, memo) of one slice, in a pool worker."""
+def _worker(field_args, finish, grid):
+    """finish(field, grid, memo) of one slice, in a pool worker."""
     memo = _pool_memos.setdefault(field_args, {})
-    return finish(build_field(*field_args), tuples, memo)
+    return finish(build_field(*field_args), grid, memo)
 
 
 def _prepare(grids):
     """Validate each distinct (tag, d, k, u, v, c) group of every (field,
-    tuples) grid once, in order, raising HypothesesNotSatisfied for the first
-    that fails: one pass over each combo collects its distinct c.  Then build
-    one h per (tag, d, k, u, v) combo.  h's exponents depend on the combo
-    alone, so that raises every NegativeExponent a row would, after every
-    hypothesis violation and before any row."""
+    Grid) once, in order, raising HypothesesNotSatisfied for the first that
+    fails: the distinct c of a combo are those of its blocks' c lists.  Then
+    build one h per (tag, d, k, u, v) combo.  h's exponents depend on the
+    combo alone, so that raises every NegativeExponent a row would, after
+    every hypothesis violation and before any row."""
     combos = []
-    for field, tuples in grids:
-        for combo, run in groupby(tuples, _COMBO):
-            for c in dict.fromkeys(map(itemgetter(6), run)):
+    for field, grid in grids:
+        for combo, blocks in groupby(grid.blocks, itemgetter(0)):
+            for c in dict.fromkeys(c for _, _, cs in blocks for c in cs):
                 report = validate(_params_from_tuple(field, (*combo, 1, c)))
                 if not report.satisfied:
                     raise HypothesesNotSatisfied(report.violations)
-            combos.append((field, (*combo, 1, c)))
-    for field, tup in combos:
-        _group(field, tup)
+            combos.append((field, combo, c))
+    for field, combo, c in combos:
+        _group(field, combo, c)
 
 
-def _workers(tuples, jobs):
-    """How many pool processes a grid of tuples gets at --jobs: at most one
-    per core and one per tuple; below two it is computed in this process."""
-    return min(jobs, len(tuples), os.cpu_count() or 1)
+def _workers(grid, jobs):
+    """How many pool processes a grid gets at --jobs: at most one per core
+    and one per tuple; below two it is computed in this process."""
+    return min(jobs, len(grid), os.cpu_count() or 1)
 
 
-def _pooled(field, tuples, workers, seed, max_size, finish):
-    """finish(field, tuples, memo) of each slice of tuples, in order, from a
+def _pooled(field, grid, workers, seed, max_size, finish):
+    """finish(field, grid, memo) of each slice of the Grid, in order, from a
     pool of workers processes, all started at once.  The slices are
-    contiguous, of about len(tuples) / (8 * workers) tuples each, and finish,
-    a picklable function, runs in the worker, with the memo that worker keeps
-    for this pool.  A worker looks the field up with build_field; the logs
-    are built here first, so a forked worker finds them built in the cached
-    field instead of building its own copy."""
+    contiguous, of about len(grid) / (8 * workers) tuples each, and finish,
+    a picklable function, runs in the worker, with the memo that worker
+    keeps for this pool.  A worker looks the field up with build_field; the
+    logs are built here first, so a forked worker finds them built in the
+    cached field instead of building its own copy."""
     field.logs()
-    size = -(-len(tuples) // (8 * workers))
+    size = -(-len(grid) // (8 * workers))
     worker = partial(_worker, (field.p, field.h, seed, max_size), finish)
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(worker, [tuples[i:i + size] for i in range(0, len(tuples), size)])
+            yield from pool.map(worker, grid.chunks(size))
     finally:
         _pool_memos.clear()
 
 
 def compute_rows(field, tuples, jobs, seed, max_size):
-    """Every Row of the grid, in tuple order.  Every group is validated and
-    every combo's h built first (_prepare).  Below two workers (_workers)
-    the rows are computed here, with a verdict memo of this call's own;
-    otherwise each slice's Rows come back from the pool (_pooled)."""
-    _prepare([(field, tuples)])
-    workers = _workers(tuples, jobs)
+    """Every Row of tuples, a Grid or a sorted list (Grid.of), in order.
+    Every group is validated and every combo's h built first (_prepare).
+    Below two workers (_workers) the rows are computed here, with a verdict
+    memo of this call's own; otherwise from the pool (_pooled)."""
+    grid = tuples if isinstance(tuples, Grid) else Grid.of(tuples)
+    _prepare([(field, grid)])
+    workers = _workers(grid, jobs)
     if workers < 2:
-        return _row_list(field, tuples, {})
-    return [row for rows in _pooled(field, tuples, workers, seed, max_size, _row_list)
+        return _row_list(field, grid, {})
+    return [row for rows in _pooled(field, grid, workers, seed, max_size, _row_list)
             for row in rows]
 
 
@@ -381,7 +383,8 @@ FAMILY_KEYS = {"family", "q", "d", "k", "u", "v", "r", "c"}
 
 
 def build_grid(args_params, field, tag, for_sweep):
-    """All (tag, d, k, u, v, r, c) tuples of the requested grid, sorted.
+    """The requested grid's sorted (tag, d, k, u, v, r, c) tuples, as a
+    Grid of one block per combo.
 
     A sweep defaults r to 1..q^2-1 and c to all; for check both are required.
     The grid's size is the product of its factors' sizes, checked against
@@ -428,17 +431,13 @@ def build_grid(args_params, field, tag, for_sweep):
     if size > MAX_GRID:
         raise UsageError(f"grid of {size} tuples exceeds the bound of {MAX_GRID}")
     if tag == "T6":
-        combos = [(2, 0, u, v) for u in u_values for v in v_values]
+        combos = [(tag, 2, 0, u, v) for u in u_values for v in v_values]
     else:
-        combos = [(d, k, 0, 0) for d, ks in windows for k in ks]
+        combos = [(tag, d, k, 0, 0) for d, ks in windows for k in ks]
     if c_values is None:
         c_values = [int(c) for c in valid_c_values(field, tag)]
-    # sorted factors make the product sorted: no sort of the whole grid
-    tuples = [(tag, d, k, u, v, r, c) for d, k, u, v in sorted(combos)
-              for r in sorted(r_values) for c in sorted(c_values)]
-    if not tuples:
-        raise UsageError("empty parameter grid")
-    return tuples
+    r_values, c_values = sorted(r_values), sorted(c_values)
+    return Grid([(combo, r_values, c_values) for combo in sorted(combos)])
 
 
 def _fields(params, max_size):
@@ -477,7 +476,7 @@ def cmd_check(ns, out, err):
 
 
 def _grids(ns):
-    """(field, tuples) of the grid at every requested q, in ascending q, once
+    """(field, Grid) of the grid at every requested q, in ascending q, once
     every q's groups are validated and h built.  check is a sweep whose grid,
     over all q, must be exactly one tuple."""
     params = parse_kv(ns.params, FAMILY_KEYS)
@@ -487,7 +486,7 @@ def _grids(ns):
     for_sweep = ns.command != "check"
     grids = [(field, build_grid(params, field, tag, for_sweep))
              for field in sorted(_fields(params, ns.max_field), key=lambda field: field.q)]
-    if not for_sweep and sum(len(tuples) for _, tuples in grids) != 1:
+    if not for_sweep and sum(len(grid) for _, grid in grids) != 1:
         raise UsageError("check takes exactly one parameter tuple; use sweep for grids")
     _prepare(grids)
     return grids
@@ -534,8 +533,8 @@ _MAKERS = {("csv", False): _sweep_line, ("csv", True): _search_line,
            ("jsonl", False): _json_line, ("jsonl", True): _json_search_line}
 
 
-def _render(search, fmt, field, tuples, memo, out=None):
-    """Write the lines of tuples (_rows), without the CSV header, to out or
+def _render(search, fmt, field, grid, memo, out=None):
+    """Write the lines of a Grid (_rows), without the CSV header, to out or
     else to a new string: for a sweep or check every row, and for a search
     the SEARCH_FIELDS of each permuting one.  A CSV line holds exactly the
     bytes csv.writer writes for its cells: no cell holds a comma, quote or
@@ -543,7 +542,7 @@ def _render(search, fmt, field, tuples, memo, out=None):
     out) and the Counter of tuples, disagreements and permutations."""
     sink = io.StringIO() if out is None else out
     counts = Counter()
-    sink.writelines(_rows(field, tuples, memo, _MAKERS[fmt, search], counts))
+    sink.writelines(_rows(field, grid, memo, _MAKERS[fmt, search], counts))
     return ("" if out is not None else sink.getvalue()), counts
 
 
@@ -557,12 +556,12 @@ def _write_rows(ns, out, search):
     emit_rows((), SEARCH_FIELDS if search else ROW_FIELDS, ns.format, out)
     finish = partial(_render, search, ns.format)
     counts = Counter()
-    for field, tuples in grids:
-        workers = _workers(tuples, ns.jobs)
+    for field, grid in grids:
+        workers = _workers(grid, ns.jobs)
         if workers < 2:
-            pieces = [finish(field, tuples, {}, out)]
+            pieces = [finish(field, grid, {}, out)]
         else:
-            pieces = _pooled(field, tuples, workers, env_seed(), ns.max_field, finish)
+            pieces = _pooled(field, grid, workers, env_seed(), ns.max_field, finish)
         for text, part in pieces:
             out.write(text)
             counts.update(part)

@@ -31,9 +31,9 @@ DEFAULT_MAX_FIELD_SIZE = 1 << 26
 DEFAULT_SEED = 0
 
 # Largest q^2 for which an extension field (h > 1) keeps its Zech
-# logarithms as one flat array, TwoLevelLogs.zech_table; every other field
-# computes each from O(q) lists.  The array holds q^2 - 1 C ints
-# (TABLE_TYPE, 4 bytes each), about 0.5 MB at q = 19^2, the largest.  A
+# logarithms as one flat array, TwoLevelLogs.zech_table, built on first use;
+# every other field computes each from O(q) lists.  The array holds q^2 - 1
+# C ints (TABLE_TYPE, 4 bytes each), about 0.5 MB at q = 19^2, the largest.  A
 # TABLE_TYPE int holds values below 2^31 only: enough for this table's
 # labels, below TABLE_LIMIT, and for exps()' encodings, below q^2 (2^26 by
 # default), but not for the labels of a field past q = 46,341, so
@@ -446,10 +446,11 @@ class TwoLevelLogs:
       log_f[beta] = j + lb[i] mod (q - 1), and alpha = 1 + s^j*alpha_i,
       so log_f[alpha] = z_f[j + la[i] mod (q - 1)], or 0 where alpha_i = 0;
       Z(d) is the log of alpha + beta*t as above.
-    On an extension field with q^2 <= TABLE_LIMIT, Z is also kept as one
-    flat array of n C ints, zech_table, filled from the same formula a
-    column at a time, the d = i mod (q+1) for one i; on every other field
-    zech_table is None and each Z is computed when asked for.
+    On an extension field with q^2 <= TABLE_LIMIT when the provider is
+    made, Z is also kept as one flat array of n C ints, zech_table, filled
+    on first use from the same formula a column at a time, the d = i mod
+    (q+1) for one i; on every other field zech_table is None and each Z is
+    computed when asked for.
 
     exps, the decoder, follows the split n = M*(p - 1), with a = g^M in
     F_p^*: F_p is the scalars, so g^(i + j*M) = a^j * g^i coordinate by
@@ -458,8 +459,8 @@ class TwoLevelLogs:
     first exps.
     """
 
-    __slots__ = ("field", "q", "n", "log_f", "coset", "z_f", "la", "lb", "zech_table", "run",
-                 "scalars", "_coords", "_base", "_exps", "_log_memo", "lh_cache")
+    __slots__ = ("field", "q", "n", "log_f", "coset", "z_f", "la", "lb", "tabled", "_zech",
+                 "run", "scalars", "_coords", "_base", "_exps", "_log_memo", "lh_cache")
 
     def __init__(self, field):
         p, q, h = field.p, field.q, field.h
@@ -493,8 +494,7 @@ class TwoLevelLogs:
         for _ in range(p - 2):
             self.scalars.append(self.scalars[-1] * a % p)
         self._base = powers if h == 1 else None
-        del s_powers, s_codes, one_plus, powers, alphas, betas  # before the table
-        self.zech_table = self._zech_columns() if field.tables_supported() else None
+        self.tabled, self._zech = field.tables_supported(), None
 
     def _codes(self, cols):
         """The codes of alpha and of beta for a block of coordinate columns."""
@@ -549,6 +549,14 @@ class TwoLevelLogs:
 
     __getitem__ = zech  # so labels reads Z[d] from the provider as from zech_table
 
+    @property
+    def zech_table(self):
+        """The flat Zech array (_zech_columns), built on its first read,
+        where tabled; None on every other field."""
+        if self._zech is None and self.tabled:
+            self._zech = self._zech_columns()
+        return self._zech
+
     def _zech_columns(self):
         """zech(d) for d in range(n) as an array, a column d = i mod (q+1)
         at a time: over j, log_f[beta] is j + lb[i] and log_f[alpha] is
@@ -589,8 +597,8 @@ class TwoLevelLogs:
         time.  Term j is the log lc_j + t*step*e_j mod n, and the terms are
         added by Zech logarithms, g^a + g^b = g^(a + Z(b - a)): one Z per
         term, a lookup in zech_table where there is one."""
-        n = self.n
-        zech = self if self.zech_table is None else self.zech_table
+        n, table = self.n, self.zech_table
+        zech = self if table is None else table
         terms = [(self.log(c), step * e) for e, c in terms]
         if not terms:
             yield from repeat(n, count)

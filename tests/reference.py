@@ -63,3 +63,10 @@ def t6_even_v_is_constant_on_mu(field, u, v, c):
         raise ValueError("v must be even here")
     h = build_h(FamilyParams(tag="T6", field=field, r=1, c=c, u=u, v=v))
     return all(evaluate(field, h, x) == c for x in make_mu(field).elements())
+
+
+def product_grid(combos, rs, cs):
+    """Every (*combo, r, c) over the factors as one plain list, in the order
+    of the product of the sorted factors: the tuples a sweep's grid stands
+    for, a repeated value's tuples repeated where it repeats."""
+    return [(*combo, r, c) for combo in sorted(combos) for r in sorted(rs) for c in sorted(cs)]

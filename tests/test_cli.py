@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from math import gcd
 from pathlib import Path
@@ -30,8 +31,10 @@ from ppforge import (
 from ppforge import cli, errors, families
 from ppforge.cli import main, parse_int_list, parse_prime_power
 from ppforge.families import FamilyParams, build_f, validate
-from ppforge.ffcore import FieldSpec
+from ppforge.ffcore import FieldSpec, TwoLevelLogs
+from ppforge.grid import Grid
 from ppforge.cli import UsageError
+from reference import product_grid
 
 
 def run_cli(*argv):
@@ -349,6 +352,22 @@ def test_sweep_hypothesis_violation():
     assert "k is not odd" in err
 
 
+def test_hypothesis_exit_builds_no_zech_table(monkeypatch):
+    # q = 7^3 keeps a flat Zech table, but validating c reads only log(c):
+    # a sweep that exits 65 there never fills the table
+    def not_built(self):
+        raise AssertionError("flat Zech table built before a hypothesis exit")
+
+    monkeypatch.setattr(TwoLevelLogs, "_zech_columns", not_built)
+    cached = build_field(7, 3)
+    fresh = FieldSpec(7, 3, cached.modulus, cached.generator.coeffs)  # no logs built
+    monkeypatch.setattr(cli, "build_field", lambda p, h, **kwargs: fresh)
+    code, out, err = run_cli("--jobs=1", "sweep", "family=T1", "q=7^3", "d=2", "k=1",
+                             "r=1..6", "c=5")
+    assert (code, out) == (65, "") and err.startswith("violation: ")
+    assert fresh.tables_supported() and fresh._logs is not None  # c was validated by logs
+
+
 def test_sweep_rejects_any_violating_q_before_computing_a_row(monkeypatch):
     def no_rows(*args):
         raise AssertionError("row computed before every q was validated")
@@ -486,8 +505,96 @@ def test_pool_takes_a_few_contiguous_slices_per_worker(monkeypatch):
     rows = cli.compute_rows(field, tuples, 2, 0, 1 << 26)
     # 7 c x 100 r: ceil(700 / (8 * 2)) = 44 tuples a slice, the last one short
     assert [len(part) for part in slices] == [44] * 15 + [40]
-    assert [tup for part in slices for tup in part] == tuples
+    assert [tup for part in slices for tup in part] == list(tuples)
     assert [(row.r, row.c) for row in rows] == [tup[5:] for tup in tuples]
+
+
+def grid_and_reference(field, tag, xs, ys, rs, cs):
+    """build_grid's Grid of tag over d or u in xs, k or v in ys, r in rs
+    and c in cs, each factor a list, and the same product as a plain list
+    (T5's d is always 4)."""
+    keys = ("u", "v") if tag == "T6" else ("d", "k")
+    factors = dict(zip((*keys, "r", "c"), (xs, ys, rs, cs)))
+    params = {key: ",".join(map(str, values)) for key, values in factors.items()}
+    combos = [(tag, 2, 0, x, y) if tag == "T6" else (tag, x, y, 0, 0) for x in xs for y in ys]
+    return cli.build_grid(params, field, tag, True), product_grid(combos, rs, cs)
+
+
+def assert_grid_is(grid, expected, bounds):
+    """grid against its plain list: length, iteration, pickling, the
+    chunks _pooled makes at 2 to 5 workers and at every size up to the
+    length, and grid[i:j] for (i, j) in bounds."""
+    assert len(grid) == len(expected) and list(grid) == expected
+    assert list(pickle.loads(pickle.dumps(grid))) == expected
+    sizes = [-(-len(expected) // (8 * workers)) for workers in range(2, 6)]
+    for size in sizes + list(range(1, len(expected) + 1)):
+        parts = grid.chunks(size)
+        assert [list(part) for part in parts] == [
+            expected[i:i + size] for i in range(0, len(expected), size)]
+        assert [len(part) for part in parts] == [len(list(part)) for part in parts]
+    for i, j in bounds:
+        part = grid[i:j]
+        assert list(part) == expected[i:j] and len(part) == len(expected[i:j]), (i, j)
+        assert all(rs and cs for _, rs, cs in part.blocks), (i, j)
+
+
+@pytest.mark.parametrize("tag,xs,ys,rs,cs", [
+    ("T1", [14, 2], [3, 1], [5, 5, 1, 2, 3], [2, 1, 2]),
+    ("T6", [3, 1], [1, 3, 3], [4, 1, 9, 2, 7], [2, 4]),
+    ("T3", [2], [0], [1], [3]),
+    ("T3", [7, 7], [5], [3, 1, 2], [9]),
+    ("T5", [4], [0, 2], [1, 2], [1, 7, 5]),
+])
+def test_grid_matches_a_plain_product(field_q13, tag, xs, ys, rs, cs):
+    grid, expected = grid_and_reference(field_q13, tag, xs, ys, rs, cs)
+    length = len(expected)
+    assert_grid_is(grid, expected, [(i, j) for i in range(-2, length + 2)
+                                    for j in range(i - 1, length + 3)])
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_grid_matches_a_plain_product_on_random_grids(data):
+    tag = data.draw(st.sampled_from(["T1", "T3", "T6"]))
+    small = st.integers(1, 9)
+    xs = data.draw(st.lists(small, min_size=1, max_size=3))
+    ys = data.draw(st.lists(small if tag == "T6" else st.integers(0, 9), min_size=1, max_size=3))
+    rs, cs = (data.draw(st.lists(small, min_size=1, max_size=12)) for _ in range(2))
+    grid, expected = grid_and_reference(build_field(13, 1), tag, xs, ys, rs, cs)
+    bound = st.integers(-len(expected) - 2, len(expected) + 2)
+    assert_grid_is(grid, expected, data.draw(st.lists(st.tuples(bound, bound), max_size=20)))
+
+
+def test_grid_of_tuples_gives_the_same_rows(field_q13):
+    # compute_rows on a sorted list of tuples, made into blocks of one r,
+    # and on build_grid's blocks of the same tuples: the same Rows
+    timeless = operator.methodcaller("_replace", elapsed_us=0)
+    twice = ",".join(str(int(c)) for c in families.valid_c_values(field_q13, "T6")[:2] * 2)
+    for tag, params in [("T1", {"d": "2,14", "r": "5,5,1..30", "c": "all"}),
+                        ("T6", {"u": "1,3", "v": "1,3", "r": "1..40", "c": twice})]:
+        grid = cli.build_grid(params, field_q13, tag, True)
+        assert len(Grid.of(list(grid)).blocks) > len(grid.blocks)
+        rows = [list(map(timeless, cli.compute_rows(field_q13, tuples, 1, 0, 1 << 26)))
+                for tuples in (grid, list(grid))]
+        assert rows[0] == rows[1] and len(rows[0]) == len(grid)
+
+
+def test_grid_at_scale_holds_factors_not_tuples(field_q13):
+    # the 903,168 tuples of T3 q=13 d=2,14 (default k and r, c=all) are
+    # built, validated and cut into a pool's slices in well under a
+    # tuple's share of memory, and the slices pickle as their blocks
+    field_q13.logs()
+    tracemalloc.start()
+    try:
+        grid = cli.build_grid({"d": "2,14", "c": "all"}, field_q13, "T3", True)
+        cli._prepare([(field_q13, grid)])
+        slices = grid.chunks(-(-len(grid) // 16))  # _pooled's, at 2 workers
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == 903168 == sum(map(len, slices)) and len(slices) == 16
+    assert peak < 1 << 20, peak
+    assert sum(len(pickle.dumps(part)) for part in slices) < 64 << 10
 
 
 def test_compute_rows_returns_a_list_of_rows():
@@ -628,7 +735,7 @@ def reference_csv(field, tuples, search):
 def kernel_csv(monkeypatch, field, tuples, search, jobs):
     """The CLI's CSV body for a sweep or search over exactly tuples, each
     elapsed_us set to 0, and its stderr."""
-    monkeypatch.setattr(cli, "_grids", lambda ns: [(field, tuples)])
+    monkeypatch.setattr(cli, "_grids", lambda ns: [(field, Grid.of(tuples))])
     code, out, err = run_cli(f"--jobs={jobs}", "search" if search else "sweep", "family=T1")
     assert code == 0, err
     header, _, body = out.partition("\n")

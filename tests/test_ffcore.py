@@ -257,11 +257,13 @@ def test_tables_hold_no_int_objects():
 
 @pytest.mark.parametrize("p,h", [(13, 2), (17, 2), (3, 5)])
 def test_tables_build_without_a_field_sized_temporary(p, h):
-    # the flat table is filled a column of q - 1 entries at a time
+    # the flat table is filled a column of q - 1 entries at a time, on the
+    # provider's first read of it
     f = build_field(p, h)
     tracemalloc.start()
     try:
         logs = TwoLevelLogs(f)
+        logs.zech_table
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
