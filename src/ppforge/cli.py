@@ -100,6 +100,10 @@ EXIT_HYPOTHESES = 65
 # 112,896 and 20.5 MB at 903,168.
 MAX_GRID = 1 << 20
 
+# Longest field description file field-info reads, in bytes; a description
+# is four short lines.
+MAX_FIELD_FILE = 1 << 16
+
 # The oracle's verdicts are memoised per sweep, keyed by reduced_f; the memo
 # is emptied before it grows past VERDICT_MEMO_SIZE entries, as the oracle's
 # lh_cache is.
@@ -458,8 +462,11 @@ def cmd_field_info(ns, out, err):
     if "," in params.get("q", ""):
         raise UsageError(f"field-info takes one q, got q={params['q']}")
     if "file" in params:
-        with open(params["file"], "r", encoding="ascii") as fh:
-            field = field_from_text(fh.read(), ns.max_field)
+        with open(params["file"], "rb") as fh:
+            text = fh.read(MAX_FIELD_FILE + 1)
+        if len(text) > MAX_FIELD_FILE:
+            raise UsageError(f"field description file is over {MAX_FIELD_FILE} bytes")
+        field = field_from_text(text.decode("ascii"), ns.max_field)
         if "q" in params and parse_prime_power(params["q"], ns.max_field) != (field.p, field.h):
             raise UsageError(f"file describes q={field.q}, not q={params['q']}")
     else:

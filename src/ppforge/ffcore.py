@@ -16,12 +16,12 @@ Discrete logs base the generator come from one provider on every field,
 FieldSpec.logs(): two-level logs and Zech logarithms from lists of O(q)
 ints (TwoLevelLogs), with zero labelled n = q^2 - 1.  It labels the values
 of a sparse polynomial along a run of powers of g, the oracle's one kind of
-walk, adding the terms by Zech logarithms.
+walk, adding the terms by Zech logarithms computed from the same lists.
 """
 
 from array import array
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import repeat
 from operator import mul
 import random
 
@@ -30,15 +30,10 @@ from .errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
 DEFAULT_MAX_FIELD_SIZE = 1 << 26
 DEFAULT_SEED = 0
 
-# Largest q^2 for which an extension field (h > 1) keeps its Zech
-# logarithms as one flat array, TwoLevelLogs.zech_table, built on first use;
-# every other field computes each from O(q) lists.  The array holds q^2 - 1
-# C ints (TABLE_TYPE, 4 bytes each), about 0.5 MB at q = 19^2, the largest.  A
-# TABLE_TYPE int holds values below 2^31 only: enough for this table's
-# labels, below TABLE_LIMIT, and for exps()' encodings, below q^2 (2^26 by
-# default), but not for the labels of a field past q = 46,341, so
-# oracle.h_logs keeps LH as 8-byte ints.
-TABLE_LIMIT = 1 << 18
+# The C int type of TwoLevelLogs.exps(), 4 bytes an entry.  It holds values
+# below 2^31 only: enough for exps()' encodings, below q^2 (2^26 by default),
+# but not for the labels of a field past q = 46,341, so oracle.h_logs keeps LH
+# as 8-byte ints.
 TABLE_TYPE = "i"
 
 # Most labels TwoLevelLogs.log keeps, by coefficient vector, on h > 1
@@ -386,23 +381,25 @@ class FieldSpec:
 
     def logs(self):
         """The field's discrete logs base the generator g, TwoLevelLogs: it
-        gives log(c), exps() (the code of g^label at every label), zech(d)
-        and labels(step, terms, count), with n = q^2 - 1 the label of zero.
+        gives log(c), exps() (the code of g^label at every label) and
+        labels(step, terms, count), with n = q^2 - 1 the label of zero.
         Built once, lazily, and published by one assignment, so a concurrent
         reader sees a whole provider or none."""
         if self._logs is None:
             self._logs = TwoLevelLogs(self)
         return self._logs
 
-    # perfbench/child.py builds the flat Zech table in its set-up through
-    # these two
+    # perfbench/child.py builds logs() in its set-up through these two; they
+    # go once the harness times field.logs() itself
     def tables_supported(self):
-        """Does logs() keep a flat Zech table for this field?"""
-        return self.h > 1 and self.q2 <= TABLE_LIMIT
+        """True: every field has the tables of logs()."""
+        return True
 
     def tables(self):
-        """(zech_table,) of logs(), where tables_supported()."""
-        return (self.logs().zech_table,)
+        """The lists of logs(), built here if not yet: (log_f, coset, z_f,
+        la, lb)."""
+        logs = self.logs()
+        return logs.log_f, logs.coset, logs.z_f, logs.la, logs.lb
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, h={self.h}, q2={self.q2})"
@@ -446,11 +443,7 @@ class TwoLevelLogs:
       log_f[beta] = j + lb[i] mod (q - 1), and alpha = 1 + s^j*alpha_i,
       so log_f[alpha] = z_f[j + la[i] mod (q - 1)], or 0 where alpha_i = 0;
       Z(d) is the log of alpha + beta*t as above.
-    On an extension field with q^2 <= TABLE_LIMIT when the provider is
-    made, Z is also kept as one flat array of n C ints, zech_table, filled
-    on first use from the same formula a column at a time, the d = i mod
-    (q+1) for one i; on every other field zech_table is None and each Z is
-    computed when asked for.
+    labels computes each Z it needs so, when it needs it; no Z is stored.
 
     exps, the decoder, follows the split n = M*(p - 1), with a = g^M in
     F_p^*: F_p is the scalars, so g^(i + j*M) = a^j * g^i coordinate by
@@ -459,8 +452,8 @@ class TwoLevelLogs:
     first exps.
     """
 
-    __slots__ = ("field", "q", "n", "log_f", "coset", "z_f", "la", "lb", "tabled", "_zech",
-                 "run", "scalars", "_coords", "_base", "_exps", "_log_memo", "lh_cache")
+    __slots__ = ("field", "q", "n", "log_f", "coset", "z_f", "la", "lb", "run",
+                 "scalars", "_coords", "_base", "_exps", "_log_memo", "lh_cache")
 
     def __init__(self, field):
         p, q, h = field.p, field.q, field.h
@@ -494,7 +487,6 @@ class TwoLevelLogs:
         for _ in range(p - 2):
             self.scalars.append(self.scalars[-1] * a % p)
         self._base = powers if h == 1 else None
-        self.tabled, self._zech = field.tables_supported(), None
 
     def _codes(self, cols):
         """The codes of alpha and of beta for a block of coordinate columns."""
@@ -534,45 +526,6 @@ class TwoLevelLogs:
             self._log_memo[coeffs] = label
         return label
 
-    def zech(self, d):
-        """Z(d) = log(1 + g^d) for any int d, n where 1 + g^d = 0, computed
-        from the lists (class docstring)."""
-        q, n, z_f = self.q, self.n, self.z_f
-        j, i = divmod(d % n, q + 1)
-        if not i:
-            z = z_f[j]
-            return (q + 1) * z if z >= 0 else n
-        b = (j + self.lb[i]) % (q - 1)
-        la = self.la[i]
-        a = z_f[(j + la) % (q - 1)] if la >= 0 else 0
-        return ((q + 1) * b + self.coset[(a - b) % (q - 1) if a >= 0 else q - 1]) % n
-
-    __getitem__ = zech  # so labels reads Z[d] from the provider as from zech_table
-
-    @property
-    def zech_table(self):
-        """The flat Zech array (_zech_columns), built on its first read,
-        where tabled; None on every other field."""
-        if self._zech is None and self.tabled:
-            self._zech = self._zech_columns()
-        return self._zech
-
-    def _zech_columns(self):
-        """zech(d) for d in range(n) as an array, a column d = i mod (q+1)
-        at a time: over j, log_f[beta] is j + lb[i] and log_f[alpha] is
-        z_f[j + la[i]], both lists rotated by their offset."""
-        n, z_f, coset = self.n, self.z_f, self.coset
-        m, q1 = self.q + 1, self.q - 1
-        table = array(TABLE_TYPE, [0]) * n
-        table[::m] = array(TABLE_TYPE, (m * z if z >= 0 else n for z in z_f))
-        for i in range(1, m):
-            la, lb = self.la[i], self.lb[i]
-            alogs = chain(islice(z_f, la, None), islice(z_f, la)) if la >= 0 else repeat(0)
-            table[i::m] = array(TABLE_TYPE, (
-                (m * b + coset[(a - b) % q1 if a >= 0 else q1]) % n
-                for a, b in zip(alogs, chain(range(lb, q1), range(lb)))))
-        return table
-
     def exps(self):
         """The canonical encoding of g^label for label in range(n + 1), 0
         for the zero label n, an array read-only to the caller: each
@@ -596,9 +549,9 @@ class TwoLevelLogs:
         x = g^(step*t), t = 0..count-1, n for a zero value; one label at a
         time.  Term j is the log lc_j + t*step*e_j mod n, and the terms are
         added by Zech logarithms, g^a + g^b = g^(a + Z(b - a)): one Z per
-        term, a lookup in zech_table where there is one."""
-        n, table = self.n, self.zech_table
-        zech = self if table is None else table
+        term, computed from the lists (class docstring)."""
+        n, m, q1 = self.n, self.q + 1, self.q - 1
+        z_f, la, lb, coset = self.z_f, self.la, self.lb, self.coset
         terms = [(self.log(c), step * e) for e, c in terms]
         if not terms:
             yield from repeat(n, count)
@@ -610,9 +563,18 @@ class TwoLevelLogs:
                 b = (lc + t * e) % n
                 if acc == n:
                     acc = b
+                    continue
+                # g^d = s^j * g^i; j < 0 where b < acc, read mod q - 1 only
+                # (z_f has q - 1 entries), and so is beta, via the last mod n
+                d = b - acc
+                i, j = d % m, d // m
+                if i:
+                    beta, a = j + lb[i], la[i]
+                    alpha = z_f[(j + a) % q1] if a >= 0 else 0
+                    acc = (acc + m * beta + coset[(alpha - beta) % q1 if alpha >= 0 else q1]) % n
                 else:
-                    z = zech[b - acc]  # a negative index wraps mod n, as wanted
-                    acc = n if z == n else (acc + z) % n
+                    z = z_f[j]
+                    acc = (acc + m * z) % n if z >= 0 else n
             yield acc
 
 
@@ -674,12 +636,12 @@ def _find_generator(p, h, modulus, rng):
 
 
 def verify_generator(field, g):
-    """True iff g has multiplicative order exactly q^2 - 1."""
+    """True iff g has multiplicative order exactly n = q^2 - 1.  The modulus
+    must be irreducible, as every caller checks first: in a field g^n = 1
+    for every nonzero g, so its order is n iff no g^(n/prime) is 1."""
     if g.is_zero():
         return False
     n = field.q2 - 1
-    if g ** n != field.one:
-        return False
     return all(g ** (n // prime) != field.one for prime, _ in field.factorization)
 
 

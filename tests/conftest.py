@@ -1,6 +1,6 @@
 import pytest
 
-from ppforge import build_field, ffcore
+from ppforge import build_field
 
 
 @pytest.fixture(scope="session")
@@ -41,21 +41,3 @@ def field_q25():
 @pytest.fixture(scope="session")
 def field_q29():
     return build_field(29, 1)
-
-
-@pytest.fixture
-def log_providers(monkeypatch):
-    """copies(f) yields fresh copies of the field f: the first with the log
-    provider that FieldSpec.logs() builds for f, with the flat Zech table
-    on an extension field up to TABLE_LIMIT, the second with
-    TABLE_LIMIT = 0, where every field computes each Zech logarithm from
-    the O(q) lists.  logs() builds once per field, hence the copies; a
-    polynomial on f evaluates on either."""
-    def copies(f):
-        for limit in (ffcore.TABLE_LIMIT, 0):
-            copy = ffcore.FieldSpec(f.p, f.h, f.modulus, f.generator.coeffs)
-            with monkeypatch.context() as patch:
-                patch.setattr(ffcore, "TABLE_LIMIT", limit)
-                copy.logs()
-            yield copy
-    return copies

@@ -31,7 +31,7 @@ from ppforge import (
 from ppforge import cli, errors, families
 from ppforge.cli import main, parse_int_list, parse_prime_power
 from ppforge.families import FamilyParams, build_f, validate
-from ppforge.ffcore import FieldSpec, TwoLevelLogs
+from ppforge.ffcore import FieldSpec
 from ppforge.grid import Grid
 from ppforge.cli import UsageError
 from reference import product_grid
@@ -116,6 +116,16 @@ def test_field_info_refuses_oversized_file_before_primality(tmp_path):
     assert run_cli("field-info", f"file={path}")[0] == 64
     with pytest.raises(SizeExceeded):
         field_from_text("p=13\nh=1\nmodulus=6,0,1\ngenerator=2\n", max_size=168)
+    # a valid description padded with a comment line to the byte cap reads;
+    # one byte more is refused before it is parsed
+    text = run_cli("field-info", "q=13")[1]
+    path.write_text(text + "#" * (cli.MAX_FIELD_FILE - len(text)))
+    assert run_cli("field-info", f"file={path}") == (0, text, "")
+    path.write_text(text + "#" * (cli.MAX_FIELD_FILE - len(text) + 1))
+    start = time.perf_counter()
+    code, out, err = run_cli("field-info", f"file={path}")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (64, "") and "over 65536 bytes" in err
 
 
 def test_parse_prime_power_bounds():
@@ -352,20 +362,16 @@ def test_sweep_hypothesis_violation():
     assert "k is not odd" in err
 
 
-def test_hypothesis_exit_builds_no_zech_table(monkeypatch):
-    # q = 7^3 keeps a flat Zech table, but validating c reads only log(c):
-    # a sweep that exits 65 there never fills the table
-    def not_built(self):
-        raise AssertionError("flat Zech table built before a hypothesis exit")
-
-    monkeypatch.setattr(TwoLevelLogs, "_zech_columns", not_built)
+def test_hypothesis_exit_on_an_extension_field(monkeypatch):
+    # q = 7^3 is not 1 mod 4, so the sweep exits 65 before any row; c is
+    # still validated, by its log
     cached = build_field(7, 3)
     fresh = FieldSpec(7, 3, cached.modulus, cached.generator.coeffs)  # no logs built
     monkeypatch.setattr(cli, "build_field", lambda p, h, **kwargs: fresh)
     code, out, err = run_cli("--jobs=1", "sweep", "family=T1", "q=7^3", "d=2", "k=1",
                              "r=1..6", "c=5")
     assert (code, out) == (65, "") and err.startswith("violation: ")
-    assert fresh.tables_supported() and fresh._logs is not None  # c was validated by logs
+    assert fresh._logs is not None  # c was validated by logs
 
 
 def test_sweep_rejects_any_violating_q_before_computing_a_row(monkeypatch):
@@ -467,9 +473,9 @@ def test_compute_rows_caps_workers_at_tuple_count(monkeypatch):
 
 
 def test_pooled_rows_build_the_tables_in_the_parent(monkeypatch):
-    # forked workers inherit the parent's cached field, so its logs (here
-    # with the flat Zech table) are built once, before the pool starts, not
-    # once per worker; a fresh FieldSpec starts without them
+    # forked workers inherit the parent's cached field, so its logs are
+    # built once, before the pool starts, not once per worker; a fresh
+    # FieldSpec starts without them
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
     cached = build_field(5, 2)
     field = FieldSpec(5, 2, cached.modulus, cached.generator.coeffs)
@@ -1071,15 +1077,16 @@ def test_module_entry_point():
 def test_start_up_imports_no_dataclasses():
     """import ppforge.cli, in a fresh interpreter without site, leaves
     dataclasses (and the inspect, ast and dis it pulls in) unimported; the
-    set-up hook tables() then gives the one flat Zech table at q = 3^4."""
+    set-up hook tables() then gives the five lists of logs() at q = 3^4,
+    log_f, coset and z_f of q, q and q - 1 ints, la and lb of q + 1."""
     code = ("import ppforge.cli, sys; from ppforge import build_field; "
             "print('dataclasses' in sys.modules); "
-            "table, = build_field(3, 4).tables(); print(type(table).__name__, table.typecode, len(table))")
+            "print(*map(len, build_field(3, 4).tables()))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "array", "i", str(3 ** 8 - 1)]
+    assert proc.stdout.split() == ["False", "81", "81", "80", "82", "82"]
 
 
 def test_benchmark_child_traces_a_pooled_sweep(tmp_path):

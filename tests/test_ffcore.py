@@ -1,14 +1,11 @@
-import gc
 import itertools
 import random
-import tracemalloc
-from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppforge import build_field, ffcore, field_from_text, field_to_text
+from ppforge import build_field, field_from_text, field_to_text
 from ppforge.errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
 from ppforge.ffcore import (
     FieldSpec,
@@ -203,6 +200,10 @@ def test_field_file_rejects_bad_data(field_q13):
     with pytest.raises(ValueError):
         # t^2 + 12t + 6 = (t-5)(t-9) over F_13 is reducible
         field_from_text("p=13\nh=1\nmodulus=6,12,1\ngenerator=2\n")
+    with pytest.raises(ValueError, match="modulus is not irreducible"):
+        # F_5[t]/(t^2 - 1) is no field, and verify_generator, which takes
+        # the modulus as irreducible, would pass its zero divisor 1 + t
+        field_from_text("p=5\nh=1\nmodulus=4,0,1\ngenerator=6\n")
     with pytest.raises(ValueError):
         # 1 has order 1, not q^2-1
         field_from_text("p=13\nh=1\nmodulus=6,0,1\ngenerator=1\n")
@@ -214,67 +215,15 @@ def test_elements_enumerates_whole_field(field_q9):
     assert len({int(x) for x in elems}) == 81
 
 
-# the tabled fields: the M = n/(p - 1) base powers fill whole blocks at
+# extension fields: exps()' M = n/(p - 1) base powers fill whole blocks at
 # q = 3^2 and end in a short block at the others
-TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2)]
-
-
-def test_tables_are_for_small_extension_fields_only(field_q5, monkeypatch):
-    # logs() is TwoLevelLogs on every field, once per field; it keeps the
-    # flat Zech table on an extension field up to TABLE_LIMIT only
-    for p, h in TABLE_FIELDS:
-        f = build_field(p, h)
-        assert f.tables_supported() and isinstance(f.logs(), TwoLevelLogs)
-        assert f.tables() == (f.logs().zech_table,) and f.logs().zech_table is not None
-    assert not field_q5.tables_supported() and field_q5.logs().zech_table is None
-    assert build_field(3, 6).logs().zech_table is None  # q^2 = 3^12 > TABLE_LIMIT
-    monkeypatch.setattr(ffcore, "TABLE_LIMIT", 1 << 26)
-    cached = build_field(8161, 1)
-    fresh = FieldSpec(8161, 1, cached.modulus, cached.generator.coeffs)
-    assert fresh.logs().zech_table is None and fresh.logs() is fresh.logs()
-
-
-@pytest.mark.parametrize("p,h", TABLE_FIELDS)
-def test_tables_match_plain_powers(p, h):
-    # the flat Zech table against Zech logs from a running product of plain
-    # Element multiplications: one array('i') of n entries
-    f = build_field(p, h)
-    exp, log, zech = plain_logs(f)
-    n = f.q2 - 1
-    table, = f.tables()
-    assert isinstance(table, array) and table.typecode == "i" and len(table) == n
-    assert list(table) == zech
-    # n stands for zero: Z at the one d with 1 + g^d = 0
-    assert [d for d, z in enumerate(table) if z == n] == [n // 2]
-
-
-def test_tables_hold_no_int_objects():
-    # a garbage collection visits a table's referents: its type alone, not
-    # one int object per entry
-    table, = build_field(11, 2).tables()
-    assert len(gc.get_referents(table)) <= 1
-
-
-@pytest.mark.parametrize("p,h", [(13, 2), (17, 2), (3, 5)])
-def test_tables_build_without_a_field_sized_temporary(p, h):
-    # the flat table is filled a column of q - 1 entries at a time, on the
-    # provider's first read of it
-    f = build_field(p, h)
-    tracemalloc.start()
-    try:
-        logs = TwoLevelLogs(f)
-        logs.zech_table
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(logs.zech_table) == f.q2 - 1
-    assert peak - retained < 0.05 * retained
+EXT_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 29, 131])
 def test_two_level_logs_match_plain_powers(p):
     # the log of g^i is i, and i decodes to g^i, a running product of plain
-    # Element multiplications; 3, 5, 13 and 131 were tabled before
+    # Element multiplications
     f = build_field(p, 1)
     logs = f.logs()
     exps = logs.exps()
@@ -288,66 +237,40 @@ def test_two_level_logs_match_plain_powers(p):
     assert logs.log(f.zero) == n and exps[n] == 0
 
 
-@pytest.mark.parametrize("p,h", TABLE_FIELDS)
-def test_two_level_logs_match_the_zech_tables(p, h, monkeypatch):
-    # the Zech logarithm computed per point from the O(q) lists, on a fresh
-    # copy under TABLE_LIMIT = 0, against the flat table at every d, d + n
-    # and d - n; and the labels of either provider are the same
-    f = build_field(p, h)
-    table, = f.tables()
-    monkeypatch.setattr(ffcore, "TABLE_LIMIT", 0)
-    fresh = FieldSpec(p, h, f.modulus, f.generator.coeffs).logs()
-    assert fresh.zech_table is None
-    assert len(fresh.log_f) == len(fresh.coset) == len(fresh.z_f) + 1 == f.q
-    n = f.q2 - 1
-    assert all(fresh.zech(d) == z == fresh.zech(d + n) == fresh.zech(d - n)
-               for d, z in enumerate(table))
-    terms = [(0, f.generator), (1, f.one), (f.q - 1, -f.generator)]
-    assert list(fresh.labels(1, terms, n)) == list(f.logs().labels(1, terms, n))
-
-
 # the fields of the Zech reference: prime fields and both kinds of
 # extension field, every one small enough to list g^i
 ZECH_FIELDS = [(3, 1), (5, 1), (13, 1), (3, 2), (5, 2), (3, 3), (3, 4), (11, 2)]
 
 
 @pytest.mark.parametrize("p,h", ZECH_FIELDS)
-def test_zech_logs_match_plain_powers(p, h, log_providers):
-    # Z(d) at every d, log at every element, exp at every label and labels of
-    # random polynomials of 1 to 3 terms at steps 1, q - 1 and random ones,
-    # against plain powers; on each provider log_providers gives, so on an
-    # extension field both the flat table and the per-point formula
+def test_zech_logs_match_plain_powers(p, h):
+    # Z(d) at every d, as the labels of 1 + x at x = g^d; log at every
+    # element, exp at every label and labels of random polynomials of 1 to 3
+    # terms at steps 1, q - 1 and random ones, against plain powers
     f = build_field(p, h)
     exp, log, zech = plain_logs(f)
+    logs = f.logs()
+    assert isinstance(logs, TwoLevelLogs) and logs is f.logs()
+    assert len(logs.log_f) == len(logs.coset) == len(logs.z_f) + 1 == f.q
     n, rng = f.q2 - 1, random.Random(f.q2)
-    for copy in log_providers(f):
-        logs = copy.logs()
-        assert [logs.zech(d) for d in range(n)] == zech
-        if logs.zech_table is not None:
-            assert list(logs.zech_table) == zech
-        assert [logs.log(x) for x in f.elements()] == log
-        assert list(logs.exps()) == exp + [0]
-        for step in (1, f.q - 1, rng.randrange(1, n), rng.randrange(1, n)):
-            for size in (1, 2, 3, 3):
-                terms = [(rng.randrange(n + 1), f.from_int(rng.randrange(1, f.q2)))
-                         for _ in range(size)]
-                count = min(n, 3 * (f.q + 1))
-                assert (list(logs.labels(step, terms, count))
-                        == plain_labels(f, step, terms, count)), (step, terms)
-    # per provider: zech_table on the field's own copy where h > 1 only
-    assert [copy.logs().zech_table is not None for copy in log_providers(f)] == [h > 1, False]
+    assert list(logs.labels(1, [(0, f.one), (1, f.one)], n)) == zech
+    assert [d for d, z in enumerate(zech) if z == n] == [n // 2]  # 1 + g^(n/2) = 0
+    assert [logs.log(x) for x in f.elements()] == log
+    assert list(logs.exps()) == exp + [0]
+    for step in (1, f.q - 1, rng.randrange(1, n), rng.randrange(1, n)):
+        for size in (1, 2, 3, 3):
+            terms = [(rng.randrange(n + 1), f.from_int(rng.randrange(1, f.q2)))
+                     for _ in range(size)]
+            count = min(n, 3 * (f.q + 1))
+            assert (list(logs.labels(step, terms, count))
+                    == plain_labels(f, step, terms, count)), (step, terms)
 
 
-@pytest.mark.parametrize("p,h", TABLE_FIELDS + [(13, 1), (131, 1)])
-def test_exps_decode_every_label_at_once(p, h, monkeypatch):
-    # exps() against plain powers: on the field's own provider, and on a
-    # fresh copy under TABLE_LIMIT = 0, without the flat Zech table
+@pytest.mark.parametrize("p,h", EXT_FIELDS + [(13, 1), (131, 1)])
+def test_exps_decode_every_label_at_once(p, h):
+    # exps() against plain powers
     f = build_field(p, h)
-    expected = plain_logs(f)[0] + [0]
-    monkeypatch.setattr(ffcore, "TABLE_LIMIT", 0)
-    fresh = FieldSpec(p, h, f.modulus, f.generator.coeffs)
-    assert fresh.logs().zech_table is None
-    assert list(f.logs().exps()) == list(fresh.logs().exps()) == expected
+    assert list(f.logs().exps()) == plain_logs(f)[0] + [0]
 
 
 @pytest.mark.parametrize("p,h", [(5, 1), (13, 1), (3, 2), (3, 4)])

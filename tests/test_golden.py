@@ -39,6 +39,10 @@ CALLS = [
     # whose 12 groups, all with distinct h, still repeat 357 of 1,428 f
     ["sweep", "family=T1", "q=5", "d=2,6", "r=1..23", "c=all"],
     ["search", "family=T5", "q=11", "r=1..119", "c=all"],
+    # extension fields: 4,800 rows on F_{3^4}, and the ext-q81 benchmark's
+    # 492 rows on F_{3^8}
+    ["sweep", "family=T1", "q=3^2", "d=2,10", "r=1..80", "c=all"],
+    ["sweep", "family=T1", "q=3^4", "d=2", "k=1,3", "r=1..6", "c=all"],
 ]
 
 

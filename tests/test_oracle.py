@@ -6,7 +6,7 @@ from collections import Counter
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppforge import (
@@ -123,53 +123,45 @@ def walk_cases(f):
     }
 
 
-def assert_kernel_matches_evaluate(fields, polys):
-    """The kernel on each of the fields (copies of one field) against
-    evaluate() at every element."""
+def assert_kernel_matches_evaluate(polys):
+    """The kernel against evaluate() at every element."""
     for poly in polys:
-        expected = [int(evaluate(poly.field, poly, x)) for x in poly.field.elements()]
-        bijection, pair = len(set(expected)) == len(expected), least_pair(expected)
-        for f in fields:
-            assert evaluate_on_field(f, poly) == expected, poly
-            report = is_permutation_of_field(f, poly)
-            assert report.is_bijection == bijection and report.first_collision == pair, poly
+        f = poly.field
+        expected = [int(evaluate(f, poly, x)) for x in f.elements()]
+        assert evaluate_on_field(f, poly) == expected, poly
+        report = is_permutation_of_field(f, poly)
+        assert report.is_bijection == (len(set(expected)) == len(expected)), poly
+        assert report.first_collision == least_pair(expected), poly
 
 
-def test_tabled_evaluation_matches_slow_path(field_q9, field_q25, log_providers):
-    # extension fields with the flat Zech table and without it
+def test_extension_field_walks_match_slow_path(field_q9, field_q25):
     for f in (field_q9, field_q25, build_field(3, 3)):
-        copies = list(log_providers(f))
-        assert [copy.logs().zech_table is not None for copy in copies] == [True, False]
-        assert_kernel_matches_evaluate(copies, walk_cases(f).values())
+        assert_kernel_matches_evaluate(walk_cases(f).values())
     # at degree 8 evaluate() takes about a second per case, so only the
     # cases that reach the zero sentinels run there
     f = build_field(3, 4)
     cases = walk_cases(f)
-    assert_kernel_matches_evaluate(list(log_providers(f)), [cases[name] for name in (
+    assert_kernel_matches_evaluate([cases[name] for name in (
         "bijection", "zero", "constant", "exponent_0_mod_n",
         "constant_cancels_off_0", "zero_on_non_squares")])
 
 
-def test_untabled_walk_matches_slow_path(field_q5, field_q13):
-    # prime fields keep no flat Zech table at any size
+def test_prime_field_walks_match_slow_path(field_q5, field_q13):
     for f in (field_q5, field_q13):
-        assert f.logs().zech_table is None
-        assert_kernel_matches_evaluate([f], walk_cases(f).values())
+        assert_kernel_matches_evaluate(walk_cases(f).values())
 
 
-def test_agw_trinomial_permutes_on_both_paths(field_q9, field_q13, log_providers):
+def test_agw_trinomial_permutes_on_both_paths(field_q9, field_q13):
+    # prime and extension fields
     for f in (field_q9, field_q13, build_field(5, 2), build_field(3, 3)):
-        for copy in log_providers(f):
-            assert is_permutation_of_field(copy, agw_trinomial(f)).is_bijection, copy
+        assert is_permutation_of_field(f, agw_trinomial(f)).is_bijection, f
     assert agw_trinomial(build_field(5, 1)) is None
 
 
-def test_unsplit_walk_stops_at_the_first_repeat(field_q13, field_q25, log_providers,
-                                                monkeypatch):
+def test_unsplit_walk_stops_at_the_first_repeat(field_q13, field_q25, monkeypatch):
     """x^3 + x^5 has D = 1 (q - 1 does not divide 2), so its walk streams:
     the bijection test labels no point past its first repeated image, one
-    label at a time, with the flat Zech table and without it, and the walk
-    calls no power walk (power_columns)."""
+    label at a time, and the walk calls no power walk (power_columns)."""
     def first_repeat(f):  # the first t whose image f(g^t) repeats
         seen = {int(evaluate(f, poly(f), f.zero))}
         for t in range(f.q2 - 1):
@@ -199,11 +191,10 @@ def test_unsplit_walk_stops_at_the_first_repeat(field_q13, field_q25, log_provid
     monkeypatch.setattr(ffcore.TwoLevelLogs, "labels", counted_labels)
     monkeypatch.setattr(ffcore.FieldSpec, "power_columns", counted_power_columns)
     for f, repeat in ((field_q13, 19), (field_q25, 18)):
-        for copy in log_providers(f):
-            walked.clear()
-            powers.clear()
-            assert not is_permutation_of_field(copy, poly(f))
-            assert len(walked) == repeat + 1 and not powers, copy
+        walked.clear()
+        powers.clear()
+        assert not is_permutation_of_field(f, poly(f))
+        assert len(walked) == repeat + 1 and not powers, f
 
 
 @pytest.fixture
@@ -332,19 +323,14 @@ def sparse_polys(draw):
     return SparsePoly(f, [(e, f.from_int(c)) for e, c in zip(exponents, coeffs)])
 
 
-# the fixture only hands out fresh field copies, so it may serve every example
 @given(poly=sparse_polys())
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_oracle_matches_brute_force_on_random_polys(poly, log_providers):
-    # extension fields under both log providers; prime fields take
-    # two-level logs under both
+@settings(max_examples=200, deadline=None)
+def test_oracle_matches_brute_force_on_random_polys(poly):
     f = poly.field
     expected = [int(evaluate(f, poly, x)) for x in f.elements()]
-    bijection, pair = len(set(expected)) == f.q2, least_pair(expected)
-    for copy in log_providers(f):
-        report = is_permutation_of_field(copy, poly)
-        assert report.is_bijection == bijection and report.first_collision == pair
+    report = is_permutation_of_field(f, poly)
+    assert report.is_bijection == (len(set(expected)) == f.q2)
+    assert report.first_collision == least_pair(expected)
 
 
 def t6_polys(f, rs):
@@ -386,37 +372,34 @@ def test_verdicts_do_not_depend_on_the_cache(field_q13, field_q25, monkeypatch):
 
 
 def test_evaluation_does_not_depend_on_the_decoded_field_cache(field_q13, field_q25,
-                                                              log_providers, monkeypatch):
+                                                              monkeypatch):
     """evaluate_on_field with the provider's exps() kept, cleared before
-    every call, and bounded to nothing (EXPS_CACHE_LABELS = 0), with the
-    flat Zech table and without it; the provider keeps one decoded field in
-    the first case only."""
+    every call, and bounded to nothing (EXPS_CACHE_LABELS = 0); the provider
+    keeps one decoded field in the first case only."""
     for f in (field_q13, field_q25):
         g = f.generator
         polys = [x_power(f, 5), SparsePoly(f, [(0, g), (1, g), (f.q + 3, -g)])] + t6_polys(f, (1, 2))
         expected = [[int(evaluate(f, poly, x)) for x in f.elements()] for poly in polys]
-        for copy in log_providers(f):
-            logs = copy.logs()
-            kept = [evaluate_on_field(copy, poly) for poly in polys]
-            assert logs._exps is logs.exps()
-            cleared = []
-            for poly in polys:
-                logs._exps = None
-                cleared.append(evaluate_on_field(copy, poly))
-            monkeypatch.setattr(ffcore, "EXPS_CACHE_LABELS", 0)
+        logs = f.logs()
+        kept = [evaluate_on_field(f, poly) for poly in polys]
+        assert logs._exps is logs.exps()
+        cleared = []
+        for poly in polys:
             logs._exps = None
-            bounded = [evaluate_on_field(copy, poly) for poly in polys]
-            assert logs._exps is None
-            monkeypatch.undo()
-            assert kept == cleared == bounded == expected
+            cleared.append(evaluate_on_field(f, poly))
+        monkeypatch.setattr(ffcore, "EXPS_CACHE_LABELS", 0)
+        logs._exps = None
+        bounded = [evaluate_on_field(f, poly) for poly in polys]
+        assert logs._exps is None
+        monkeypatch.undo()
+        assert kept == cleared == bounded == expected
 
 
 def test_t6_at_the_largest_prime_field_matches_gcd_criterion():
     """q = 8161, a prime with q^2 just under 2^26: the sweep of T6 u = v = 1,
     c = 2 over r = 1..59 through the CLI, serially, and four tuples
     in-process.  r = 13 permutes; the split walk labels its base run with
-    Zech logarithms computed per point from the O(q) lists, and builds no
-    q^2 table."""
+    Zech logarithms computed per point from the O(q) lists."""
     out, err = io.StringIO(), io.StringIO()
     argv = ["--jobs=1", "sweep", "family=T6", "q=8161", "u=1", "v=1", "r=1..59", "c=2"]
     assert cli.main(argv, out=out, err=err) == 0
@@ -428,17 +411,14 @@ def test_t6_at_the_largest_prime_field_matches_gcd_criterion():
         params = FamilyParams(tag="T6", field=f, r=r, c=f.from_int(2), u=1, v=1)
         assert is_permutation_of_field(f, build_f(params)).is_bijection == gcd_criterion(params), r
     assert gcd_criterion(FamilyParams(tag="T6", field=f, r=13, c=f.from_int(2), u=1, v=1))
-    assert f.logs().zech_table is None
 
 
 @pytest.mark.parametrize("p,h", [(3, 6), (23, 2)])
-def test_t1_beyond_the_tables_matches_gcd_criterion(p, h):
-    """Extension fields above TABLE_LIMIT (q^2 = 3^12 and 23^4) compute
-    each Zech logarithm of their split walks from the O(q) lists: T1 tuples
-    against gcd_criterion, each in well under the seconds that encoding
-    every run took."""
+def test_t1_on_large_extension_fields_matches_gcd_criterion(p, h):
+    """Extension fields with q^2 = 3^12 and 23^4: T1 tuples against
+    gcd_criterion, each in well under the seconds that encoding every run
+    took."""
     f = build_field(p, h)
-    assert f.logs().zech_table is None
     c = valid_c_values(f, "T1")[0]
     verdicts = Counter()
     for k in (1, 3):
