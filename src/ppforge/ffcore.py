@@ -564,8 +564,9 @@ class TwoLevelLogs:
                 if acc == n:
                     acc = b
                     continue
-                # g^d = s^j * g^i; j < 0 where b < acc, read mod q - 1 only
-                # (z_f has q - 1 entries), and so is beta, via the last mod n
+                # g^d = s^j * g^i.  j is negative where b < acc: z_f, of
+                # q - 1 entries, wraps it as an index, and the mod n below
+                # reduces m * beta, so neither needs j mod q - 1
                 d = b - acc
                 i, j = d % m, d // m
                 if i:
