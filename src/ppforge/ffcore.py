@@ -7,6 +7,10 @@ holds the coefficient of t^i).  The canonical integer encoding of an element
 is sum(coeffs[i] * p^i), an integer in [0, q^2); it is used for element
 serialization everywhere.
 
+There is one multiplication modulo m, FieldSpec._mul_coeffs, and one
+square-and-multiply on it, FieldSpec._pow_coeffs: element powers, the
+generator test and Rabin's irreducibility test all go through them.
+
 Fields are built by seeded random search (irreducible modulus, then a
 generator of the full multiplicative group), so construction is deterministic
 for a fixed seed.  FieldSpec and Element are immutable after construction and
@@ -97,26 +101,6 @@ def _poly_mod(a, m, p):
     return _poly_trim(a)
 
 
-def _poly_mulmod(a, b, m, p):
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    return _poly_mod(prod, m, p)
-
-
-def _poly_powmod(base, e, m, p):
-    result = [1]
-    base = _poly_mod(list(base), m, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, m, p)
-        base = _poly_mulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
 def _poly_gcd(a, b, p):
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
@@ -127,30 +111,21 @@ def _poly_gcd(a, b, p):
 
 
 def _poly_is_irreducible(m, p):
-    """Irreducibility of a monic polynomial via the x^(p^i) gcd test."""
+    """Rabin's test (SIAM J. Comput. 9, 1980) for a monic m over F_p of even
+    degree n, as every caller's degree is 2h: m is irreducible iff
+    t^(p^n) = t mod m and gcd(m, t^(p^(n/r)) - t) = 1 for each prime r
+    dividing n.  The powers t^(p^k) are taken by k successive p-th powers in
+    the ring F_p[t]/(m) of a probe FieldSpec, which exists whether or not m
+    is irreducible."""
     n = len(m) - 1
-    if n < 1 or m[-1] != 1:
-        return False
-    # x^(p^k) mod m, by k successive p-th powerings
-    xpk = [0, 1]
-    powers = {}
-    for k in range(1, n + 1):
-        xpk = _poly_powmod(xpk, p, m, p)
-        powers[k] = xpk
-    x = [0, 1]
-    if _poly_mod([(a - b) % p for a, b in _zip_pad(powers[n], x)], m, p):
-        return False
-    for t, _ in factorize(n):
-        diff = [(a - b) % p for a, b in _zip_pad(powers[n // t], x)]
-        g = _poly_gcd(m, diff, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+    ring = FieldSpec(p, n // 2, m, (0,) * n)
+    t = (0, 1) + (0,) * (n - 2)
+    powers = [t]  # t^(p^k) mod m at index k
+    for _ in range(n):
+        powers.append(ring._pow_coeffs(powers[-1], p))
+    return powers[n] == t and all(
+        len(_poly_gcd(m, [(a - b) % p for a, b in zip(powers[n // r], t)], p)) == 1
+        for r, _ in factorize(n))
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +185,7 @@ class Element:
             if e < 0:
                 raise DivisionByZero("negative power of zero")
             return field.zero
-        e %= field.q2 - 1
-        result = field.one.coeffs
-        base = self.coeffs
-        mul = field._mul_coeffs
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            base = mul(base, base)
-            e >>= 1
-        return Element(field, result)
+        return Element(field, field._pow_coeffs(self.coeffs, e % (field.q2 - 1)))
 
     def inverse(self):
         if self.is_zero():
@@ -254,10 +220,13 @@ class Element:
 
 
 class FieldSpec:
-    """The tower F_p < F_q < F_{q^2}: modulus, generator, cached orders.
+    """F_{q^2} as F_p[t]/(m), one extension of degree 2h over the prime
+    field: modulus m, generator, cached orders.
 
     Immutable after construction.  Use build_field() or field_from_text()
-    rather than the constructor; both validate their inputs.
+    rather than the constructor; both validate their inputs.  Built on any
+    monic m of degree 2h, it is the ring F_p[t]/(m), a field iff m is
+    irreducible: _poly_is_irreducible and verify_generator work in it.
     """
 
     def __init__(self, p, h, modulus, generator_coeffs):
@@ -268,26 +237,13 @@ class FieldSpec:
         self.modulus = tuple(modulus)
         self.degree = 2 * h
         self.factorization = factorize(self.q2 - 1)
-        self._reduce_rows = self._build_reduce_rows()
+        # column i of the map v -> t^(2h)*v is t^(2h+i) mod m, the reduction
+        # _mul_coeffs applies to a product's coefficient at t^(2h+i)
+        self._reduce_rows = tuple(zip(*self._mul_rows([-c % p for c in self.modulus[:-1]])))
         self.zero = Element(self, (0,) * self.degree)
         self.one = self.from_int(1)
         self.generator = Element(self, tuple(generator_coeffs))
         self._logs = None
-
-    def _build_reduce_rows(self):
-        # row[i] = coefficient vector of t^(2h+i) modulo the modulus
-        p, n = self.p, self.degree
-        rows = []
-        row = [(-c) % p for c in self.modulus[:n]]
-        for _ in range(n - 1):
-            rows.append(tuple(row))
-            top = row[n - 1]
-            row = [0] + row[:n - 1]
-            if top:
-                for j in range(n):
-                    row[j] = (row[j] - top * self.modulus[j]) % p
-        rows.append(tuple(row))
-        return tuple(rows)
 
     def _mul_coeffs(self, a, b):
         p, n = self.p, self.degree
@@ -304,6 +260,18 @@ class FieldSpec:
                 for j in range(n):
                     prod[j] += c * row[j]
         return tuple(c % p for c in prod[:n])
+
+    def _pow_coeffs(self, a, e):
+        """a^e for a coefficient vector a and an int e >= 0 by square-and-
+        multiply on _mul_coeffs, e taken as given, not reduced mod q^2 - 1:
+        it holds in any ring F_p[t]/(m)."""
+        result = self.one.coeffs
+        while e:
+            if e & 1:
+                result = self._mul_coeffs(result, a)
+            a = self._mul_coeffs(a, a)
+            e >>= 1
+        return result
 
     def _mul_rows(self, a):
         # rows of the matrix of v -> a*v; column j is a*t^j, and t*c is c
@@ -604,16 +572,25 @@ def build_field(p, h, seed=DEFAULT_SEED, max_size=DEFAULT_MAX_FIELD_SIZE):
     """Build F_{q^2} with q = p^h: seeded random irreducible modulus of degree
     2h over F_p, then a seeded random generator of order q^2 - 1.
 
-    Deterministic for a fixed seed.  Raises NotPrime for composite or even p,
-    SizeExceeded when p^2h exceeds max_size.
+    Deterministic for a fixed seed.  Raises ValueError for h < 1, then
+    SizeExceeded when p^2h exceeds max_size, then NotPrime unless p is an
+    odd prime, before any work grows with p or h.
     """
-    if not is_prime(p) or p == 2:
-        raise NotPrime(p)
+    _check_field(p, h, max_size)
+    return _build_field_cached(p, h, seed)
+
+
+def _check_field(p, h, max_size):
+    """The one guard on (p, h), cheapest test first, so no work grows with an
+    oversized input: ValueError for h < 1, then SizeExceeded when p^2h
+    exceeds max_size (an h past max_size's bit length is refused before the
+    power is taken), then NotPrime unless p is an odd prime."""
     if h < 1:
         raise ValueError(f"extension degree must be >= 1, got {h}")
-    if p ** (2 * h) > max_size:
-        raise SizeExceeded(p ** (2 * h), max_size)
-    return _build_field_cached(p, h, seed)
+    if h > max_size.bit_length() or p ** (2 * h) > max_size:
+        raise SizeExceeded(f"{p}^{2 * h}", max_size)
+    if not is_prime(p) or p == 2:
+        raise NotPrime(p)
 
 
 @lru_cache(maxsize=None)
@@ -624,8 +601,7 @@ def _build_field_cached(p, h, seed):
         modulus = [rng.randrange(p) for _ in range(degree)] + [1]
         if _poly_is_irreducible(modulus, p):
             break
-    field = FieldSpec(p, h, modulus, _find_generator(p, h, modulus, rng))
-    return field
+    return FieldSpec(p, h, modulus, _find_generator(p, h, modulus, rng))
 
 
 def _find_generator(p, h, modulus, rng):
@@ -637,13 +613,12 @@ def _find_generator(p, h, modulus, rng):
 
 
 def verify_generator(field, g):
-    """True iff g has multiplicative order exactly n = q^2 - 1.  The modulus
-    must be irreducible, as every caller checks first: in a field g^n = 1
-    for every nonzero g, so its order is n iff no g^(n/prime) is 1."""
-    if g.is_zero():
-        return False
-    n = field.q2 - 1
-    return all(g ** (n // prime) != field.one for prime, _ in field.factorization)
+    """True iff g has multiplicative order exactly n = q^2 - 1 in the ring
+    F_p[t]/(m) of field, m irreducible or not: no g^(n/prime) is 1, and
+    g^n = 1, with n not reduced."""
+    n, one = field.q2 - 1, field.one.coeffs
+    return all(field._pow_coeffs(g.coeffs, n // prime) != one
+               for prime, _ in field.factorization) and field._pow_coeffs(g.coeffs, n) == one
 
 
 # ---------------------------------------------------------------------------
@@ -663,9 +638,8 @@ def field_to_text(field):
 def field_from_text(text, max_size=DEFAULT_MAX_FIELD_SIZE):
     """Parse and fully validate a field description file.
 
-    Raises ValueError on malformed input, NotPrime / irreducibility /
-    generator-order failures as appropriate, and SizeExceeded when p^2h
-    exceeds max_size, before any primality, irreducibility or order test.
+    Raises ValueError on malformed input, on a reducible modulus and on a
+    generator of the wrong order, after (p, h) pass _check_field.
     """
     entries = {}
     for line in text.splitlines():
@@ -679,12 +653,7 @@ def field_from_text(text, max_size=DEFAULT_MAX_FIELD_SIZE):
         raise ValueError(f"field description missing keys: {sorted(missing)}")
     p = int(entries["p"])
     h = int(entries["h"])
-    if h > max_size.bit_length() or p ** (2 * h) > max_size:
-        raise SizeExceeded(f"{p}^{2 * h}", max_size)
-    if not is_prime(p) or p == 2:
-        raise NotPrime(p)
-    if h < 1:
-        raise ValueError(f"extension degree must be >= 1, got {h}")
+    _check_field(p, h, max_size)
     modulus = [int(c) % p for c in entries["modulus"].split(",")]
     if len(modulus) != 2 * h + 1 or modulus[-1] != 1:
         raise ValueError("modulus must be monic of degree 2h")

@@ -114,6 +114,10 @@ def test_field_info_refuses_oversized_file_before_primality(tmp_path):
     assert code == 64 and "exceeds the configured cap" in err
     path.write_text("p=3\nh=1000000000\nmodulus=1,0,1\ngenerator=2\n")
     assert run_cli("field-info", f"file={path}")[0] == 64
+    # h >= 1 is tested first, so 0 ** (2*h) is never taken
+    path.write_text("p=0\nh=-1\nmodulus=1\ngenerator=0\n")
+    code, out, err = run_cli("field-info", f"file={path}")
+    assert (code, out) == (64, "") and err.startswith("error:") and err.count("\n") == 1
     with pytest.raises(SizeExceeded):
         field_from_text("p=13\nh=1\nmodulus=6,0,1\ngenerator=2\n", max_size=168)
     # a valid description padded with a comment line to the byte cap reads;

@@ -1,12 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppforge import build_field, field_from_text, field_to_text
-from ppforge.errors import DivisionByZero, FieldMismatch, NotPrime, SizeExceeded
+from ppforge.errors import DivisionByZero, FieldMismatch, NotPrime, PPForgeError, SizeExceeded
 from ppforge.ffcore import (
     FieldSpec,
     TwoLevelLogs,
@@ -43,6 +44,50 @@ def test_build_field_rejects_bad_inputs():
         build_field(5, 0)
     with pytest.raises(SizeExceeded):
         build_field(101, 1, max_size=10_000)
+
+
+@pytest.mark.parametrize("p,h", [(2**61 - 1, 1), (3, 10**8)])
+def test_build_field_refuses_oversized_before_any_work(p, h):
+    # size comes before primality, so no trial division up to 1.5e9 for the
+    # Mersenne prime, and no 3^(2*10^8) for the huge h
+    start = time.perf_counter()
+    with pytest.raises(SizeExceeded):
+        build_field(p, h)
+    assert time.perf_counter() - start < 0.5
+
+
+def _mobius(d):
+    sign, k = 1, 2
+    while d > 1:
+        if d % k == 0:
+            d //= k
+            if d % k == 0:
+                return 0
+            sign = -sign
+        k += 1
+    return sign
+
+
+@pytest.mark.parametrize("p,n,count", [
+    (3, 2, 3), (3, 4, 18), (3, 6, 116), (5, 2, 10), (5, 4, 150), (7, 2, 21), (11, 2, 55)])
+def test_irreducibility_test_matches_gauss_count(p, n, count):
+    # Gauss: (1/n) * sum over d | n of mu(d) * p^(n/d) monic irreducibles of
+    # degree n over F_p; the test must accept exactly that many
+    assert sum(_mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) == n * count
+    accepted = sum(_poly_is_irreducible(list(low) + [1], p)
+                   for low in itertools.product(range(p), repeat=n))
+    assert accepted == count
+
+
+def test_verify_generator_works_on_any_ring(field_q5):
+    # F_5[t]/(t^2 - 1) is no field: 1 + t (code 6) is a zero divisor with
+    # (1 + t)^k = 2^(k-1) (1 + t), never 1, and no element has order 24
+    ring = FieldSpec(5, 1, (4, 0, 1), (0, 0))
+    assert not verify_generator(ring, ring.from_int(6))
+    assert not any(verify_generator(ring, x) for x in ring.elements())
+    # in the field, exactly the phi(24) = 8 elements of order 24
+    f = field_q5
+    assert sum(verify_generator(f, x) for x in f.elements()) == 8
 
 
 def test_factorization_is_consistent(field_q13):
@@ -201,12 +246,29 @@ def test_field_file_rejects_bad_data(field_q13):
         # t^2 + 12t + 6 = (t-5)(t-9) over F_13 is reducible
         field_from_text("p=13\nh=1\nmodulus=6,12,1\ngenerator=2\n")
     with pytest.raises(ValueError, match="modulus is not irreducible"):
-        # F_5[t]/(t^2 - 1) is no field, and verify_generator, which takes
-        # the modulus as irreducible, would pass its zero divisor 1 + t
+        # F_5[t]/(t^2 - 1) is no field; its zero divisor 1 + t is refused
+        # before verify_generator sees it
         field_from_text("p=5\nh=1\nmodulus=4,0,1\ngenerator=6\n")
     with pytest.raises(ValueError):
         # 1 has order 1, not q^2-1
         field_from_text("p=13\nh=1\nmodulus=6,0,1\ngenerator=1\n")
+
+
+@given(p=st.integers(-3, 40), h=st.integers(-3, 4),
+       modulus=st.lists(st.integers(-5, 40), max_size=10), generator=st.integers(-5, 10**4))
+@example(p=5, h=1, modulus=[3, 3, 1], generator=10)
+@example(p=0, h=-1, modulus=[1], generator=0)
+@settings(max_examples=300, deadline=None)
+def test_field_from_text_reads_a_field_or_refuses(p, h, modulus, generator):
+    # any description gives a field that round-trips, or one of the errors
+    # the CLI reports as a usage error; no other exception escapes
+    text = f"p={p}\nh={h}\nmodulus={','.join(map(str, modulus))}\ngenerator={generator}\n"
+    try:
+        field = field_from_text(text)
+    except (ValueError, PPForgeError):
+        return
+    assert field.modulus == tuple(c % p for c in modulus)
+    assert field_to_text(field_from_text(field_to_text(field))) == field_to_text(field)
 
 
 def test_elements_enumerates_whole_field(field_q9):
