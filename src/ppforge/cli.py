@@ -17,9 +17,10 @@ JSON lines.  All numeric I/O is exact integer text.
 Every subcommand parses and size-checks each comma-separated q before it
 builds any field.  A grid's size, the product of its factors' sizes, is
 counted before any range or c=all is expanded; a grid above MAX_GRID tuples is
-a usage error.  check is a sweep whose grid must be exactly one tuple.  A
-sweep, search or check first validates the family hypotheses of every
-requested q, once per (family, d, k, u, v, c) group: they do not depend on r.
+a usage error, as is a key the family does not take.  check is a sweep
+whose grid must be exactly one tuple.  A sweep, search or check first
+validates the family hypotheses of every requested q, once per
+(family, d, k, u, v, c) group: they do not depend on r.
 It then builds one h per (family, d, k, u, v) combo, so a negative exponent in
 h is also an error before any row.
 
@@ -59,7 +60,7 @@ from itertools import groupby
 from math import gcd
 from operator import itemgetter
 
-from .errors import HypothesesNotSatisfied, PPForgeError, SizeExceeded
+from .errors import HypothesesNotSatisfied, NotPrime, PPForgeError, SizeExceeded
 from .families import (
     FamilyParams,
     TAGS,
@@ -77,10 +78,10 @@ from .ffcore import (
     DEFAULT_MAX_FIELD_SIZE,
     DEFAULT_SEED,
     build_field,
+    check_field,
     field_from_text,
     field_to_text,
     factorize,
-    is_prime,
 )
 from .grid import Grid
 from .oracle import permutes
@@ -138,11 +139,14 @@ def _int(text):
         raise UsageError(f"not an integer: {text!r}") from None
 
 
-def parse_prime_power(text, max_field=None):
-    """(p, h) for q given plain or as p^h; must be an odd prime power.
+def parse_prime_power(text, max_field):
+    """(p, h) for q given plain or as p^h; must be an odd prime power with q^2
+    at most max_field.
 
-    With max_field set, a q with q^2 above it raises SizeExceeded before any
-    factoring.
+    A plain q with q^2 above max_field raises SizeExceeded before any
+    factoring, and a base p below 3 is a usage error before any size test.
+    The size and odd-prime tests on (p, h) are ffcore's one guard
+    (check_field).
     """
     if "^" in text:
         base, _, expo = text.partition("^")
@@ -151,20 +155,20 @@ def parse_prime_power(text, max_field=None):
             raise UsageError(f"bad exponent in q={text}")
         if p < 3:
             raise UsageError(f"q must be a power of an odd prime, got base {p}")
-        if max_field is not None and (h > max_field.bit_length() or p ** (2 * h) > max_field):
-            raise SizeExceeded(f"{p}^{2 * h}", max_field)
     else:
         q = _int(text)
         if q < 3:
             raise UsageError(f"q={text} is not an odd prime power")
-        if max_field is not None and q * q > max_field:
+        if q * q > max_field:
             raise SizeExceeded(q * q, max_field)
         factors = factorize(q)
         if len(factors) != 1:
             raise UsageError(f"q={text} is not a prime power")
         (p, h), = factors
-    if p == 2 or not is_prime(p):
-        raise UsageError(f"q must be a power of an odd prime, got base {p}")
+    try:
+        check_field(p, h, max_field)
+    except NotPrime:
+        raise UsageError(f"q must be a power of an odd prime, got base {p}") from None
     return p, h
 
 
@@ -485,11 +489,16 @@ def cmd_check(ns, out, err):
 def _grids(ns):
     """(field, Grid) of the grid at every requested q, in ascending q, once
     every q's groups are validated and h built.  check is a sweep whose grid,
-    over all q, must be exactly one tuple."""
+    over all q, must be exactly one tuple.  A key the family does not take is
+    a usage error: T5 and T6 fix d (4 and 2), and T6 takes u and v, not k."""
     params = parse_kv(ns.params, FAMILY_KEYS)
     tag = params.get("family")
     if tag not in TAGS:
         raise UsageError(f"family must be one of {', '.join(TAGS)}")
+    takes = {"T5": {"k"}, "T6": {"u", "v"}}.get(tag, {"d", "k"})
+    refused = sorted(params.keys() - takes - {"family", "q", "r", "c"})
+    if refused:
+        raise UsageError(f"family {tag} does not take {', '.join(refused)}")
     for_sweep = ns.command != "check"
     grids = [(field, build_grid(params, field, tag, for_sweep))
              for field in sorted(_fields(params, ns.max_field), key=lambda field: field.q)]

@@ -576,11 +576,11 @@ def build_field(p, h, seed=DEFAULT_SEED, max_size=DEFAULT_MAX_FIELD_SIZE):
     SizeExceeded when p^2h exceeds max_size, then NotPrime unless p is an
     odd prime, before any work grows with p or h.
     """
-    _check_field(p, h, max_size)
+    check_field(p, h, max_size)
     return _build_field_cached(p, h, seed)
 
 
-def _check_field(p, h, max_size):
+def check_field(p, h, max_size):
     """The one guard on (p, h), cheapest test first, so no work grows with an
     oversized input: ValueError for h < 1, then SizeExceeded when p^2h
     exceeds max_size (an h past max_size's bit length is refused before the
@@ -639,7 +639,7 @@ def field_from_text(text, max_size=DEFAULT_MAX_FIELD_SIZE):
     """Parse and fully validate a field description file.
 
     Raises ValueError on malformed input, on a reducible modulus and on a
-    generator of the wrong order, after (p, h) pass _check_field.
+    generator of the wrong order, after (p, h) pass check_field.
     """
     entries = {}
     for line in text.splitlines():
@@ -653,7 +653,7 @@ def field_from_text(text, max_size=DEFAULT_MAX_FIELD_SIZE):
         raise ValueError(f"field description missing keys: {sorted(missing)}")
     p = int(entries["p"])
     h = int(entries["h"])
-    _check_field(p, h, max_size)
+    check_field(p, h, max_size)
     modulus = [int(c) % p for c in entries["modulus"].split(",")]
     if len(modulus) != 2 * h + 1 or modulus[-1] != 1:
         raise ValueError("modulus must be monic of degree 2h")

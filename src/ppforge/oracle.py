@@ -44,12 +44,14 @@ of M.  A zero label n in the base run is fixed by every shift, so run 1
 repeats it.  Without one, the labels of the walk are B_t + j*M mod n for
 t < M and j < D, with B_t = t*e_0 + LH[t], and two of them are equal iff
 their B_t are equal mod M.  So the walk's n labels are pairwise distinct
-iff no LH[t] is n and the M residues B_t mod M are distinct: one byte mark
-per base point, the test of Akbary, Ghioca and Wang (FFA 17, 2011) that
-x^(e_0) H(x)^(q-1) permutes mu_{q+1}, in index form.  The labels then
-cover all of Z_n, so the label of f(0) must be n.  The test reads the folded
-exponents and LH alone, never a family.  A non-bijection's least colliding
-pair costs one more full evaluation, paid only by a caller who reads it.
+iff gcd(e_0, q - 1) = 1, no LH[t] is n and the M residues B_t mod M are
+distinct: one byte mark per base point.  That is the test of Akbary, Ghioca
+and Wang (FFA 17, 2011) that x^(e_0) H(x^(q-1)) permutes F_{q^2}, in index
+form, and agw_failure(q, e_0, LH) is its one copy, which unity.agw_check
+shares.  The labels then cover all of Z_n, so the label of f(0) must be n.
+The test reads the folded exponents and LH alone, never a family.  A
+non-bijection's least colliding pair costs one more full evaluation, paid
+only by a caller who reads it.
 """
 
 from array import array
@@ -108,16 +110,14 @@ def evaluate(field, poly, x):
 
 class _Walk(NamedTuple):
     """The walk over t = 0..n-1 as D runs of M = n/D points; run k is the
-    base run t < M shifted k times.  The base run's label at t is
-    t*step + base[t] mod n, the zero label n staying n: on a split walk base
-    is LH and step is e_0, on any other walk base streams every label and
-    step is 0.  The shift is the label offset e_0*M mod n (module
-    docstring)."""
+    base run t < M shifted k times, by the label offset step*M mod n each
+    time.  The base run's label at t is t*step + base[t] mod n, the zero
+    label n staying n: on a split walk base is LH and step is e_0, on any
+    other walk base streams every label and step is 0 (module docstring)."""
 
     zero_label: int  # the label of f(0)
     base: object
     runs: int  # D
-    shift: int
     step: int = 0
 
 
@@ -143,8 +143,8 @@ def _walk(field, terms):
         lh = logs.lh_cache.get(key)
         if lh is None:
             lh = h_logs(field, [((e - e0) // (q - 1), c) for e, c in terms])
-        return _Walk(zero_label, lh, q - 1, e0 * (q + 1) % n, e0)
-    return _Walk(zero_label, logs.labels(1, terms, n), 1, 0)
+        return _Walk(zero_label, lh, q - 1, e0)
+    return _Walk(zero_label, logs.labels(1, terms, n), 1)
 
 
 def h_logs(field, h_terms):
@@ -177,7 +177,7 @@ def evaluate_on_field(field, poly):
             for t, label in enumerate(walk.base)]
     t = 0
     for k in range(walk.runs):
-        shift = k * walk.shift
+        shift = k * walk.step * (n // walk.runs) % n
         for label in base:
             images[exp[t]] = exp[label if label == n else (label + shift) % n]
             t += 1
@@ -216,10 +216,33 @@ def permutes(field, terms):
     ascending, none repeated, none above n = q^2 - 1, and nonzero Element
     coefficients.  The walk reads nothing else.
 
-    Stops at the first repeated image; a split walk decides from its base
-    run's labels mod q + 1.
+    Stops at the first repeated image: one byte per label (distinct), or on
+    a split walk, the label of f(0) and the AGW test on its base run
+    (agw_failure).
     """
-    return not _collides(field, _walk(field, terms))
+    walk = _walk(field, terms)
+    if walk.runs == 1:
+        return distinct(field.q2, chain((walk.zero_label,), walk.base))
+    return walk.zero_label == field.q2 - 1 and agw_failure(field.q, walk.step, walk.base) is None
+
+
+def agw_failure(q, e0, lh):
+    """The first condition of the test of Akbary, Ghioca and Wang that
+    x^(e_0) H(x^(q-1)) fails to meet as a permutation of F_{q^2}, as a
+    reason text, or None if it meets them all.  lh lists LH[t] = log
+    H(gamma^t) for t = 0..q, n = q^2 - 1 for a zero (h_logs).  In order:
+    gcd(e_0, q - 1) = 1, so that the shift of a split walk has order D
+    (module docstring); H has no zero on mu_{q+1}, no LH[t] being n; and the
+    residues (t*e_0 + LH[t]) mod (q + 1) are distinct, so that
+    x^(e_0) H(x)^(q-1) permutes mu_{q+1}."""
+    m = q + 1
+    if gcd(e0, q - 1) != 1:
+        return "gcd(r, q-1) != 1"
+    if m * (q - 1) in lh:
+        return "h vanishes on mu_{q+1}"
+    if not distinct(m, ((t * e0 + label) % m for t, label in enumerate(lh))):
+        return "x^r h(x)^(q-1) is not a bijection of mu_{q+1}"
+    return None
 
 
 def is_permutation_of_field(field, poly):
@@ -239,29 +262,6 @@ def _bijection(domain_size):
     """The report of a bijection on domain_size points: immutable, and its
     first_collision is None, so one instance serves every call."""
     return PermutationReport(is_bijection=True, domain_size=domain_size)
-
-
-def _collides(field, walk):
-    """Does some label of the walk equal another, or the label of f(0)?
-
-    One byte per label (distinct), or on a split walk, one byte per base
-    run label mod M = n/D (module docstring); a split walk whose shift has
-    order below D collides before any mark.
-    """
-    n = field.q2 - 1
-    zero_label = walk.zero_label
-    if walk.runs == 1:
-        return not distinct(n + 1, chain((zero_label,), walk.base))
-    # run k is the base run shifted by k*shift, so run n/gcd(shift, n) is the
-    # base run again: a shift of order below D repeats every base label
-    if n // gcd(walk.shift, n) < walk.runs:
-        return True
-    # the D shifts are the multiples of M, so the runs' labels are distinct
-    # iff the base run's are distinct mod M and none is the zero label n,
-    # and they then cover every label below n
-    m, step = n // walk.runs, walk.step
-    return (zero_label < n or n in walk.base
-            or not distinct(m, ((t * step + label) % m for t, label in enumerate(walk.base))))
 
 
 def is_permutation_of_mu(mu, fn: Callable):

@@ -12,8 +12,9 @@ from the roots, listed once by the field's power walk (power_columns).  A
 branch A * x^n sends gamma^i to gamma^(log A + n*i), so the piecewise and
 omega-monomial maps are index maps on Z_{q+1} (Wang's cyclotomic mappings),
 their branch read off i by CosetPartition.coset: no per-root field power.
-agw_check is an index map too, on the oracle's discrete logs of h at the
-roots (oracle.h_logs).  make_mu builds one MuContext per field.
+agw_check is the oracle's split test (oracle.agw_failure), on the oracle's
+discrete logs of h at the roots (oracle.h_logs).  make_mu builds one
+MuContext per field.
 
 All decision procedures here are exact: gcd conditions are checked by integer
 arithmetic, bijectivity by marking all q+1 image indices (oracle.distinct).
@@ -25,7 +26,7 @@ from typing import NamedTuple, Optional
 
 from .errors import NotADivisor, NotInMu, PartitionNotDisjoint
 from .ffcore import Element
-from .oracle import distinct, h_logs
+from .oracle import agw_failure, distinct, h_logs
 
 
 class MuContext:
@@ -142,17 +143,11 @@ def agw_check(field, r, h):
     vanishes at gamma^i iff LH[i] is the zero label n, and otherwise
     h(gamma^i)^(q-1) = g^((q-1)*LH[i]) = gamma^LH[i], so the image of
     x = gamma^i is gamma^(r*i + LH[i]) and the test is that
-    i -> r*i + LH[i] mod (q+1) is injective.
+    i -> r*i + LH[i] mod (q+1) is injective: the oracle's split test
+    (oracle.agw_failure), whose reason text is the reason code.
     """
-    q = field.q
-    if gcd(r, q - 1) != 1:
-        return CheckResult(False, "gcd(r, q-1) != 1")
-    lh = h_logs(field, h.terms)
-    if field.q2 - 1 in lh:
-        return CheckResult(False, "h vanishes on mu_{q+1}")
-    if not distinct(q + 1, ((r * i + label) % (q + 1) for i, label in enumerate(lh))):
-        return CheckResult(False, "x^r h(x)^(q-1) is not a bijection of mu_{q+1}")
-    return CheckResult(True)
+    reason = agw_failure(field.q, r, h_logs(field, h.terms))
+    return CheckResult(reason is None, reason)
 
 
 def piecewise_check(part, pieces):
@@ -167,12 +162,9 @@ def piecewise_check(part, pieces):
     if len(pieces) != part.d:
         raise ValueError(f"expected {part.d} pieces, got {len(pieces)}")
     mu = part.mu
-    for piece in pieces:
-        if piece.A not in mu:
-            raise NotInMu(f"piece constant {piece.A!r}")
-    if any(gcd(piece.exponent, part.subgroup_order) != 1 for piece in pieces):
-        return False
     branches = [(mu.log(piece.A), piece.exponent) for piece in pieces]
+    if any(gcd(n, part.subgroup_order) != 1 for _, n in branches):
+        return False
     return distinct(mu.order, ((log_a + n * m) % mu.order for m in range(mu.order)
                                for log_a, n in [branches[part.coset(m)]]))
 
@@ -193,8 +185,6 @@ def materialize_omega_monomial(part, A, k, n):
     the j-th coset y = gamma^(m - j*(q+1)/d) for x = gamma^m, so g(x) =
     gamma^(log A + j*(k-n)*(q+1)/d + n*m)."""
     mu, v = part.mu, part.subgroup_order
-    if A not in mu:
-        raise NotInMu(f"constant {A!r}")
     log_a = mu.log(A)
 
     def g(x):

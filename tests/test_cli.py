@@ -54,13 +54,13 @@ def parse_csv(text):
 # ---------------------------------------------------------------------------
 
 def test_parse_prime_power():
-    assert parse_prime_power("13") == (13, 1)
-    assert parse_prime_power("9") == (3, 2)
-    assert parse_prime_power("3^2") == (3, 2)
-    assert parse_prime_power("25") == (5, 2)
-    for bad in ("8", "12", "2^3", "1", "4^2"):
+    assert parse_prime_power("13", 1 << 26) == (13, 1)
+    assert parse_prime_power("9", 1 << 26) == (3, 2)
+    assert parse_prime_power("3^2", 1 << 26) == (3, 2)
+    assert parse_prime_power("25", 1 << 26) == (5, 2)
+    for bad in ("8", "12", "2^3", "1", "4^2", "9^1", "2^40", "1^100", "-3^2"):
         with pytest.raises(UsageError):
-            parse_prime_power(bad)
+            parse_prime_power(bad, 1 << 26)
 
 
 def test_parse_int_list():
@@ -133,7 +133,7 @@ def test_field_info_refuses_oversized_file_before_primality(tmp_path):
 
 
 def test_parse_prime_power_bounds():
-    assert parse_prime_power("1000000000039") == (1000000000039, 1)  # sqrt(q) divisions
+    assert parse_prime_power("1000000000039", 1 << 80) == (1000000000039, 1)  # sqrt(q) divisions
     assert parse_prime_power("8191", 1 << 26) == (8191, 1)
     for text in ("8209", "3^14"):
         with pytest.raises(SizeExceeded):
@@ -212,6 +212,15 @@ T1_TUPLE = ("family=T1", "q=13", "d=2", "k=1", "r=5", "c=2")
     (("sweep", "family=T1", "q=3^x", "d=2", "k=1", "r=5", "c=2"), "not an integer: 'x'"),
     (("sweep", "family=T1", "q=13,", "d=2", "k=1", "r=5", "c=2"), "not an integer: ''"),
     (("identities", "q=13", "k=1.5"), "not an integer: '1.5'"),
+    # T1-T4 take d and k, T5 takes k (d is 4), T6 takes u and v (d is 2);
+    # another family key is refused before its value is parsed
+    (("check", "family=T5", "q=11", "d=7", "k=0", "r=3", "c=2"), "family T5 does not take d\n"),
+    (("check", "family=T6", "q=13", "u=1", "v=1", "k=abc", "d=xyz", "r=3", "c=2"),
+     "family T6 does not take d, k\n"),
+    (("sweep", "family=T1", "q=13", "d=2", "k=1", "u=1", "r=5", "c=2"), "family T1 does not take u\n"),
+    (("sweep", "family=T3", "q=13", "d=2", "v=1", "r=5", "c=2"), "family T3 does not take v\n"),
+    (("search", "family=T5", "q=11", "k=0", "u=1", "v=2", "r=1..9", "c=all"),
+     "family T5 does not take u, v\n"),
 ])
 def test_usage_errors(argv, fragment, tmp_path):
     f169 = tmp_path / "f169.field"

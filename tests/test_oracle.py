@@ -211,23 +211,27 @@ def distinct_sizes(monkeypatch):
     return sizes
 
 
-def test_split_walk_tests_the_label_of_f0_against_every_run(field_q5):
+def test_split_walk_tests_the_label_of_f0_against_every_run(field_q5, monkeypatch):
     """Hand-made walks on F_25 (n = 24, q + 1 = 6): D = 4 runs of 6 labels,
-    step 1 and shift 6, each verdict against the 24 labels listed run by run
-    and the label of f(0).  The base [0]*6 gives labels 0..5, so the runs
-    cover every label below n once, and the label of f(0) repeats one iff it
-    is below n.  A base label 5 at t = 1 is 6, run 1's label at t = 0; 6 is
-    12, which no other point has; n is the zero label, which every run has.
-    A polynomial's walk never has f(0) != 0 here: its constant term makes
-    e_0 = 0, so the shift is 0, of order 1 < D."""
+    step 1, so run k is the base run shifted by 6k; each verdict against the
+    24 labels listed run by run and the label of f(0).  The base [0]*6 gives
+    labels 0..5, so the runs cover every label below n once, and the label
+    of f(0) repeats one iff it is below n.  A base label 5 at t = 1 is 6,
+    run 1's label at t = 0; 6 is 12, which no other point has; n is the zero
+    label, which every run has.  permutes reads each walk through the label
+    of f(0) and agw_failure on its base run.  A polynomial's walk never has
+    f(0) != 0 here: its constant term makes e_0 = 0, and gcd(0, q - 1) > 1."""
     n = 24
     for zero_label, base in ((24, [0] * 6), (20, [0] * 6), (3, [0] * 6),
                              (24, [0, 5, 0, 0, 0, 0]), (24, [0, 6, 0, 0, 0, 0]),
                              (24, [0, 24, 0, 0, 0, 0]), (24, [7, 0, 13, 0, 0, 0])):
         labels = [zero_label] + [label if label == n else (t + label + 6 * k) % n
                                  for k in range(4) for t, label in enumerate(base)]
-        walk = oracle._Walk(zero_label, base, 4, 6, 1)
-        assert oracle._collides(field_q5, walk) == (len(set(labels)) < n + 1), (zero_label, base)
+        bijection = len(set(labels)) == n + 1
+        assert (zero_label == n and oracle.agw_failure(5, 1, base) is None) == bijection
+        walk = oracle._Walk(zero_label, base, 4, 1)
+        monkeypatch.setattr(oracle, "_walk", lambda field, terms, walk=walk: walk)
+        assert oracle.permutes(field_q5, []) == bijection, (zero_label, base)
 
 
 def test_split_walk_exits_on_its_shift_order(field_q5, field_q13, distinct_sizes):

@@ -5,6 +5,8 @@ from collections import Counter
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ppforge import (
     MonomialPiece,
@@ -12,6 +14,7 @@ from ppforge import (
     agw_check,
     build_field,
     coset_index,
+    evaluate,
     is_permutation_of_field,
     is_permutation_of_mu,
     make_mu,
@@ -22,7 +25,7 @@ from ppforge import (
 )
 from ppforge.cli import main
 from ppforge.errors import NotADivisor, NotInMu, PartitionNotDisjoint
-from ppforge.unity import MuContext, induced_pieces
+from ppforge.unity import CheckResult, MuContext, induced_pieces
 from reference import coset_decompose, poly_from_ints
 
 
@@ -196,6 +199,48 @@ def test_agw_agrees_with_field_oracle():
             )
             direct = is_permutation_of_field(f, h.compose_power(r, f.q - 1))
             assert bool(agw_check(f, r, h)) == direct.is_bijection
+
+
+def _agw_reason(field, r, h):
+    """agw_check's reason code from Element arithmetic alone: gcd(r, q - 1),
+    then a zero of h on mu_{q+1}, then the q + 1 images x^r h(x)^(q-1)."""
+    q, roots = field.q, make_mu(field).elements()
+    if gcd(r, q - 1) != 1:
+        return "gcd(r, q-1) != 1"
+    values = [evaluate(field, h, x) for x in roots]
+    if any(value.is_zero() for value in values):
+        return "h vanishes on mu_{q+1}"
+    if len({int(x ** r * value ** (q - 1)) for x, value in zip(roots, values)}) < q + 1:
+        return "x^r h(x)^(q-1) is not a bijection of mu_{q+1}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(pq=st.sampled_from(((5, 1), (3, 2), (13, 1))), seed=st.sampled_from((0, 1)),
+       r=st.integers(1, 400),
+       terms=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 1 << 10)), min_size=1, max_size=3),
+       root=st.none() | st.integers(0, 13))
+@example(pq=(5, 1), seed=0, r=2, terms=[(0, 1)], root=None)  # gcd
+@example(pq=(3, 2), seed=1, r=1, terms=[(0, 1), (1, 1)], root=3)  # h vanishes
+@example(pq=(13, 1), seed=0, r=1, terms=[(0, 1), (2, 2)], root=None)  # not a bijection
+@example(pq=(13, 1), seed=1, r=5, terms=[(0, 7)], root=None)  # permutes
+def test_agw_check_against_element_arithmetic(pq, seed, r, terms, root):
+    """agw_check's verdict and reason code on F_25, F_81 and F_169, built at
+    PPFORGE_SEED 0 and 1, for random (r, h), h of at most three terms, read
+    against _agw_reason, which uses no LH.  With root set, the first
+    coefficient is chosen so that h vanishes at that root of unity, when
+    the other terms allow it.  The examples reach each reason code."""
+    field = build_field(*pq, seed=seed)
+    coeffs = [(k, field.from_int(1 + c % (field.q2 - 1))) for k, c in terms]
+    if root is not None and len(coeffs) > 1:
+        x = make_mu(field).elements()[root % (field.q + 1)]
+        (k, _), rest = coeffs[0], coeffs[1:]
+        value = evaluate(field, SparsePoly(field, rest), x)
+        if not value.is_zero():
+            coeffs[0] = (k, -value * x ** -k)
+    h = SparsePoly(field, coeffs)
+    reason = _agw_reason(field, r, h)
+    assert agw_check(field, r, h) == CheckResult(reason is None, reason), (pq, seed, r, h)
 
 
 def test_piecewise_identity_d1(field_q5):
