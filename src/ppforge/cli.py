@@ -32,8 +32,10 @@ ones merged, and each coefficient's text kept.  Each r reads the gcd
 criterion once, and each (r, c) folds f = x^r h(x^(q-1)) mod q^2 - 1 from
 plain ints, whose sorted terms, joined with their texts, make the reduced_f
 column.  That text names the folded f one to one, so it keys a memo of the
-oracle's verdicts, kept per sweep and per field in each process: each
-distinct f is walked once there.  Every row that check, sweep and search
+oracle's verdicts, kept per sweep and per field in each process: the oracle
+is asked once per distinct f there, and itself runs its AGW test once per
+class (H, e_0 mod (q + 1)) of f = x^(e_0) H(x^(q-1)) (oracle.permutes).
+Every row that check, sweep and search
 write, CSV or JSON lines, is one string from a line maker of the kernel;
 compute_rows gets Row tuples from the same kernel.  A pooled sweep or
 search hands its workers contiguous slices of the grid, each pickled as a

@@ -426,7 +426,7 @@ class TwoLevelLogs:
     def __init__(self, field):
         p, q, h = field.p, field.q, field.h
         self.field, self.q = field, q
-        self.lh_cache = {}  # oracle.h_logs' LH arrays
+        self.lh_cache = {}  # oracle's (LH, verdict bytes) entries of each H
         self._exps = None
         self._log_memo = {}
         n = self.n = field.q2 - 1

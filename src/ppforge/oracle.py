@@ -22,7 +22,7 @@ k_j = (e_j - e_0)/(q - 1), so log f(g^t) = t*e_0 + LH[t] mod n, where
 LH[t] = log H(gamma^t) and gamma = g^(q-1).  LH depends on H alone, and is
 cached in the field's log provider (lh_cache) under H's terms (k_j, c_j),
 read off the folded polynomial: a sweep over r reuses it, and the bijection
-test adds t*e_0 to each LH[t] as it marks it, M integer adds per r.  LH
+test adds t*e_0 to each LH[t] as it marks it, M integer adds per e_0.  LH
 is the provider's labels(q - 1, H, q + 1).  Run k = 1..D-1
 (t = kM..kM+M-1) is the base run shifted: each label plus k*e_0*M mod n,
 the zero label n staying n.  D is read off the folded exponents alone,
@@ -48,10 +48,19 @@ iff gcd(e_0, q - 1) = 1, no LH[t] is n and the M residues B_t mod M are
 distinct: one byte mark per base point.  That is the test of Akbary, Ghioca
 and Wang (FFA 17, 2011) that x^(e_0) H(x^(q-1)) permutes F_{q^2}, in index
 form, and agw_failure(q, e_0, LH) is its one copy, which unity.agw_check
-shares.  The labels then cover all of Z_n, so the label of f(0) must be n.
-The test reads the folded exponents and LH alone, never a family.  A
-non-bijection's least colliding pair costs one more full evaluation, paid
-only by a caller who reads it.
+shares.  The labels then cover all of Z_n, so the label of f(0) must be n,
+and it is: a constant term makes e_0 = 0, and gcd(0, q - 1) = q - 1 > 1.
+
+So past the order exit the verdict depends on e_0 only through
+e_0 mod (q + 1), which fixes the residues B_t mod M.  H's lh_cache entry
+keeps LH beside a bytearray(q + 1) of verdicts, one byte per class
+e_0 mod (q + 1) (unknown, collides, permutes): permutes takes the order
+exit before it reads LH, and runs the AGW test once per class of one H.  A
+sweep over r then walks at most (q + 1)/2 times per H, however many r it
+holds, as gcd(e_0, q - 1) = 1 leaves the odd classes only
+(class_verdicts).  The key is H's terms and e_0, read off the folded
+polynomial, never a family.  A non-bijection's least colliding pair costs
+one more full evaluation, paid only by a caller who reads it.
 """
 
 from array import array
@@ -122,15 +131,20 @@ class _Walk(NamedTuple):
 
 
 # LH arrays are kept per field in its log provider's lh_cache, keyed by H's
-# terms; the dict is emptied before it grows past about LH_CACHE_LABELS
-# labels (8 bytes each)
+# terms, each beside the verdict bytes of H's classes e_0 mod (q + 1), so an
+# entry holds 9 bytes per label (8 of LH, 1 of verdict); the dict is emptied
+# before it grows past about LH_CACHE_LABELS labels, and an LH's verdicts go
+# with it
 LH_CACHE_LABELS = 1 << 20
+
+# the verdict byte of a class e_0 mod (q + 1) of one H (permutes)
+_UNKNOWN, _COLLIDES, _PERMUTES = 0, 1, 2
 
 
 def _walk(field, terms):
-    """The walk of the folded polynomial with these terms (permutes): a
-    split walk from the cached LH of its H, or else every point's label,
-    streamed."""
+    """The walk of the folded polynomial with these terms (evaluate_on_field,
+    and permutes when unsplit): a split walk from the cached LH of its H, or
+    else every point's label, streamed."""
     n, q = field.q2 - 1, field.q
     logs = field.logs()
     e0 = terms[0][0] if terms else 0
@@ -138,30 +152,45 @@ def _walk(field, terms):
     zero_label = logs.log(terms[0][1]) if terms and not e0 else n
     # D = q - 1 runs of M = q + 1 points when q - 1 divides every e_j - e_0
     if not any([(e - e0) % (q - 1) for e, _ in terms]):
-        # h_logs' key, built here so that a cache hit builds no H terms
-        key = tuple([((e - e0) // (q - 1), c.coeffs) for e, c in terms])
-        lh = logs.lh_cache.get(key)
-        if lh is None:
-            lh = h_logs(field, [((e - e0) // (q - 1), c) for e, c in terms])
-        return _Walk(zero_label, lh, q - 1, e0)
+        return _Walk(zero_label, _split_entry(field, terms, e0)[0], q - 1, e0)
     return _Walk(zero_label, logs.labels(1, terms, n), 1)
+
+
+def _split_entry(field, terms, e0):
+    """The lh_cache entry (_lh_entry) of H, for the folded terms of a split
+    f = x^(e_0) H(x^(q-1)).  The key is built here, so that a cache hit
+    builds no H terms."""
+    q = field.q
+    entry = field.logs().lh_cache.get(tuple([((e - e0) // (q - 1), c.coeffs) for e, c in terms]))
+    if entry is None:
+        entry = _lh_entry(field, [((e - e0) // (q - 1), c) for e, c in terms])
+    return entry
+
+
+def _lh_entry(field, h_terms):
+    """H's entry (LH, verdicts) in the field's log provider's lh_cache, under
+    the terms' exponents and coordinates; H = sum c*y^k over the (k, c) in
+    h_terms (nonzero Elements c).  LH is h_logs'; verdicts is a
+    bytearray(q + 1) of the verdict bytes of H's classes e_0 mod (q + 1),
+    _UNKNOWN until permutes or class_verdicts decides one."""
+    logs = field.logs()
+    key = tuple([(k, c.coeffs) for k, c in h_terms])
+    cache = logs.lh_cache
+    entry = cache.get(key)
+    if entry is None:
+        q = field.q
+        entry = (array("q", logs.labels(q - 1, h_terms, q + 1)), bytearray(q + 1))
+        if len(cache) * (q + 1) >= LH_CACHE_LABELS:
+            cache.clear()
+        cache[key] = entry
+    return entry
 
 
 def h_logs(field, h_terms):
     """LH[t] = log H(gamma^t) for t = 0..q (n for a zero), gamma = g^(q-1),
     H = sum c*y^k over the (k, c) in h_terms (nonzero Elements c); cached in
-    the field's log provider under the terms' exponents and coordinates."""
-    logs = field.logs()
-    key = tuple([(k, c.coeffs) for k, c in h_terms])
-    cache = logs.lh_cache
-    lh = cache.get(key)
-    if lh is None:
-        q = field.q
-        lh = array("q", logs.labels(q - 1, h_terms, q + 1))
-        if len(cache) * (q + 1) >= LH_CACHE_LABELS:
-            cache.clear()
-        cache[key] = lh
-    return lh
+    the field's log provider (_lh_entry)."""
+    return _lh_entry(field, h_terms)[0]
 
 
 def evaluate_on_field(field, poly):
@@ -216,14 +245,47 @@ def permutes(field, terms):
     ascending, none repeated, none above n = q^2 - 1, and nonzero Element
     coefficients.  The walk reads nothing else.
 
-    Stops at the first repeated image: one byte per label (distinct), or on
-    a split walk, the label of f(0) and the AGW test on its base run
-    (agw_failure).
+    An unsplit walk stops at the first repeated image, one byte per label
+    (distinct).  A split walk x^(e_0) H(x^(q-1)) takes the order exit,
+    gcd(e_0, q - 1) != 1, before it reads LH; a constant term makes e_0 = 0,
+    so the exit refuses it too.  Otherwise the verdict is the AGW test
+    (agw_failure), kept in H's lh_cache entry as the verdict byte of the
+    class e_0 mod (q + 1), and read from there when the class comes again.
     """
-    walk = _walk(field, terms)
-    if walk.runs == 1:
+    q = field.q
+    e0 = terms[0][0] if terms else 0
+    if any([(e - e0) % (q - 1) for e, _ in terms]):
+        walk = _walk(field, terms)
         return distinct(field.q2, chain((walk.zero_label,), walk.base))
-    return walk.zero_label == field.q2 - 1 and agw_failure(field.q, walk.step, walk.base) is None
+    if gcd(e0, q - 1) != 1:
+        return False
+    return _class_verdict(q, e0, _split_entry(field, terms, e0))
+
+
+def _class_verdict(q, e0, entry):
+    """Does x^(e_0) H(x^(q-1)) permute F_{q^2}, gcd(e_0, q - 1) being 1?
+    entry is H's (LH, verdicts); the verdict byte of e_0 mod (q + 1) is
+    read, or on _UNKNOWN decided by agw_failure and kept."""
+    lh, verdicts = entry
+    m = e0 % (q + 1)
+    if verdicts[m] == _UNKNOWN:
+        verdicts[m] = _PERMUTES if agw_failure(q, e0, lh) is None else _COLLIDES
+    return verdicts[m] == _PERMUTES
+
+
+def class_verdicts(field, h_terms):
+    """{rho: does x^(e_0) H(x^(q-1)) permute F_{q^2}} for every class
+    rho = e_0 mod (q + 1) of exponents e_0 with gcd(e_0, q - 1) = 1, H as in
+    h_logs; every other e_0 fails the order exit.  Those classes are the odd
+    rho: q + 1 and q - 1 are even and q + 1 = 2 (mod q - 1), so
+    rho + j(q + 1) for j < (q - 1)/2 meets every residue of rho's parity
+    mod q - 1.  Each class is decided on its least such e_0 (_class_verdict),
+    O(q) each and O(q^2) in all, and its verdict byte is kept."""
+    q = field.q
+    entry = _lh_entry(field, h_terms)
+    return {rho: _class_verdict(q, next(e for e in range(rho, field.q2, q + 1) if gcd(e, q - 1) == 1),
+                                entry)
+            for rho in range(1, q + 1, 2)}
 
 
 def agw_failure(q, e0, lh):

@@ -5,6 +5,7 @@ import json
 import operator
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from ppforge import (
     is_permutation_of_field,
     permutes,
 )
-from ppforge import cli, errors, families
+from ppforge import cli, errors, families, oracle
 from ppforge.cli import main, parse_int_list, parse_prime_power
 from ppforge.families import FamilyParams, build_f, validate
 from ppforge.ffcore import FieldSpec
@@ -667,6 +668,60 @@ def test_row_kernel_matches_build_f(p, h):
             assert row.oracle == verdicts[f], tup
 
 
+class NoMemo(dict):
+    """A verdict memo that keeps nothing, so every row asks the oracle."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def spread_groups(field, tag, count):
+    """At most count admissible (tag, d, k, u, v, c) groups at field's q,
+    sampled with q as the seed, sorted: every d dividing q + 1 on T1-T4 with every k of its default window, u = 1, 3
+    with v = 1 on T6, and every valid c, but c = 1..2q on T3 and T4, which
+    take every nonzero c."""
+    q = field.q
+    params = {"d": ",".join(str(d) for d in range(1, q + 2) if (q + 1) % d == 0),
+              "u": "1,3", "v": "1", "r": "1",
+              "c": f"1..{2 * q}" if tag in ("T3", "T4") else "all"}
+    groups = [tup[:5] + tup[6:] for tup in cli.build_grid(params, field, tag, True)
+              if validate(cli._params_from_tuple(field, tup)).satisfied]
+    return sorted(random.Random(q).sample(groups, min(count, len(groups))))
+
+
+# q = 5, 3^2, 13 and 3^4, and 11 for T5, which needs q = 3 (mod 8); the
+# number of groups per family
+CLASS_MEMO_FIELDS = [(5, 1, 8), (3, 2, 8), (13, 1, 8), (3, 4, 1), (11, 1, 8)]
+
+
+@pytest.mark.parametrize("p,h,count", CLASS_MEMO_FIELDS)
+def test_class_memo_matches_per_tuple_walks_over_full_r(monkeypatch, p, h, count):
+    """Full-r grids, r = 1..n, of a few groups of each family: the kernel's
+    verdicts with its reduced_f memo on and off (NoMemo), the oracle's
+    class memo kept across rows and grids, against permutes on each tuple's
+    build_f folded, with lh_cache emptied before every call.  r meets every
+    class e_0 mod (q + 1) many times over, with gcd(e_0, q - 1) = 1 and
+    not, and the c of a group share H's exponents but not its terms."""
+    field = build_field(p, h)
+    n = field.q2 - 1
+    expected = []
+    for tag in families.TAGS:
+        tuples = sorted((*group[:5], r, group[5]) for group in spread_groups(field, tag, count)
+                        for r in range(1, n + 1))
+        if not tuples:
+            continue
+        start = len(expected)
+        for tup in tuples:
+            field.logs().lh_cache.clear()
+            terms = build_f(cli._params_from_tuple(field, tup)).reduce_mod().terms
+            expected.append(oracle.permutes(field, terms))
+        grid = Grid.of(tuples)
+        cli._prepare([(field, grid)])
+        for memo in ({}, NoMemo()):
+            assert [row.oracle for row in cli._row_list(field, grid, memo)] == expected[start:], tag
+    assert 0 < sum(expected) < len(expected)
+
+
 KERNEL_FIELDS = [build_field(5, 1), build_field(3, 2), build_field(13, 1)]
 
 
@@ -725,6 +780,36 @@ def test_verdict_memo_walks_each_distinct_folded_f_once(monkeypatch, tag, q, par
             verdicts[f] = is_permutation_of_field(field, f).is_bijection
         assert row.oracle == verdicts[f], tup
     assert len(walked) == len(set(walked)) == len(verdicts) == walks
+
+
+@pytest.mark.parametrize("tag,q,params,hs,walks", [
+    ("T1", 13, {"d": "2,14", "r": "1..167", "c": "all"}, 85, 595),
+    ("T3", 13, {"d": "2,7,14", "r": "1..167", "c": "1,2,3"}, 3, 21),
+    ("T5", 11, {"r": "1..119", "c": "all"}, 24, 144),
+    ("T6", 509, {"u": "1", "v": "1", "r": "1..20000", "c": "2"}, 1, 255),
+])
+def test_class_memo_runs_one_agw_test_per_class(monkeypatch, tag, q, params, hs, walks):
+    """At --jobs=1, with the field's lh_cache emptied first, the oracle runs
+    agw_failure at most once per class (H, e_0 mod (q + 1)).  Only odd
+    classes pass the order exit, (q + 1)/2 of them per H, and each grid's
+    r window meets them all: 85 distinct H times 7 classes make the 595
+    tests of the 7,685 distinct folded f of the first grid (18,704 rows),
+    and the 20,000 r of the last meet the 255 classes of its one H."""
+    calls = []
+    agw_failure = oracle.agw_failure
+
+    def counting(q, e0, lh):
+        calls.append((lh, e0 % (q + 1)))
+        return agw_failure(q, e0, lh)
+
+    monkeypatch.setattr(oracle, "agw_failure", counting)
+    field = build_field(q, 1)
+    field.logs().lh_cache.clear()
+    tuples = cli.build_grid(params, field, tag, True)
+    cli.compute_rows(field, tuples, 1, 0, 1 << 26)
+    classes = {(id(lh), m) for lh, m in calls}
+    assert len(calls) == len(classes) == walks
+    assert len({id(lh) for lh, _ in calls}) == hs and walks == hs * (q + 1) // 2
 
 
 @functools.lru_cache(maxsize=None)

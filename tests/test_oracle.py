@@ -3,6 +3,7 @@ import io
 import time
 import tracemalloc
 from collections import Counter
+from functools import partial
 from math import gcd
 
 import pytest
@@ -211,27 +212,32 @@ def distinct_sizes(monkeypatch):
     return sizes
 
 
-def test_split_walk_tests_the_label_of_f0_against_every_run(field_q5, monkeypatch):
-    """Hand-made walks on F_25 (n = 24, q + 1 = 6): D = 4 runs of 6 labels,
-    step 1, so run k is the base run shifted by 6k; each verdict against the
-    24 labels listed run by run and the label of f(0).  The base [0]*6 gives
-    labels 0..5, so the runs cover every label below n once, and the label
-    of f(0) repeats one iff it is below n.  A base label 5 at t = 1 is 6,
-    run 1's label at t = 0; 6 is 12, which no other point has; n is the zero
-    label, which every run has.  permutes reads each walk through the label
-    of f(0) and agw_failure on its base run.  A polynomial's walk never has
-    f(0) != 0 here: its constant term makes e_0 = 0, and gcd(0, q - 1) > 1."""
-    n = 24
-    for zero_label, base in ((24, [0] * 6), (20, [0] * 6), (3, [0] * 6),
-                             (24, [0, 5, 0, 0, 0, 0]), (24, [0, 6, 0, 0, 0, 0]),
-                             (24, [0, 24, 0, 0, 0, 0]), (24, [7, 0, 13, 0, 0, 0])):
-        labels = [zero_label] + [label if label == n else (t + label + 6 * k) % n
-                                 for k in range(4) for t, label in enumerate(base)]
-        bijection = len(set(labels)) == n + 1
-        assert (zero_label == n and oracle.agw_failure(5, 1, base) is None) == bijection
-        walk = oracle._Walk(zero_label, base, 4, 1)
-        monkeypatch.setattr(oracle, "_walk", lambda field, terms, walk=walk: walk)
-        assert oracle.permutes(field_q5, []) == bijection, (zero_label, base)
+def test_split_walk_with_a_constant_term_takes_the_order_exit(field_q5, field_q9, field_q13,
+                                                               monkeypatch):
+    """Split polynomials H(x^(q-1)) = c_0 + sum c_j x^(k_j(q-1)) with a
+    nonzero constant term c_0 on F_25, F_81 and F_169, k_j up to q + 1
+    (x^n folds to itself, not to 1).  f(0) = c_0 has a label below n, and
+    permutes never compares it: the constant term makes e_0 = 0 and
+    gcd(0, q - 1) = q - 1 > 1, so the order exit refuses f before LH is
+    read, with no AGW test and no lh_cache entry.  Each is a non-bijection
+    by evaluate()."""
+    calls = []
+    monkeypatch.setattr(oracle, "agw_failure", lambda *args: calls.append(args))
+    count = 0
+    for f in (field_q5, field_q9, field_q13):
+        q, g = f.q, f.generator
+        for c0 in (f.one, g, -g ** 3):
+            for h in ([], [(1, g)], [(2, f.one), (q + 1, g ** 3)], [(q, f.from_int(2))],
+                      [(1, f.one), (2, -f.one), (q - 1, g)]):
+                poly = SparsePoly(f, [(0, c0)] + [(k * (q - 1), c) for k, c in h])
+                terms = poly.reduce_mod().terms
+                assert terms[0][0] == 0 and not any((e % (q - 1) for e, _ in terms))
+                f.logs().lh_cache.clear()
+                assert not oracle.permutes(f, terms), poly
+                assert not f.logs().lh_cache and not calls, poly
+                assert len({int(evaluate(f, poly, x)) for x in f.elements()}) < f.q2, poly
+                count += 1
+    assert count == 3 * 3 * 5
 
 
 def test_split_walk_exits_on_its_shift_order(field_q5, field_q13, distinct_sizes):
@@ -355,24 +361,120 @@ def test_polys_with_one_h_share_one_cache_entry(field_q13, field_q25):
 
 
 def test_verdicts_do_not_depend_on_the_cache(field_q13, field_q25, monkeypatch):
-    """T6 and T1 tuples with the cache kept, cleared before every call, and
-    bounded to one LH at a time (LH_CACHE_LABELS = 1)."""
+    """T6 and T1 tuples with the cache kept, cleared before every call, with
+    every LH kept but its verdict bytes emptied before every call, and
+    bounded to one LH at a time (LH_CACHE_LABELS = 1), whose verdict bytes
+    go with it.  Every verdict byte kept is its class's AGW test."""
     for f in (field_q13, field_q25):
         polys = t6_polys(f, range(1, 40)) + [
             build_f(params) for params in (
                 FamilyParams(tag="T1", field=f, r=r, c=c, d=2, k=1)
                 for r in range(1, 12) for c in valid_c_values(f, "T1")[:3])]
+        cache = f.logs().lh_cache
+        cache.clear()
         kept = [is_permutation_of_field(f, poly).is_bijection for poly in polys]
+        check_verdict_bytes(f)
+        forgotten = []
+        for poly in polys:
+            for _, verdicts in cache.values():
+                verdicts[:] = bytes(f.q + 1)
+            forgotten.append(is_permutation_of_field(f, poly).is_bijection)
         cleared = []
         for poly in polys:
-            f.logs().lh_cache.clear()
+            cache.clear()
             cleared.append(is_permutation_of_field(f, poly).is_bijection)
+        check_verdict_bytes(f)
         monkeypatch.setattr(oracle, "LH_CACHE_LABELS", 1)
         bounded = [is_permutation_of_field(f, poly).is_bijection for poly in polys]
-        assert len(f.logs().lh_cache) == 1
+        assert len(cache) == 1
+        check_verdict_bytes(f)
         monkeypatch.undo()
-        assert kept == cleared == bounded
+        assert kept == forgotten == cleared == bounded
         assert 0 < sum(kept) < len(kept), f
+
+
+def check_verdict_bytes(f):
+    """Every verdict byte in f's lh_cache is unknown or the AGW test of its
+    class on its own LH, decided on the least e_0 of the class that passes
+    the order exit; the even classes, which none passes, stay unknown.  At
+    least one byte is decided."""
+    q = f.q
+    decided = 0
+    for lh, verdicts in f.logs().lh_cache.values():
+        assert len(verdicts) == q + 1 and not any(verdicts[::2])
+        for m in range(1, q + 1, 2):
+            if verdicts[m]:
+                e0 = next(e for e in range(m, f.q2, q + 1) if gcd(e, q - 1) == 1)
+                assert verdicts[m] == (2 if oracle.agw_failure(q, e0, lh) is None else 1), m
+                decided += 1
+    assert decided
+
+
+# the H of the class tests: H = sum c*y^k as (k, c) pairs, c an int or a
+# power of g (given as a string "g^i"), with a zero on mu_{q+1} in some
+CLASS_HS = [[(0, 1)], [(0, 1), (1, "g^1")], [(0, 1), (2, "g^3")], [(0, 1), (1, 2), (2, 1)],
+            [(1, 1), (3, "g^5"), (4, 2)], [(0, "g^2"), (5, 1)]]
+
+
+def class_h(f, h):
+    g = f.generator
+    return [(k, g ** int(c[2:]) if isinstance(c, str) else f.from_int(c)) for k, c in h]
+
+
+@pytest.mark.parametrize("p,h", [(5, 1), (13, 1), (3, 2)])
+def test_class_verdicts_match_permutes_at_every_e0(p, h):
+    """class_verdicts of each H against permutes of x^(e_0) H(x^(q-1))
+    folded, for every e_0 in 1..n, with lh_cache emptied before every call:
+    e_0 permutes iff gcd(e_0, q - 1) = 1 and its class e_0 mod (q + 1)
+    does.  The classes are the odd residues mod q + 1.  Folding moves the
+    least exponent of f where e_0 + k(q - 1) passes n, and with it H."""
+    f = build_field(p, h)
+    q, n = f.q, f.q2 - 1
+    verdicts = Counter()
+    for h_terms in map(partial(class_h, f), CLASS_HS):
+        f.logs().lh_cache.clear()
+        classes = oracle.class_verdicts(f, h_terms)
+        assert sorted(classes) == list(range(1, q + 1, 2))
+        for e0 in range(1, n + 1):
+            f.logs().lh_cache.clear()
+            terms = SparsePoly(f, [(e0 + k * (q - 1), c) for k, c in h_terms]).reduce_mod().terms
+            expected = gcd(e0, q - 1) == 1 and classes[e0 % (q + 1)]
+            assert oracle.permutes(f, terms) == expected, (h_terms, e0)
+            verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+# fields for random x^(e_0) H(x^(q-1)), of degree 1 and 2 (h = 1, 2)
+SPLIT_FIELDS = [(5, 1), (13, 1), (3, 2), (5, 2)]
+
+
+@st.composite
+def split_polys(draw):
+    """x^(e_0) H(x^(q-1)) on a small field, e_0 in 1..2n.  Half the draws
+    take H from CLASS_HS, so that one H recurs with another e_0 across
+    draws, where the verdict bytes kept in lh_cache answer it; the others
+    draw one to three terms y^k, k up to q + 1, with coefficients 1, 2, g
+    or g^(q+1)."""
+    f = build_field(*draw(st.sampled_from(SPLIT_FIELDS)))
+    q, n = f.q, f.q2 - 1
+    if draw(st.booleans()):
+        h_terms = class_h(f, draw(st.sampled_from(CLASS_HS)))
+    else:
+        ks = draw(st.lists(st.integers(0, q + 1), min_size=1, max_size=3, unique=True))
+        coeffs = [f.one, f.from_int(2), f.generator, f.generator ** (q + 1)]
+        h_terms = [(k, draw(st.sampled_from(coeffs))) for k in ks]
+    e0 = draw(st.integers(1, 2 * n))
+    return SparsePoly(f, [(e0 + k * (q - 1), c) for k, c in h_terms])
+
+
+@given(poly=split_polys())
+@settings(max_examples=100, deadline=None)
+def test_split_verdicts_match_brute_force_with_the_class_memo(poly):
+    """The oracle's verdict, with lh_cache and its verdict bytes kept
+    across draws, against the images of evaluate() at every element."""
+    f = poly.field
+    images = {int(evaluate(f, poly, x)) for x in f.elements()}
+    assert is_permutation_of_field(f, poly).is_bijection == (len(images) == f.q2)
 
 
 def test_evaluation_does_not_depend_on_the_decoded_field_cache(field_q13, field_q25,
