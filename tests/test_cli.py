@@ -677,9 +677,9 @@ class NoMemo(dict):
 
 def spread_groups(field, tag, count):
     """At most count admissible (tag, d, k, u, v, c) groups at field's q,
-    sampled with q as the seed, sorted: every d dividing q + 1 on T1-T4 with every k of its default window, u = 1, 3
-    with v = 1 on T6, and every valid c, but c = 1..2q on T3 and T4, which
-    take every nonzero c."""
+    sampled with q as the seed, sorted: every d dividing q + 1 on T1-T4
+    with every k of its default window, u = 1, 3 with v = 1 on T6, and
+    every valid c, but c = 1..2q on T3 and T4, which take every nonzero c."""
     q = field.q
     params = {"d": ",".join(str(d) for d in range(1, q + 2) if (q + 1) % d == 0),
               "u": "1,3", "v": "1", "r": "1",
@@ -695,7 +695,7 @@ CLASS_MEMO_FIELDS = [(5, 1, 8), (3, 2, 8), (13, 1, 8), (3, 4, 1), (11, 1, 8)]
 
 
 @pytest.mark.parametrize("p,h,count", CLASS_MEMO_FIELDS)
-def test_class_memo_matches_per_tuple_walks_over_full_r(monkeypatch, p, h, count):
+def test_class_memo_matches_per_tuple_walks_over_full_r(p, h, count):
     """Full-r grids, r = 1..n, of a few groups of each family: the kernel's
     verdicts with its reduced_f memo on and off (NoMemo), the oracle's
     class memo kept across rows and grids, against permutes on each tuple's
